@@ -10,8 +10,6 @@ from repro.core.maintable import (
     DEFAULT_DEPTH,
     MISSED,
     MainTable,
-    MultiHashTable,
-    PipelinedTables,
     pipeline_sizes,
 )
 
@@ -29,8 +27,6 @@ __all__ = [
     "HashFlow",
     "TimeoutHashFlow",
     "MainTable",
-    "MultiHashTable",
-    "PipelinedTables",
     "merge_records",
     "pipeline_sizes",
 ]

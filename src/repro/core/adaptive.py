@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.ancillary import PROMOTE
 from repro.core.hashflow import HashFlow
+from repro.core.maintable import ABSORBED
 from repro.flow.batch import KeyBatch
 from repro.sketches.base import FlowCollector, gather_estimates
 from repro.specs import build, register
@@ -169,13 +171,11 @@ class AdaptiveHashFlow(HashFlow):
         self._window_offers = 0
         self._window_replacements = 0
 
-    def process(self, key: int) -> None:
-        """Algorithm 1 with the adaptive promotion margin."""
-        from repro.core.maintable import ABSORBED  # local import for clarity
-        from repro.core.ancillary import PROMOTE
-
+    def process(self, key: int, size: int = 0) -> None:
+        """Algorithm 1 with the adaptive promotion margin (``size``
+        feeds the optional byte counters)."""
         self.meter.packets += 1
-        status, min_count, sentinel = self.main.probe(key)
+        status, min_count, sentinel = self.main.probe(key, size)
         if status == ABSORBED:
             return
         before = self.ancillary.query(key)
@@ -185,7 +185,7 @@ class AdaptiveHashFlow(HashFlow):
         if before == 0:
             self._window_replacements += 1
         if outcome == PROMOTE:
-            self.main.promote(sentinel, key, new_count)
+            self.main.promote(sentinel, key, new_count, size)
             self.promotions += 1
             if self.clear_promoted:
                 self.ancillary.clear_cell(key)
@@ -198,7 +198,11 @@ class AdaptiveHashFlow(HashFlow):
         promotion rule throughout) must not engage.  The *query* side
         has no such state dependence — the margin only shapes updates —
         so the inherited vectorized ``query_batch`` stays valid."""
-        FlowCollector.process_batch(self, keys)
+        batch = KeyBatch.coerce(keys)
+        sizes = [0] * len(batch) if batch.sizes is None else batch.sizes.tolist()
+        process = self.process
+        for key, size in zip(batch.keys, sizes):
+            process(key, size)
 
     def _adapt(self) -> None:
         """Update the margin from the last window's replacement share."""

@@ -15,15 +15,21 @@ probe:
 * digest match and ``count >= min_count`` → *promote*: the flow has
   grown at least as large as the smallest colliding main-table record,
   so it should displace that sentinel.
+
+State is two flat planes, ``digests`` and ``counts``, with the same
+plane types as the main table (:mod:`repro.core.maintable`): Python
+lists on the numpy tier, numpy arrays on the native tier or when
+shared.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.digest import DEFAULT_DIGEST_BITS, DigestFunction
+from repro.hashing.digest import DigestFunction
 from repro.hashing.families import HashFunction
-from repro.hashing.mixers import mix128
+from repro.hashing.mixers import mix128, mix128_batch
+from repro.core.maintable import cleared, new_plane
 from repro.sketches.base import CostMeter
 from repro.sketches.linear_counting import linear_counting_estimate
 
@@ -45,6 +51,12 @@ class AncillaryTable:
         counter_bits: counter width; counters saturate at
             ``2**counter_bits - 1`` (8 bits in the paper's setup).
         meter: shared cost meter.
+        arrays: allocate numpy planes (the native tier) instead of
+            Python lists.
+
+    Cells are addressed with the hashes' prebound ``mix128`` seeds —
+    here, in the batched walk and in the C kernel alike — so both must
+    be plain :class:`HashFunction` / :class:`DigestFunction` objects.
     """
 
     def __init__(
@@ -54,32 +66,39 @@ class AncillaryTable:
         digest: DigestFunction,
         counter_bits: int = DEFAULT_COUNTER_BITS,
         meter: CostMeter | None = None,
+        arrays: bool = False,
     ):
         if n_cells <= 0:
             raise ValueError(f"n_cells must be positive, got {n_cells}")
         if counter_bits <= 0:
             raise ValueError(f"counter_bits must be positive, got {counter_bits}")
+        if not (
+            type(index_hash) is HashFunction
+            and type(digest) is DigestFunction
+            and type(digest.base) is HashFunction
+        ):
+            raise TypeError(
+                "the ancillary table needs plain HashFunction/DigestFunction "
+                "hashes (cells are addressed by their mix128 seeds)"
+            )
         self.n_cells = n_cells
         self.counter_bits = counter_bits
         self.max_count = (1 << counter_bits) - 1
         self.index_hash = index_hash
         self.digest = digest
         self.meter = meter if meter is not None else CostMeter()
-        # The hot path inlines `mix128(key, seed)` with prebound seeds,
-        # which is only valid for plain (non-subclassed) HashFunction /
-        # DigestFunction instances; anything else — e.g. a TabulationHash
-        # drop-in — dispatches through the injected objects instead.
-        self._fast_hashes = (
-            type(index_hash) is HashFunction
-            and type(digest) is DigestFunction
-            and type(digest.base) is HashFunction
+        self._index_seed = index_hash.seed
+        self._digest_seed = digest.base.seed
+        self._digest_mask = (1 << digest.bits) - 1
+        self.digests = new_plane(n_cells, np.uint64, arrays)
+        self.counts = new_plane(n_cells, np.int64, arrays)
+
+    def _cell(self, key: int) -> tuple[int, int]:
+        """The key's bucket index and digest."""
+        return (
+            mix128(key, self._index_seed) % self.n_cells,
+            mix128(key, self._digest_seed) & self._digest_mask,
         )
-        if self._fast_hashes:
-            self._index_seed = index_hash.seed
-            self._digest_seed = digest.base.seed
-            self._digest_mask = (1 << digest.bits) - 1
-        self._digests = [0] * n_cells
-        self._counts = [0] * n_cells
 
     def offer(self, key: int, min_count: int) -> tuple[int, int]:
         """Record a packet that failed every main-table probe.
@@ -95,82 +114,64 @@ class AncillaryTable:
             (``new_count = count + 1``, counting this packet).
         """
         meter = self.meter
-        if self._fast_hashes:
-            idx = mix128(key, self._index_seed) % self.n_cells
-            dig = mix128(key, self._digest_seed) & self._digest_mask
-        else:
-            idx = self.index_hash.bucket(key, self.n_cells)
-            dig = self.digest(key)
+        idx, dig = self._cell(key)
         meter.hashes += 2
         meter.reads += 1
-        count = self._counts[idx]
-        if count == 0 or self._digests[idx] != dig:
+        digests = self.digests
+        counts = self.counts
+        count = counts[idx]
+        if count == 0 or digests[idx] != dig:
             # New or colliding flow: replace the summarized record.
-            self._digests[idx] = dig
-            self._counts[idx] = 1
+            digests[idx] = dig
+            counts[idx] = 1
             meter.writes += 1
             return STORED, 0
         if count < min_count:
             if count < self.max_count:
-                self._counts[idx] = count + 1
+                counts[idx] = count + 1
             meter.writes += 1
             return STORED, 0
-        return PROMOTE, count + 1
+        return PROMOTE, int(count) + 1
 
-    def bucket_digest_rows(self, batch) -> tuple[list[int], list[int]]:
-        """Precompute bucket indices and digests for a whole key batch.
-
-        Returns:
-            ``(indices, digests)`` lists of Python ints, bit-identical
-            to what :meth:`offer` would compute per key.
-        """
-        if self._fast_hashes:
-            idx = self.index_hash.buckets_batch(batch, self.n_cells).tolist()
-            dig = self.digest.values_batch(batch).tolist()
-        else:
-            n = self.n_cells
-            idx = [self.index_hash.bucket(k, n) for k in batch.keys]
-            dig = [self.digest(k) for k in batch.keys]
-        return idx, dig
+    def rows(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket indices and digests of a whole key batch, bit-identical
+        to what :meth:`offer` computes per key (``np.uint64`` arrays)."""
+        return (
+            mix128_batch(lo, hi, self._index_seed) % np.uint64(self.n_cells),
+            mix128_batch(lo, hi, self._digest_seed) & np.uint64(self._digest_mask),
+        )
 
     def query(self, key: int) -> int:
         """Summarized count for ``key`` (0 unless its digest matches)."""
-        idx = self.index_hash.bucket(key, self.n_cells)
-        if self._counts[idx] > 0 and self._digests[idx] == self.digest(key):
-            return self._counts[idx]
-        return 0
+        idx, dig = self._cell(key)
+        count = self.counts[idx]
+        return int(count) if count > 0 and self.digests[idx] == dig else 0
 
     def query_batch(self, batch) -> np.ndarray:
         """Summarized counts for a whole key batch (``np.int64``).
 
         Digest comparison is exact integer work, so the whole query
-        collapses into vectorized passes: batched bucket indices,
-        batched digests, one gather of the (counts, digests) cells and
-        one masked select.  Injected hashes without a batched form
-        (e.g. a TabulationHash drop-in) fall back to the scalar query.
+        collapses into vectorized passes: batched bucket indices and
+        digests, one gather of the (counts, digests) cells and one
+        masked select.
         """
-        n = len(batch)
-        if not self._fast_hashes:
-            query = self.query
-            return np.fromiter((query(k) for k in batch.keys), np.int64, count=n)
-        idx = self.index_hash.buckets_batch(batch, self.n_cells)
-        dig = self.digest.values_batch(batch)
-        counts = np.fromiter(self._counts, np.int64, count=self.n_cells)
-        digests = np.fromiter(self._digests, np.uint64, count=self.n_cells)
+        idx, dig = self.rows(*batch.halves())
+        counts = np.asarray(self.counts, dtype=np.int64)
         hit = counts[idx]
+        digests = np.asarray(self.digests, dtype=np.uint64)
         return np.where((hit > 0) & (digests[idx] == dig), hit, np.int64(0))
 
     def clear_cell(self, key: int) -> None:
         """Erase the cell ``key`` maps to (used by the promotion-clearing
         HashFlow variant; the literal Algorithm 1 leaves it stale)."""
-        idx = self.index_hash.bucket(key, self.n_cells)
-        self._digests[idx] = 0
-        self._counts[idx] = 0
+        idx = mix128(key, self._index_seed) % self.n_cells
+        self.digests[idx] = 0
+        self.counts[idx] = 0
         self.meter.writes += 1
 
     def occupancy(self) -> int:
         """Number of non-empty buckets."""
-        return sum(1 for c in self._counts if c > 0)
+        return int(np.count_nonzero(np.asarray(self.counts, dtype=np.int64)))
 
     def estimate_cardinality(self) -> float:
         """Linear-counting estimate of distinct flows that hit this table.
@@ -182,8 +183,8 @@ class AncillaryTable:
 
     def reset(self) -> None:
         """Clear all buckets."""
-        self._digests = [0] * self.n_cells
-        self._counts = [0] * self.n_cells
+        self.digests = cleared(self.digests)
+        self.counts = cleared(self.counts)
 
     @property
     def memory_bits(self) -> int:

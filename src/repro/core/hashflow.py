@@ -37,19 +37,11 @@ import numpy as np
 from repro.flow.batch import KeyBatch
 from repro.hashing.digest import DEFAULT_DIGEST_BITS, DigestFunction
 from repro.hashing.families import HashFamily
-from repro.hashing.mixers import MASK64
 from repro.native import resolve_kernel
 from repro.sketches.base import FlowCollector
 from repro.specs import register
 from repro.core.ancillary import PROMOTE, AncillaryTable, DEFAULT_COUNTER_BITS
-from repro.core.maintable import (
-    ABSORBED,
-    DEFAULT_ALPHA,
-    DEFAULT_DEPTH,
-    MainTable,
-    MultiHashTable,
-    PipelinedTables,
-)
+from repro.core.maintable import ABSORBED, DEFAULT_ALPHA, DEFAULT_DEPTH, MainTable
 
 
 @register("hashflow")
@@ -65,32 +57,25 @@ class HashFlow(FlowCollector):
             ``"multihash"``.
         alpha: pipeline weight ``α`` for the pipelined variant (paper: 0.7).
         digest_bits: ancillary digest width (paper: 8).
-        ancillary_counter_bits: ancillary counter width (paper: 8).
+        ancillary_counter_bits: ancillary counter width (paper: 8; at
+            most 62, since counters live in ``int64`` planes).
         clear_promoted: clear a flow's ancillary cell on promotion
             (Algorithm 1 leaves it stale; default follows the paper).
         promote: enable the record-promotion strategy (disable only for
             ablation studies — without it, ancillary elephants can never
             re-enter the main table).
         track_bytes: keep a 32-bit byte counter per main-table record
-            (the NetFlow dOctets field); feed packets through
-            :meth:`process_packet` to populate it.  Costs 32 bits per
-            cell and is off in the paper's configuration.
+            (the NetFlow dOctets field), fed by packet sizes
+            (:meth:`process_packet`, ``KeyBatch.sizes``).  Costs 32
+            bits per cell and is off in the paper's configuration.
         seed: seed for all hash functions.
         kernel: execution tier — ``"native"`` (compiled C kernels over
-            SoA buffers), ``"numpy"`` (the reference tier), or None to
-            follow the ``REPRO_KERNEL`` environment variable.  The two
-            tiers are bit-identical (states, estimates, meters); an
-            explicit choice is recorded in the spec so sweep workers
-            rebuild the same tier.
-        storage: table storage layout — ``"soa"`` forces the flat
-            structure-of-arrays tables (:mod:`repro.native.soa`) even
-            on the numpy tier, ``"lists"`` forces the reference list
-            tables (numpy tier only), None picks per tier (native ⇒
-            SoA, numpy ⇒ lists).  SoA storage is what shared-memory
-            shard-parallel ingest (:mod:`repro.shm`) maps between
-            processes; both layouts are bit-identical (records, query
-            answers, meters).  An explicit choice is recorded in the
-            spec so ingest workers rebuild the same layout.
+            numpy planes), ``"numpy"`` (the reference tier, over
+            Python-list planes), or None to follow the
+            ``REPRO_KERNEL`` environment variable.  The two tiers are
+            bit-identical (states, estimates, meters); an explicit
+            choice is recorded in the spec so sweep workers rebuild
+            the same tier.
     """
 
     name = "HashFlow"
@@ -109,15 +94,10 @@ class HashFlow(FlowCollector):
         track_bytes: bool = False,
         seed: int = 0,
         kernel: str | None = None,
-        storage: str | None = None,
     ):
         super().__init__()
         if ancillary_cells is None:
             ancillary_cells = main_cells
-        if storage not in (None, "soa", "lists"):
-            raise ValueError(
-                f"unknown storage {storage!r}; choose 'soa', 'lists' or None"
-            )
         params = dict(
             main_cells=main_cells,
             ancillary_cells=ancillary_cells,
@@ -136,67 +116,30 @@ class HashFlow(FlowCollector):
         # machines (the tiers are bit-identical anyway).
         if kernel is not None:
             params["kernel"] = kernel
-        if storage is not None:
-            params["storage"] = storage
         self._record_spec(**params)
+        if ancillary_counter_bits > 62:
+            raise ValueError(
+                "ancillary counters live in int64 planes; "
+                f"ancillary_counter_bits must be <= 62, got {ancillary_counter_bits}"
+            )
         self.kernel, self._native = resolve_kernel(kernel)
         self.variant = variant
         self.clear_promoted = clear_promoted
         self.promote_enabled = promote
         self.track_bytes = track_bytes
-        if self._native is not None and storage == "lists":
-            raise ValueError(
-                "storage='lists' is a numpy-tier layout; the native "
-                "kernels require SoA tables"
-            )
-        self._soa = self._native is not None or storage == "soa"
-        self.main: MainTable
-        if self._soa:
-            from repro.native.soa import NativeAncillaryTable, NativeMainTable
-
-            if ancillary_counter_bits > 62:
-                raise ValueError(
-                    "the SoA tables store counters as int64; "
-                    f"ancillary_counter_bits must be <= 62, got {ancillary_counter_bits}"
-                )
-            self.main = NativeMainTable(
-                main_cells,
-                depth=depth,
-                variant=variant,
-                alpha=alpha,
-                seed=seed,
-                meter=self.meter,
-                track_bytes=track_bytes,
-            )
-            aux = HashFamily(2, master_seed=seed ^ 0xA5C1_11A7)
-            self.ancillary = NativeAncillaryTable(
-                ancillary_cells,
-                index_hash=aux[0],
-                digest=DigestFunction(aux[1], bits=digest_bits),
-                counter_bits=ancillary_counter_bits,
-                meter=self.meter,
-            )
-            self.promotions = 0
-            return
-        if variant == "pipelined":
-            self.main = PipelinedTables(
-                main_cells,
-                depth=depth,
-                alpha=alpha,
-                seed=seed,
-                meter=self.meter,
-                track_bytes=track_bytes,
-            )
-        elif variant == "multihash":
-            self.main = MultiHashTable(
-                main_cells,
-                depth=depth,
-                seed=seed,
-                meter=self.meter,
-                track_bytes=track_bytes,
-            )
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+        # The C kernels need numpy planes; the numpy tier's Python walk
+        # runs fastest over lists (DESIGN §2).
+        arrays = self._native is not None
+        self.main = MainTable(
+            main_cells,
+            depth=depth,
+            variant=variant,
+            alpha=alpha,
+            seed=seed,
+            meter=self.meter,
+            track_bytes=track_bytes,
+            arrays=arrays,
+        )
         # g1 and the digest base hash are independent of h_1..h_d.
         aux = HashFamily(2, master_seed=seed ^ 0xA5C1_11A7)
         self.ancillary = AncillaryTable(
@@ -205,6 +148,7 @@ class HashFlow(FlowCollector):
             digest=DigestFunction(aux[1], bits=digest_bits),
             counter_bits=ancillary_counter_bits,
             meter=self.meter,
+            arrays=arrays,
         )
         self.promotions = 0
 
@@ -218,10 +162,7 @@ class HashFlow(FlowCollector):
             # A batch of one through the kernel is bit-identical to the
             # scalar walk (same probes, same meter deltas) and keeps a
             # single implementation of Algorithm 1 per tier.
-            sizes = (
-                np.array([size], dtype=np.int64) if self.track_bytes else None
-            )
-            self._native_update(KeyBatch([key], sizes=sizes))
+            self.process_batch(KeyBatch([key], sizes=[size]))
             return
         self.meter.packets += 1
         status, min_count, sentinel = self.main.probe(key, size)
@@ -248,48 +189,18 @@ class HashFlow(FlowCollector):
     def process_batch(self, keys) -> None:
         """Run Algorithm 1 over a whole batch with precomputed hashes.
 
-        All main-table probe indices, ancillary bucket indices and
-        digests are computed for the batch in a few vectorized passes;
-        the remaining per-packet loop is pure list indexing.  Packets
-        are applied strictly in arrival order and the cost meter is
+        Consumes the batch's 64-bit halves only (Python-int keys are
+        never rebuilt) through :meth:`ingest_planes`.  Packets are
+        applied strictly in arrival order and the cost meter is
         settled once per batch, so records, query answers, promotions
-        and meter totals are bit-identical to the scalar path.
-
-        With ``track_bytes=True`` the batch must carry per-packet sizes
-        (``KeyBatch.sizes``, e.g. from ``Trace.key_batch(sizes=...)``)
-        to stay on the batched path; a size-less batch falls back to the
-        scalar loop (each packet counted at 0 bytes, exactly as
-        ``process(key)`` would).
+        and meter totals are bit-identical to the scalar path.  With
+        ``track_bytes=True`` the per-packet sizes come from
+        ``KeyBatch.sizes``; a size-less batch counts every packet at 0
+        bytes, exactly as ``process(key)`` would.
         """
         batch = KeyBatch.coerce(keys)
-        if not len(batch):
-            return
-        if self._native is not None:
-            if self.track_bytes and batch.sizes is None:
-                # The numpy tier degrades to the scalar loop here, each
-                # packet counted at 0 bytes; an explicit zero-size array
-                # gives the kernel the identical outcome in one call.
-                lo, hi = batch.halves()
-                batch = KeyBatch(
-                    batch.keys, lo, hi, np.zeros(len(batch), dtype=np.int64)
-                )
-            self._native_update(batch)
-            return
-        if self._soa:
-            # SoA storage on the numpy tier: the planes walk consumes
-            # the batch's 64-bit halves directly (no Python-key list
-            # views exist), with the same zero-size fallback as above.
-            lo, hi = batch.halves()
-            self.ingest_planes(lo, hi, batch.sizes)
-            return
-        if self.track_bytes and batch.sizes is None:
-            # Byte counters need per-packet sizes; a key-only batch
-            # stays on the scalar path.
-            process = self.process
-            for key in batch.keys:
-                process(key)
-            return
-        self._process_batch(batch)
+        if len(batch):
+            self.ingest_planes(*batch.halves(), batch.sizes)
 
     def ingest_planes(
         self,
@@ -297,57 +208,40 @@ class HashFlow(FlowCollector):
         hi: np.ndarray,
         sizes: np.ndarray | None = None,
     ) -> None:
-        """Ingest a batch given only its SoA representation.
+        """Ingest a batch given only its key halves.
 
-        The entry point of shared-memory shard-parallel workers
-        (:mod:`repro.shm.ingest`): a worker holds the batch as the
-        ``uint64`` key-half planes of a shared input segment and never
-        rebuilds Python-int keys.  Requires SoA storage (the native
-        tier or ``storage="soa"``); dispatches to the C kernel or the
-        numpy planes walk, both bit-identical to ``process_batch`` on
-        the equivalent :class:`~repro.flow.batch.KeyBatch` (records,
-        promotions, meters).
+        The batched entry point of every tier: the C kernel on the
+        native tier, the Python walk otherwise — both bit-identical to
+        the scalar path (records, promotions, meters).  Shared-memory
+        shard-parallel workers (:mod:`repro.shm.ingest`) call it on
+        slices of a shared input segment.
 
         Args:
             lo: low 64 bits of every key (``np.uint64``).
             hi: high bits of every key (``np.uint64``).
             sizes: optional per-packet byte sizes; with
                 ``track_bytes=True`` a missing array counts every
-                packet at 0 bytes, exactly like the key-only
-                ``process_batch`` fallback.
+                packet at 0 bytes.
         """
         n = len(lo)
         if not n:
             return
-        if not self._soa:
-            raise RuntimeError(
-                "ingest_planes requires SoA table storage; build the "
-                "collector with storage='soa' or the native kernel tier"
-            )
-        if self.track_bytes:
-            if sizes is None:
-                sizes = np.zeros(n, dtype=np.int64)
-        else:
+        if not self.track_bytes:
             sizes = None
+        elif sizes is None:
+            sizes = np.zeros(n, dtype=np.int64)
         if self._native is not None:
             self._native_ingest(lo, hi, sizes)
         else:
-            self._soa_update(lo, hi, sizes)
-
-    def _native_update(self, batch: KeyBatch) -> None:
-        """Run the batch through the compiled Algorithm-1 kernel.
-
-        The kernel mutates the SoA table buffers in place and returns
-        its cost-meter deltas; packets are applied in arrival order, so
-        states, promotions and meter totals stay bit-identical to the
-        numpy tier.
-        """
-        lo, hi = batch.halves()
-        self._native_ingest(lo, hi, batch.sizes if self.track_bytes else None)
+            self._walk(lo, hi, sizes)
 
     def _native_ingest(
         self, lo: np.ndarray, hi: np.ndarray, sizes: np.ndarray | None
     ) -> None:
+        """The kernel mutates the planes in place and returns its
+        cost-meter deltas; packets are applied in arrival order, so
+        states, promotions and meter totals stay bit-identical to the
+        numpy tier."""
         main = self.main
         anc = self.ancillary
         hashes, reads, writes, promotions = self._native.hashflow_update(
@@ -376,60 +270,51 @@ class HashFlow(FlowCollector):
             packets=len(lo), hashes=hashes, reads=reads, writes=writes
         )
 
-    def _soa_update(
+    def _walk(
         self, lo: np.ndarray, hi: np.ndarray, sizes: np.ndarray | None
     ) -> None:
-        """The numpy-tier Algorithm-1 walk over SoA planes.
+        """The numpy tier's batched Algorithm 1 over the table planes.
 
-        Mirrors :meth:`_process_batch` exactly — same precomputed hash
-        rows, same per-packet control flow, same meter increments — but
-        reads and writes the flat ``k_lo``/``k_hi``/count planes
-        instead of Python list views, so it can run over shared-memory
-        segments in any process.  Keys never need reassembling: a
-        stored key equals the packet's key iff both 64-bit halves
-        match.
+        Every data-independent hash (main-table probe cells, ancillary
+        cells and digests) is computed for the batch in a few numpy
+        passes; the per-packet loop is then plain indexing, with the
+        scalar probe/offer/promote control flow inlined.  Keys are
+        compared as 64-bit halves: a stored key equals the packet's
+        iff both halves match.  The loop runs over Python-list planes
+        on the numpy tier and over numpy planes once they are shared.
+
+        The meter is settled once: each main-stage probe costs one
+        hash and one read; each ancillary offer two hashes and one
+        read; every packet exactly one write (insert, increment,
+        ancillary store or promotion), plus one per cleared ancillary
+        cell under ``clear_promoted``.
         """
-        from repro.hashing.mixers import mix128_batch
-
         main = self.main
         anc = self.ancillary
-        n = len(lo)
-        stage_rows = [
-            (
-                (mix128_batch(lo, hi, seed) % np.uint64(size)).astype(np.int64)
-                + off
-            ).tolist()
-            for seed, off, size in zip(main._seeds, main._offs, main.sizes)
-        ]
-        anc_idx = (
-            mix128_batch(lo, hi, anc._index_seed) % np.uint64(anc.n_cells)
-        ).tolist()
-        anc_dig = (
-            mix128_batch(lo, hi, anc._digest_seed) & np.uint64(anc._digest_mask)
-        ).tolist()
+        stage_rows = main.stage_rows(lo, hi)
+        # Ancillary cells stay numpy: few packets reach the offer.
+        anc_idx, anc_dig = anc.rows(lo, hi)
         lo_list = lo.tolist()
         hi_list = hi.tolist()
         size_list = None if sizes is None else sizes.tolist()
         k_lo = main.k_lo
         k_hi = main.k_hi
         counts = main.counts
-        mbytes = main.bytes if size_list is not None else None
+        mbytes = main.bytes
         a_digests = anc.digests
         a_counts = anc.counts
         a_max = anc.max_count
-        promote_enabled = self.promote_enabled
+        unbeatable = not self.promote_enabled
         clear_promoted = self.clear_promoted
-        hashes = reads = writes = promotions = 0
+        n = len(lo_list)
+        probes = offers = promotions = 0
         for i in range(n):
             key_lo = lo_list[i]
             key_hi = hi_list[i]
             min_count = -1
-            sen_idx = -1
-            absorbed = False
             for row in stage_rows:
                 idx = row[i]
-                hashes += 1
-                reads += 1
+                probes += 1
                 count = counts[idx]
                 if count == 0:
                     k_lo[idx] = key_lo
@@ -437,52 +322,45 @@ class HashFlow(FlowCollector):
                     counts[idx] = 1
                     if mbytes is not None:
                         mbytes[idx] = size_list[i]
-                    writes += 1
-                    absorbed = True
                     break
                 if k_lo[idx] == key_lo and k_hi[idx] == key_hi:
                     counts[idx] = count + 1
                     if mbytes is not None:
                         mbytes[idx] += size_list[i]
-                    writes += 1
-                    absorbed = True
                     break
                 if min_count < 0 or count < min_count:
                     min_count = count
-                    sen_idx = idx
-            if absorbed:
-                continue
-            if not promote_enabled:
-                min_count = 1 << 62
-            ai = anc_idx[i]
-            dig = anc_dig[i]
-            hashes += 2
-            reads += 1
-            acount = a_counts[ai]
-            if acount == 0 or a_digests[ai] != dig:
-                a_digests[ai] = dig
-                a_counts[ai] = 1
-                writes += 1
-                continue
-            if acount < min_count:
-                if acount < a_max:
-                    a_counts[ai] = acount + 1
-                writes += 1
-                continue
-            # Promotion: overwrite the sentinel record.
-            k_lo[sen_idx] = key_lo
-            k_hi[sen_idx] = key_hi
-            counts[sen_idx] = acount + 1
-            if mbytes is not None:
-                mbytes[sen_idx] = size_list[i]
-            writes += 1
-            promotions += 1
-            if clear_promoted:
-                a_digests[ai] = 0
-                a_counts[ai] = 0
-                writes += 1
+                    sentinel = idx
+            else:
+                # Every stage collided: offer to the ancillary table.
+                offers += 1
+                ai = int(anc_idx[i])
+                dig = int(anc_dig[i])
+                acount = a_counts[ai]
+                if acount == 0 or a_digests[ai] != dig:
+                    a_digests[ai] = dig
+                    a_counts[ai] = 1
+                elif acount < min_count or unbeatable:
+                    if acount < a_max:
+                        a_counts[ai] = acount + 1
+                else:
+                    # Promotion: overwrite the sentinel record.
+                    k_lo[sentinel] = key_lo
+                    k_hi[sentinel] = key_hi
+                    counts[sentinel] = acount + 1
+                    if mbytes is not None:
+                        mbytes[sentinel] = size_list[i]
+                    promotions += 1
+                    if clear_promoted:
+                        a_digests[ai] = 0
+                        a_counts[ai] = 0
         self.promotions += promotions
-        self.meter.add(packets=n, hashes=hashes, reads=reads, writes=writes)
+        self.meter.add(
+            packets=n,
+            hashes=probes + 2 * offers,
+            reads=probes + offers,
+            writes=n + (promotions if clear_promoted else 0),
+        )
 
     def _native_query(self, batch: KeyBatch) -> np.ndarray:
         """Batched main-then-ancillary point queries via the C kernel."""
@@ -504,169 +382,6 @@ class HashFlow(FlowCollector):
             anc.n_cells,
             anc.digests,
             anc.counts,
-        )
-
-    def _process_batch(self, batch: KeyBatch) -> None:
-        if self.track_bytes and batch.sizes is not None:
-            self._process_batch_bytes(batch)
-            return
-        main = self.main
-        anc = self.ancillary
-        anc_idx, anc_dig = anc.bucket_digest_rows(batch)
-        # One loop serves any main-table layout: stage_views pairs each
-        # precomputed index row with that stage's cell storage.
-        stage_rows = main.stage_views(main.bucket_rows(batch))
-        a_digests = anc._digests
-        a_counts = anc._counts
-        a_max = anc.max_count
-        promote_enabled = self.promote_enabled
-        clear_promoted = self.clear_promoted
-        hashes = reads = writes = promotions = 0
-        for i, key in enumerate(batch.keys):
-            # Main-table probe (MainTable.probe, inlined).
-            min_count = -1
-            sen_keys = sen_counts = None
-            sen_idx = -1
-            absorbed = False
-            for row, s_keys, s_counts in stage_rows:
-                idx = row[i]
-                hashes += 1
-                reads += 1
-                count = s_counts[idx]
-                if count == 0:
-                    s_keys[idx] = key
-                    s_counts[idx] = 1
-                    writes += 1
-                    absorbed = True
-                    break
-                if s_keys[idx] == key:
-                    s_counts[idx] = count + 1
-                    writes += 1
-                    absorbed = True
-                    break
-                if min_count < 0 or count < min_count:
-                    min_count = count
-                    sen_keys, sen_counts, sen_idx = s_keys, s_counts, idx
-            if absorbed:
-                continue
-            if not promote_enabled:
-                min_count = 1 << 62
-            # Ancillary offer (AncillaryTable.offer, inlined).
-            ai = anc_idx[i]
-            dig = anc_dig[i]
-            hashes += 2
-            reads += 1
-            acount = a_counts[ai]
-            if acount == 0 or a_digests[ai] != dig:
-                a_digests[ai] = dig
-                a_counts[ai] = 1
-                writes += 1
-                continue
-            if acount < min_count:
-                if acount < a_max:
-                    a_counts[ai] = acount + 1
-                writes += 1
-                continue
-            # Promotion: overwrite the sentinel record.
-            sen_keys[sen_idx] = key
-            sen_counts[sen_idx] = acount + 1
-            writes += 1
-            promotions += 1
-            if clear_promoted:
-                a_digests[ai] = 0
-                a_counts[ai] = 0
-                writes += 1
-        self.promotions += promotions
-        self.meter.add(
-            packets=len(batch), hashes=hashes, reads=reads, writes=writes
-        )
-
-    def _process_batch_bytes(self, batch: KeyBatch) -> None:
-        """The batched loop with byte counters (``track_bytes=True``).
-
-        Identical control flow to :meth:`_process_batch` plus the byte
-        bookkeeping of the scalar probe/promote path: an insert seeds
-        the cell's byte counter, an increment accumulates, and a
-        promotion restarts it at the promoting packet's size (the
-        documented lower bound).  Kept separate so the byte-free hot
-        loop pays nothing for the option.
-        """
-        main = self.main
-        anc = self.ancillary
-        anc_idx, anc_dig = anc.bucket_digest_rows(batch)
-        stage_rows = main.stage_views(main.bucket_rows(batch))
-        stage_bytes = main.stage_byte_views()
-        staged = [
-            (row, s_keys, s_counts, s_bytes)
-            for (row, s_keys, s_counts), s_bytes in zip(stage_rows, stage_bytes)
-        ]
-        sizes = batch.sizes.tolist()
-        a_digests = anc._digests
-        a_counts = anc._counts
-        a_max = anc.max_count
-        promote_enabled = self.promote_enabled
-        clear_promoted = self.clear_promoted
-        hashes = reads = writes = promotions = 0
-        for i, key in enumerate(batch.keys):
-            size = sizes[i]
-            min_count = -1
-            sen_keys = sen_counts = sen_bytes = None
-            sen_idx = -1
-            absorbed = False
-            for row, s_keys, s_counts, s_bytes in staged:
-                idx = row[i]
-                hashes += 1
-                reads += 1
-                count = s_counts[idx]
-                if count == 0:
-                    s_keys[idx] = key
-                    s_counts[idx] = 1
-                    s_bytes[idx] = size
-                    writes += 1
-                    absorbed = True
-                    break
-                if s_keys[idx] == key:
-                    s_counts[idx] = count + 1
-                    s_bytes[idx] += size
-                    writes += 1
-                    absorbed = True
-                    break
-                if min_count < 0 or count < min_count:
-                    min_count = count
-                    sen_keys, sen_counts, sen_bytes, sen_idx = (
-                        s_keys, s_counts, s_bytes, idx,
-                    )
-            if absorbed:
-                continue
-            if not promote_enabled:
-                min_count = 1 << 62
-            ai = anc_idx[i]
-            dig = anc_dig[i]
-            hashes += 2
-            reads += 1
-            acount = a_counts[ai]
-            if acount == 0 or a_digests[ai] != dig:
-                a_digests[ai] = dig
-                a_counts[ai] = 1
-                writes += 1
-                continue
-            if acount < min_count:
-                if acount < a_max:
-                    a_counts[ai] = acount + 1
-                writes += 1
-                continue
-            sen_keys[sen_idx] = key
-            sen_counts[sen_idx] = acount + 1
-            sen_bytes[sen_idx] = size
-            writes += 1
-            promotions += 1
-            if clear_promoted:
-                a_digests[ai] = 0
-                a_counts[ai] = 0
-                writes += 1
-        self.promotions += promotions
-        self.meter.add(
-            packets=len(batch), hashes=hashes, reads=reads, writes=writes
         )
 
     def byte_records(self) -> dict[int, int]:
@@ -714,7 +429,7 @@ class HashFlow(FlowCollector):
         the scalar main-then-ancillary precedence becomes one masked
         select.  Bit-identical to the scalar query per key.  On the
         native tier the whole walk — probe stages, precedence, digest
-        check — is one C kernel call over the SoA buffers.
+        check — is one C kernel call over the planes.
         """
         batch = KeyBatch.coerce(keys)
         if self._native is not None:

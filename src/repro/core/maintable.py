@@ -1,36 +1,49 @@
-"""HashFlow main table: multi-hash and pipelined variants.
+"""HashFlow main table: one stage-major layout for both paper variants.
 
-The main table ``M`` stores accurate ``(flow_id, count)`` records.  Two
-organizations are implemented, as in the paper (Section III-A):
+The main table ``M`` stores accurate ``(flow_id, count)`` records.  The
+paper (Section III-A) organizes it in one of two ways:
 
-* :class:`MultiHashTable` — one array of ``n`` buckets probed with ``d``
-  independent hash functions ``h_1 ... h_d``.
-* :class:`PipelinedTables` — ``d`` sub-tables whose sizes decay
-  geometrically (``n_{k+1} = α · n_k``), each with its own hash
-  function.  The paper shows this improves utilization by up to ~5.5%
-  at ``α = 0.7`` (Fig. 2d) and adopts it for the evaluation.
+* **multi-hash** — one array of ``n`` buckets probed with ``d``
+  independent hash functions ``h_1 ... h_d``;
+* **pipelined** — ``d`` sub-tables whose sizes decay geometrically
+  (``n_{k+1} = α · n_k``), each with its own hash function.  The paper
+  shows this improves utilization by up to ~5.5% at ``α = 0.7``
+  (Fig. 2d) and adopts it for the evaluation.
 
-Both expose the same *probe* contract used by Algorithm 1: a probe
-either increments an existing record, fills an empty bucket, or fails —
-reporting the *sentinel* (the colliding bucket with the smallest count)
-for the record-promotion strategy.  Probes never evict, so a flow is
-never split across buckets.
+:class:`MainTable` expresses both in one vocabulary: probe stage ``s``
+hashes with ``seeds[s]`` into the flat slice ``[offs[s], offs[s] +
+sizes[s])`` of one set of planes.  Pipelined stages tile the planes;
+multi-hash stages all span them (offset 0, size ``n``).  The C kernels
+(``native/csrc/kernels.c``) take the same ``(seed, offset, size)``
+triples, so one layout serves every tier.
+
+State is four flat *planes*: the 104-bit keys split into 64-bit
+``k_lo``/``k_hi`` halves, ``counts``, and optional ``bytes``.  Planes
+are Python lists on the numpy tier — the batched walk in
+:class:`~repro.core.hashflow.HashFlow` indexes lists faster than numpy
+arrays (DESIGN §2) — and ``np.uint64``/``np.int64`` arrays on the
+native tier or once :func:`repro.shm.planes.adopt_planes` maps them
+into shared memory.  Every method here works on either.
+
+Probe contract (Algorithm 1): a probe either increments an existing
+record, fills an empty bucket, or fails — reporting the *sentinel* (the
+colliding bucket with the smallest count) for the record-promotion
+strategy.  Probes never evict, so a flow is never split across buckets.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from itertools import compress
 
 import numpy as np
 
 from repro.flow.batch import KeyBatch
 from repro.flow.key import FLOW_KEY_BITS
 from repro.hashing.families import HashFamily
-from repro.hashing.mixers import low_halves, mix128
+from repro.hashing.mixers import MASK64, keys_from_halves, mix128, mix128_batch
 from repro.sketches.base import CostMeter
 
 _COUNTER_BITS = 32
-_EMPTY = 0
 
 #: Probe outcome: the packet was absorbed (inserted or incremented).
 ABSORBED = 0
@@ -41,352 +54,29 @@ DEFAULT_DEPTH = 3
 DEFAULT_ALPHA = 0.7
 
 
-def _query_batch_stages(batch: KeyBatch, stages) -> np.ndarray:
-    """Vectorized first-match point queries over probe stages.
+def new_plane(n: int, dtype, arrays: bool):
+    """A zeroed plane of ``n`` cells: a numpy array or a Python list."""
+    return np.zeros(n, dtype=dtype) if arrays else [0] * n
 
-    The scalar :meth:`MainTable.query` checks the key's probe bucket in
-    each stage *in order* and returns the first resident match.  This
-    helper reproduces that exactly for a whole batch:
 
-    * every probe index is precomputed (``stages`` pairs an index row
-      with that stage's cell storage, like ``stage_views``);
-    * the stored keys' low 64-bit halves are compared against the
-      batch's precomputed ``lo`` halves in one vectorized pass, so only
-      real candidates (occupied bucket, matching low half) reach the
-      exact Python-int comparison;
-    * a resolved mask enforces first-match-wins across stages, keeping
-      the answer bit-identical even if control-plane evictions ever
-      leave a flow resident in more than one probe bucket.
+def cleared(plane):
+    """``plane`` zeroed: an array in place (its memory may be shared
+    with other processes), a list by a fresh one (faster than a copy)."""
+    if isinstance(plane, np.ndarray):
+        plane.fill(0)
+        return plane
+    return [0] * len(plane)
 
-    Args:
-        batch: the query keys (halves are materialized on first use).
-        stages: iterable of ``(index_row, keys_list, counts_list,
-            keys_lo, counts_arr)`` per probe stage, where ``index_row``
-            is an integer ndarray of ``len(batch)`` bucket indices,
-            ``keys_lo`` is ``low_halves(keys_list)`` and ``counts_arr``
-            the counts as ``np.int64`` (both passed in so a shared flat
-            table is converted only once, not once per stage).
 
-    Returns:
-        ``np.int64`` array; entry ``i`` equals the scalar query of
-        ``batch.keys[i]``.
+def occupied(plane, counts, dtype) -> np.ndarray:
+    """``plane``'s cells whose ``counts`` entry is nonzero, in flat order.
+
+    List planes are filtered at C speed without converting whole
+    planes, so a rotation pays per resident record, not per cell.
     """
-    n = len(batch)
-    out = np.zeros(n, dtype=np.int64)
-    unresolved = np.ones(n, dtype=bool)
-    lo = batch.lo
-    keys = batch.keys
-    for row, s_keys, s_counts, s_lo, counts_arr in stages:
-        if not unresolved.any():
-            break
-        candidates = unresolved & (counts_arr[row] > 0) & (s_lo[row] == lo)
-        for i in np.nonzero(candidates)[0].tolist():
-            idx = int(row[i])
-            if s_keys[idx] == keys[i]:
-                out[i] = s_counts[idx]
-                unresolved[i] = False
-    return out
-
-
-class MainTable(ABC):
-    """Abstract main table with the probe/promote contract.
-
-    Args:
-        meter: shared cost meter.
-        track_bytes: allocate a parallel byte counter per bucket (the
-            NetFlow record's dOctets field); incremented by the
-            ``size`` argument of :meth:`probe`.
-    """
-
-    def __init__(self, meter: CostMeter | None = None, track_bytes: bool = False):
-        self.meter = meter if meter is not None else CostMeter()
-        self.track_bytes = track_bytes
-
-    @abstractmethod
-    def probe(self, key: int, size: int = 0) -> tuple[int, int, object]:
-        """Probe the table with all hash functions for ``key``.
-
-        Args:
-            key: packed flow ID.
-            size: packet length in bytes, accumulated when
-                ``track_bytes`` is enabled.
-
-        Returns:
-            ``(ABSORBED, 0, None)`` if the packet found its record or an
-            empty bucket; ``(MISSED, min_count, sentinel)`` otherwise,
-            where ``sentinel`` is an opaque location token for
-            :meth:`promote` and ``min_count`` the smallest colliding
-            count.
-        """
-
-    @abstractmethod
-    def promote(self, sentinel: object, key: int, count: int, size: int = 0) -> None:
-        """Overwrite the sentinel bucket with ``(key, count)``.
-
-        With byte tracking, the promoted record's byte counter restarts
-        at ``size`` (earlier bytes were lost to ancillary churn — a
-        documented lower bound).
-        """
-
-    @abstractmethod
-    def bucket_rows(self, batch) -> list[list[int]]:
-        """Precompute every probe index for a whole key batch.
-
-        Args:
-            batch: a :class:`~repro.flow.batch.KeyBatch`.
-
-        Returns:
-            ``d`` lists of ``len(batch)`` Python-int indices; entry
-            ``[s][i]`` is the bucket the stage-``s`` hash maps key ``i``
-            to — exactly what the scalar :meth:`probe` would compute.
-        """
-
-    @abstractmethod
-    def stage_views(self, rows: list[list[int]]) -> list[tuple]:
-        """Pair precomputed index rows with each probe stage's storage.
-
-        Args:
-            rows: the output of :meth:`bucket_rows` for the same batch.
-
-        Returns:
-            One ``(index_row, keys_list, counts_list)`` tuple per probe
-            stage, where ``keys_list[index_row[i]]`` /
-            ``counts_list[index_row[i]]`` are the cells the stage-``s``
-            probe of key ``i`` touches.  This is the layout-agnostic
-            handle the batched update loop iterates, so engine code
-            never reaches into a concrete table's internals.
-        """
-
-    def byte_records(self) -> dict[int, int]:
-        """Per-flow byte counts (requires ``track_bytes``).
-
-        Raises:
-            RuntimeError: if byte tracking is disabled.
-        """
-        raise RuntimeError("byte tracking is disabled for this table")
-
-    def byte_query(self, key: int) -> int | None:
-        """Measured byte count of the flow's resident record.
-
-        A per-key probe (the byte-side twin of :meth:`query`) so
-        expiry-style exporters can read a few flows' byte counts
-        without materializing :meth:`byte_records` over the whole
-        table.  Returns None when the flow is not resident.
-
-        Raises:
-            RuntimeError: if byte tracking is disabled.
-        """
-        raise RuntimeError("byte tracking is disabled for this table")
-
-    def stage_byte_views(self) -> list[list[int]] | None:
-        """Per-stage byte storage aligned with :meth:`stage_views`.
-
-        Entry ``s`` is the byte-counter list addressed by stage ``s``'s
-        probe indices (the same flat list ``depth`` times for the
-        multi-hash layout).  Returns None when byte tracking is off —
-        the batched update loop uses that to skip byte bookkeeping.
-        """
-        return None
-
-    @abstractmethod
-    def query(self, key: int) -> int:
-        """The flow's recorded count, or 0 if absent."""
-
-    def query_batch(self, batch: KeyBatch) -> np.ndarray:
-        """Recorded counts for a whole key batch (``np.int64``).
-
-        Bit-identical to the scalar :meth:`query` per key; both layouts
-        override this with a :func:`_query_batch_stages` pass over
-        precomputed probe-index rows.
-        """
-        query = self.query
-        return np.fromiter(
-            (query(k) for k in batch.keys), np.int64, count=len(batch)
-        )
-
-    @abstractmethod
-    def records(self) -> dict[int, int]:
-        """All resident records."""
-
-    @abstractmethod
-    def occupancy(self) -> int:
-        """Number of occupied buckets."""
-
-    @abstractmethod
-    def remove(self, key: int) -> bool:
-        """Clear the flow's record if resident (control-plane operation,
-        e.g. after a timeout export; not metered).  Returns whether a
-        record was removed."""
-
-    @abstractmethod
-    def reset(self) -> None:
-        """Clear all buckets."""
-
-    @property
-    @abstractmethod
-    def n_cells(self) -> int:
-        """Total buckets."""
-
-    def utilization(self) -> float:
-        """Fraction of buckets occupied (the quantity modelled in §III-B)."""
-        return self.occupancy() / self.n_cells
-
-    @property
-    def memory_bits(self) -> int:
-        """Buckets of (104-bit key, 32-bit counter [, 32-bit bytes])."""
-        cell = FLOW_KEY_BITS + _COUNTER_BITS
-        if self.track_bytes:
-            cell += _COUNTER_BITS
-        return self.n_cells * cell
-
-
-class MultiHashTable(MainTable):
-    """Single array probed by ``depth`` independent hash functions.
-
-    Args:
-        n_cells: number of buckets.
-        depth: number of hash functions ``d`` (paper default 3).
-        seed: hash family seed.
-        meter: shared cost meter.
-    """
-
-    def __init__(
-        self,
-        n_cells: int,
-        depth: int = DEFAULT_DEPTH,
-        seed: int = 0,
-        meter: CostMeter | None = None,
-        track_bytes: bool = False,
-    ):
-        super().__init__(meter, track_bytes)
-        if n_cells <= 0:
-            raise ValueError(f"n_cells must be positive, got {n_cells}")
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        self._n = n_cells
-        self.depth = depth
-        self._hashes = HashFamily(depth, master_seed=seed)
-        # Seeds prebound for the hot path: `mix128(key, seed) % n` inline
-        # skips the HashFunction.bucket call per probe stage.
-        self._seeds = [h.seed for h in self._hashes]
-        self._keys = [_EMPTY] * n_cells
-        self._counts = [0] * n_cells
-        self._bytes = [0] * n_cells if track_bytes else None
-
-    def probe(self, key: int, size: int = 0) -> tuple[int, int, object]:
-        meter = self.meter
-        n = self._n
-        keys = self._keys
-        counts = self._counts
-        mix = mix128
-        min_count = -1
-        pos = -1
-        for seed in self._seeds:
-            idx = mix(key, seed) % n
-            meter.hashes += 1
-            meter.reads += 1
-            count = counts[idx]
-            if count == 0:
-                keys[idx] = key
-                counts[idx] = 1
-                if self._bytes is not None:
-                    self._bytes[idx] = size
-                meter.writes += 1
-                return ABSORBED, 0, None
-            if keys[idx] == key:
-                counts[idx] = count + 1
-                if self._bytes is not None:
-                    self._bytes[idx] += size
-                meter.writes += 1
-                return ABSORBED, 0, None
-            if min_count < 0 or count < min_count:
-                min_count = count
-                pos = idx
-        return MISSED, min_count, pos
-
-    def bucket_rows(self, batch) -> list[list[int]]:
-        return self._hashes.bucket_matrix(batch, self._n).tolist()
-
-    def stage_views(self, rows: list[list[int]]) -> list[tuple]:
-        # Every probe stage addresses the same flat arrays.
-        return [(row, self._keys, self._counts) for row in rows]
-
-    def stage_byte_views(self) -> list[list[int]] | None:
-        if self._bytes is None:
-            return None
-        return [self._bytes] * self.depth
-
-    def promote(self, sentinel: object, key: int, count: int, size: int = 0) -> None:
-        idx = sentinel
-        self._keys[idx] = key
-        self._counts[idx] = count
-        if self._bytes is not None:
-            self._bytes[idx] = size
-        self.meter.writes += 1
-
-    def byte_records(self) -> dict[int, int]:
-        if self._bytes is None:
-            return super().byte_records()
-        return {
-            k: b
-            for k, c, b in zip(self._keys, self._counts, self._bytes)
-            if c > 0
-        }
-
-    def byte_query(self, key: int) -> int | None:
-        if self._bytes is None:
-            return super().byte_query(key)
-        n = self._n
-        for h in self._hashes:
-            idx = h.bucket(key, n)
-            if self._counts[idx] and self._keys[idx] == key:
-                return self._bytes[idx]
-        return None
-
-    def query(self, key: int) -> int:
-        n = self._n
-        for h in self._hashes:
-            idx = h.bucket(key, n)
-            if self._counts[idx] and self._keys[idx] == key:
-                return self._counts[idx]
-        return 0
-
-    def query_batch(self, batch: KeyBatch) -> np.ndarray:
-        # All probe stages address the same flat arrays, so the stored
-        # keys' low halves and the counts are converted exactly once.
-        rows = self._hashes.bucket_matrix(batch, self._n)
-        table_lo = low_halves(self._keys)
-        counts_arr = np.fromiter(self._counts, np.int64, count=self._n)
-        return _query_batch_stages(
-            batch,
-            ((row, self._keys, self._counts, table_lo, counts_arr) for row in rows),
-        )
-
-    def records(self) -> dict[int, int]:
-        return {k: c for k, c in zip(self._keys, self._counts) if c > 0}
-
-    def occupancy(self) -> int:
-        return sum(1 for c in self._counts if c > 0)
-
-    def remove(self, key: int) -> bool:
-        n = self._n
-        for h in self._hashes:
-            idx = h.bucket(key, n)
-            if self._counts[idx] and self._keys[idx] == key:
-                self._keys[idx] = _EMPTY
-                self._counts[idx] = 0
-                return True
-        return False
-
-    def reset(self) -> None:
-        self._keys = [_EMPTY] * self._n
-        self._counts = [0] * self._n
-        if self._bytes is not None:
-            self._bytes = [0] * self._n
-
-    @property
-    def n_cells(self) -> int:
-        return self._n
+    if isinstance(counts, np.ndarray):
+        return np.asarray(plane)[counts != 0]
+    return np.fromiter(compress(plane, counts), dtype)
 
 
 def pipeline_sizes(n_cells: int, depth: int, alpha: float) -> list[int]:
@@ -411,171 +101,288 @@ def pipeline_sizes(n_cells: int, depth: int, alpha: float) -> list[int]:
     return sizes
 
 
-class PipelinedTables(MainTable):
-    """``depth`` sub-tables with geometric sizes and per-table hashes.
+class MainTable:
+    """The main table over flat stage-major planes.
 
     Args:
-        n_cells: total buckets across all sub-tables.
-        depth: number of sub-tables ``d`` (paper default 3).
-        alpha: pipeline weight ``α`` (paper default 0.7).
+        n_cells: total buckets.
+        depth: probe stages ``d`` (paper default 3).
+        variant: ``"pipelined"`` (geometric sub-tables) or
+            ``"multihash"`` (every stage probes all ``n`` buckets).
+        alpha: pipeline weight ``α`` (pipelined variant only).
         seed: hash family seed.
         meter: shared cost meter.
+        track_bytes: allocate the ``bytes`` plane (the NetFlow record's
+            dOctets field), fed by the ``size`` argument of
+            :meth:`probe`.
+        arrays: allocate numpy planes (the native tier) instead of
+            Python lists.
     """
 
     def __init__(
         self,
         n_cells: int,
         depth: int = DEFAULT_DEPTH,
+        variant: str = "pipelined",
         alpha: float = DEFAULT_ALPHA,
         seed: int = 0,
         meter: CostMeter | None = None,
         track_bytes: bool = False,
+        arrays: bool = False,
     ):
-        super().__init__(meter, track_bytes)
+        if n_cells <= 0:
+            raise ValueError(f"n_cells must be positive, got {n_cells}")
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        if variant == "pipelined":
+            self.sizes = pipeline_sizes(n_cells, depth, alpha)
+            self._offs = [sum(self.sizes[:s]) for s in range(depth)]
+        elif variant == "multihash":
+            self.sizes = [n_cells] * depth
+            self._offs = [0] * depth
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+        self.meter = meter if meter is not None else CostMeter()
+        self.track_bytes = track_bytes
         self.depth = depth
-        self.alpha = alpha
-        self.sizes = pipeline_sizes(n_cells, depth, alpha)
+        self.variant = variant
+        self.alpha = alpha if variant == "pipelined" else None
         self._n = n_cells
         self._hashes = HashFamily(depth, master_seed=seed)
-        # (seed, size) pairs prebound for the hot path, as in
-        # MultiHashTable.probe.
         self._seeds = [h.seed for h in self._hashes]
-        self._keys = [[_EMPTY] * size for size in self.sizes]
-        self._counts = [[0] * size for size in self.sizes]
-        self._bytes = (
-            [[0] * size for size in self.sizes] if track_bytes else None
-        )
-        self._stages = list(
-            zip(self._seeds, self.sizes, self._keys, self._counts)
-        )
+        self._stages = list(zip(self._seeds, self._offs, self.sizes))
+        # Kernel-facing copies of the per-stage addressing triples.
+        self.seeds_arr = np.array(self._seeds, dtype=np.uint64)
+        self.offs_arr = np.array(self._offs, dtype=np.int64)
+        self.sizes_arr = np.array(self.sizes, dtype=np.int64)
+        self.k_lo = new_plane(n_cells, np.uint64, arrays)
+        self.k_hi = new_plane(n_cells, np.uint64, arrays)
+        self.counts = new_plane(n_cells, np.int64, arrays)
+        self.bytes = new_plane(n_cells, np.int64, arrays) if track_bytes else None
 
+    # ------------------------------------------------------------------
+    # Update path: the scalar probe/promote contract
+    # ------------------------------------------------------------------
     def probe(self, key: int, size: int = 0) -> tuple[int, int, object]:
+        """Probe every stage for ``key``, absorbing the packet if possible.
+
+        Args:
+            key: packed flow ID.
+            size: packet length in bytes, accumulated when
+                ``track_bytes`` is enabled.
+
+        Returns:
+            ``(ABSORBED, 0, None)`` if the packet found its record or an
+            empty bucket; ``(MISSED, min_count, sentinel)`` otherwise,
+            where ``sentinel`` is the flat index of the colliding
+            bucket with the smallest count (earliest stage on ties),
+            for :meth:`promote`.
+        """
         meter = self.meter
-        mix = mix128
+        lo = key & MASK64
+        hi = key >> 64
+        k_lo = self.k_lo
+        k_hi = self.k_hi
+        counts = self.counts
+        mbytes = self.bytes
         min_count = -1
-        sentinel: tuple[int, int] | None = None
-        for s, (seed, table_size, keys, counts) in enumerate(self._stages):
-            idx = mix(key, seed) % table_size
+        sentinel = -1
+        for seed, off, n in self._stages:
+            idx = off + mix128(key, seed) % n
             meter.hashes += 1
             meter.reads += 1
             count = counts[idx]
             if count == 0:
-                keys[idx] = key
+                k_lo[idx] = lo
+                k_hi[idx] = hi
                 counts[idx] = 1
-                if self._bytes is not None:
-                    self._bytes[s][idx] = size
+                if mbytes is not None:
+                    mbytes[idx] = size
                 meter.writes += 1
                 return ABSORBED, 0, None
-            if keys[idx] == key:
+            if k_lo[idx] == lo and k_hi[idx] == hi:
                 counts[idx] = count + 1
-                if self._bytes is not None:
-                    self._bytes[s][idx] += size
+                if mbytes is not None:
+                    mbytes[idx] += size
                 meter.writes += 1
                 return ABSORBED, 0, None
             if min_count < 0 or count < min_count:
                 min_count = count
-                sentinel = (s, idx)
-        return MISSED, min_count, sentinel
+                sentinel = idx
+        return MISSED, int(min_count), sentinel
 
-    def bucket_rows(self, batch) -> list[list[int]]:
-        return self._hashes.bucket_matrix(batch, self.sizes).tolist()
+    def promote(self, sentinel: int, key: int, count: int, size: int = 0) -> None:
+        """Overwrite the sentinel bucket with ``(key, count)``.
 
-    def stage_views(self, rows: list[list[int]]) -> list[tuple]:
-        return list(zip(rows, self._keys, self._counts))
-
-    def stage_byte_views(self) -> list[list[int]] | None:
-        if self._bytes is None:
-            return None
-        return list(self._bytes)
-
-    def promote(self, sentinel: object, key: int, count: int, size: int = 0) -> None:
-        s, idx = sentinel
-        self._keys[s][idx] = key
-        self._counts[s][idx] = count
-        if self._bytes is not None:
-            self._bytes[s][idx] = size
+        With byte tracking, the promoted record's byte counter restarts
+        at ``size`` (earlier bytes were lost to ancillary churn — a
+        documented lower bound).
+        """
+        self.k_lo[sentinel] = key & MASK64
+        self.k_hi[sentinel] = key >> 64
+        self.counts[sentinel] = count
+        if self.bytes is not None:
+            self.bytes[sentinel] = size
         self.meter.writes += 1
 
-    def byte_records(self) -> dict[int, int]:
-        if self._bytes is None:
-            return super().byte_records()
-        result: dict[int, int] = {}
-        for keys, counts, byte_counts in zip(self._keys, self._counts, self._bytes):
-            for k, c, b in zip(keys, counts, byte_counts):
-                if c > 0:
-                    result[k] = b
-        return result
+    def _stage_cells(self, lo: np.ndarray, hi: np.ndarray):
+        """Flat probe-cell indices of a key batch, one array per stage."""
+        for seed, off, size in self._stages:
+            yield (mix128_batch(lo, hi, seed) % np.uint64(size)).astype(np.int64) + off
 
-    def byte_query(self, key: int) -> int | None:
-        if self._bytes is None:
-            return super().byte_query(key)
-        for s, (h, size) in enumerate(zip(self._hashes, self.sizes)):
-            idx = h.bucket(key, size)
-            if self._counts[s][idx] and self._keys[s][idx] == key:
-                return self._bytes[s][idx]
-        return None
+    def stage_rows(self, lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
+        """Every probe index of a key batch, precomputed for the walk.
+
+        Returns:
+            ``d`` lists of ``len(lo)`` flat cell indices; entry
+            ``[s][i]`` is the cell the scalar :meth:`probe` of key ``i``
+            touches in stage ``s``.
+        """
+        return [cells.tolist() for cells in self._stage_cells(lo, hi)]
+
+    # ------------------------------------------------------------------
+    # Report / control plane
+    # ------------------------------------------------------------------
+    def _find(self, key: int) -> int:
+        """Flat index of the key's first resident record, or -1."""
+        lo = key & MASK64
+        hi = key >> 64
+        counts = self.counts
+        for seed, off, n in self._stages:
+            idx = off + mix128(key, seed) % n
+            if counts[idx] and self.k_lo[idx] == lo and self.k_hi[idx] == hi:
+                return idx
+        return -1
+
+    def _require_bytes(self) -> None:
+        if self.bytes is None:
+            raise RuntimeError("byte tracking is disabled for this table")
 
     def query(self, key: int) -> int:
-        for s, (h, size) in enumerate(zip(self._hashes, self.sizes)):
-            idx = h.bucket(key, size)
-            if self._counts[s][idx] and self._keys[s][idx] == key:
-                return self._counts[s][idx]
-        return 0
+        """The flow's recorded count, or 0 if absent."""
+        idx = self._find(key)
+        return 0 if idx < 0 else int(self.counts[idx])
+
+    def byte_query(self, key: int) -> int | None:
+        """Measured byte count of the flow's resident record, or None.
+
+        A per-key probe (the byte-side twin of :meth:`query`) so
+        expiry-style exporters can read a few flows' byte counts
+        without materializing :meth:`byte_records` over the whole
+        table.
+
+        Raises:
+            RuntimeError: if byte tracking is disabled.
+        """
+        self._require_bytes()
+        idx = self._find(key)
+        return None if idx < 0 else int(self.bytes[idx])
 
     def query_batch(self, batch: KeyBatch) -> np.ndarray:
-        rows = self._hashes.bucket_matrix(batch, self.sizes)
-        return _query_batch_stages(
-            batch,
-            (
-                (
-                    row,
-                    keys,
-                    counts,
-                    low_halves(keys),
-                    np.fromiter(counts, np.int64, count=len(counts)),
-                )
-                for row, keys, counts in zip(rows, self._keys, self._counts)
-            ),
+        """Recorded counts for a whole key batch (``np.int64``).
+
+        Bit-identical to the scalar :meth:`query` per key: a later
+        stage only answers keys every earlier stage missed, so the
+        first resident match wins even if control-plane evictions ever
+        leave a flow resident twice.
+        """
+        n = len(batch)
+        out = np.zeros(n, dtype=np.int64)
+        if not n:
+            return out
+        lo, hi = batch.halves()
+        k_lo = np.asarray(self.k_lo, dtype=np.uint64)
+        k_hi = np.asarray(self.k_hi, dtype=np.uint64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        unresolved = np.ones(n, dtype=bool)
+        for idx in self._stage_cells(lo, hi):
+            hit = (
+                unresolved
+                & (counts[idx] > 0)
+                & (k_lo[idx] == lo)
+                & (k_hi[idx] == hi)
+            )
+            if hit.any():
+                out[hit] = counts[idx[hit]]
+                unresolved &= ~hit
+                if not unresolved.any():
+                    break
+        return out
+
+    def _resident(self, plane) -> tuple[list[int], list[int]]:
+        """Keys and ``plane`` values of every occupied cell.
+
+        Cells come in ascending flat index (stage-major) order, so
+        report dicts iterate identically on every tier.
+        """
+        counts = self.counts
+        keys = keys_from_halves(
+            occupied(self.k_lo, counts, np.uint64),
+            occupied(self.k_hi, counts, np.uint64),
         )
+        return keys, occupied(plane, counts, np.int64).tolist()
 
     def records(self) -> dict[int, int]:
-        result: dict[int, int] = {}
-        for keys, counts in zip(self._keys, self._counts):
-            for k, c in zip(keys, counts):
-                if c > 0:
-                    result[k] = c
-        return result
+        """All resident records."""
+        return dict(zip(*self._resident(self.counts)))
+
+    def byte_records(self) -> dict[int, int]:
+        """Per-flow byte counts of all resident records.
+
+        Raises:
+            RuntimeError: if byte tracking is disabled.
+        """
+        self._require_bytes()
+        return dict(zip(*self._resident(self.bytes)))
 
     def occupancy(self) -> int:
-        return sum(
-            sum(1 for c in counts if c > 0) for counts in self._counts
-        )
+        """Number of occupied buckets."""
+        return int(np.count_nonzero(np.asarray(self.counts, dtype=np.int64)))
+
+    def utilization(self) -> float:
+        """Fraction of buckets occupied (the quantity modelled in §III-B)."""
+        return self.occupancy() / self._n
 
     def per_table_utilization(self) -> list[float]:
-        """Occupancy fraction of each sub-table (compare with Eq. 4)."""
+        """Occupancy fraction of each probe stage's slice (compare the
+        pipelined variant with Eq. 4)."""
+        counts = np.asarray(self.counts, dtype=np.int64)
         return [
-            sum(1 for c in counts if c > 0) / size
-            for counts, size in zip(self._counts, self.sizes)
+            int(np.count_nonzero(counts[off : off + size])) / size
+            for off, size in zip(self._offs, self.sizes)
         ]
 
     def remove(self, key: int) -> bool:
-        for s, (h, size) in enumerate(zip(self._hashes, self.sizes)):
-            idx = h.bucket(key, size)
-            if self._counts[s][idx] and self._keys[s][idx] == key:
-                self._keys[s][idx] = _EMPTY
-                self._counts[s][idx] = 0
-                return True
-        return False
+        """Clear the flow's record if resident (control-plane operation,
+        e.g. after a timeout export; not metered).  Returns whether a
+        record was removed.  A cleared cell's byte counter is left
+        stale: it is invisible while the count is 0 and reseeded on
+        insert."""
+        idx = self._find(key)
+        if idx < 0:
+            return False
+        self.k_lo[idx] = 0
+        self.k_hi[idx] = 0
+        self.counts[idx] = 0
+        return True
 
     def reset(self) -> None:
-        self._keys = [[_EMPTY] * size for size in self.sizes]
-        self._counts = [[0] * size for size in self.sizes]
-        if self._bytes is not None:
-            self._bytes = [[0] * size for size in self.sizes]
-        self._stages = list(
-            zip(self._seeds, self.sizes, self._keys, self._counts)
-        )
+        """Clear all buckets."""
+        self.k_lo = cleared(self.k_lo)
+        self.k_hi = cleared(self.k_hi)
+        self.counts = cleared(self.counts)
+        if self.bytes is not None:
+            self.bytes = cleared(self.bytes)
 
     @property
     def n_cells(self) -> int:
+        """Total buckets."""
         return self._n
+
+    @property
+    def memory_bits(self) -> int:
+        """Buckets of (104-bit key, 32-bit counter [, 32-bit bytes])."""
+        cell = FLOW_KEY_BITS + _COUNTER_BITS
+        if self.track_bytes:
+            cell += _COUNTER_BITS
+        return self._n * cell

@@ -180,6 +180,14 @@ def split_keys(keys) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def keys_from_halves(lo: np.ndarray, hi: np.ndarray) -> list[int]:
+    """Rebuild exact Python-int keys from their 64-bit halves.
+
+    The inverse of :func:`split_keys`.
+    """
+    return [(h << 64) | l for l, h in zip(lo.tolist(), hi.tolist())]
+
+
 def low_halves(keys) -> np.ndarray:
     """Low 64 bits of every key as a ``np.uint64`` array.
 

@@ -4,8 +4,8 @@
  * into a content-hash-cached shared object and driven via ctypes over
  * the same contiguous buffers the numpy tier already uses: a batch's
  * 64-bit key halves (KeyBatch.lo / KeyBatch.hi) on the way in, and the
- * structure-of-arrays table buffers (repro.native.soa) as mutable
- * state.
+ * flat table planes (repro.core.maintable / repro.core.ancillary) as
+ * mutable state.
  *
  * Every function here is a line-for-line transliteration of a Python
  * loop in repro.core / repro.sketches and must stay BIT-IDENTICAL to

@@ -2,7 +2,7 @@
 
 :class:`NativeKernels` wraps one loaded ``.so`` with typed prototypes
 and numpy-array entry points.  The array-layout contract (shared with
-``csrc/kernels.c`` and the SoA tables in :mod:`repro.native.soa`):
+``csrc/kernels.c`` and the table planes in :mod:`repro.core.maintable`):
 
 * key batches arrive as contiguous ``np.uint64`` half arrays (exactly
   ``KeyBatch.lo`` / ``KeyBatch.hi``), packet sizes as ``np.int64``;
@@ -180,7 +180,7 @@ class NativeKernels:
         a_digests, a_counts,
         promote_enabled: bool, clear_promoted: bool,
     ) -> tuple[int, int, int, int]:
-        """One batched Algorithm-1 pass; mutates the SoA buffers in place.
+        """One batched Algorithm-1 pass; mutates the table planes in place.
 
         Returns:
             ``(hashes, reads, writes, promotions)`` meter deltas.

@@ -97,14 +97,10 @@ class ShardedCollector(FlowCollector):
         self.jobs = self._resolve_jobs(resolve_shard_jobs(jobs))
         if self.jobs > 1:
             self._check_shareable()
-            # reseed() first so shard i's derived seeds match the
-            # serial build; storage="soa" only swaps the table layout
-            # (bit-identical), making the planes shareable on any
-            # kernel tier.
-            self.shards = [
-                build(self._shard_spec.reseed(i).with_params(storage="soa"))
-                for i in range(n_shards)
-            ]
+        # Both modes build identical shards; parallel mode then moves
+        # their planes into shared memory.
+        self.shards = [build(self._shard_spec.reseed(i)) for i in range(n_shards)]
+        if self.jobs > 1:
             from repro.shm import ShardIngestEngine
 
             self._engine = ShardIngestEngine(
@@ -112,10 +108,6 @@ class ShardedCollector(FlowCollector):
                 [shard.spec.to_dict() for shard in self.shards],
                 self.jobs,
             )
-        else:
-            self.shards = [
-                build(self._shard_spec.reseed(i)) for i in range(n_shards)
-            ]
 
     def _resolve_jobs(self, jobs: int) -> int:
         """Clamp the resolved worker count to what can actually help."""
@@ -146,7 +138,7 @@ class ShardedCollector(FlowCollector):
 
             raise SpecError(
                 f"ShardedCollector(jobs>1) requires a shard collector "
-                f"whose state is shareable as SoA planes; kind "
+                f"whose state is shareable as table planes; kind "
                 f"{self._shard_spec.kind!r} is not "
                 f"(supported: {sorted(SHARED_PLANE_KINDS)})"
             )
@@ -232,17 +224,16 @@ class ShardedCollector(FlowCollector):
         lo, hi = batch.halves()
         sizes = batch.sizes
         if self._engine is not None:
-            # Shard-parallel ingest: one stable partition of the SoA
-            # planes, fanned out to the worker pool (repro.shm.ingest).
+            # Shard-parallel ingest: one stable partition of the key
+            # halves, fanned out to the worker pool (repro.shm.ingest).
             self._engine.ingest(owners, lo, hi, sizes)
             return
-        keys_list = batch.keys
         for s, shard in enumerate(self.shards):
             members = np.nonzero(owners == np.uint64(s))[0]
             if not len(members):
                 continue
             sub = KeyBatch(
-                [keys_list[i] for i in members.tolist()],
+                None,
                 lo[members],
                 hi[members],
                 None if sizes is None else sizes[members],
@@ -275,15 +266,11 @@ class ShardedCollector(FlowCollector):
             return out
         owners = self._shard_hash.buckets_batch(batch, self.n_shards)
         lo, hi = batch.halves()
-        keys_list = batch.keys
         for s, shard in enumerate(self.shards):
             members = np.nonzero(owners == np.uint64(s))[0]
             if not len(members):
                 continue
-            sub = KeyBatch(
-                [keys_list[i] for i in members.tolist()], lo[members], hi[members]
-            )
-            out[members] = shard.query_batch(sub)
+            out[members] = shard.query_batch(KeyBatch(None, lo[members], hi[members]))
         return out
 
     def estimate_cardinality(self) -> float:

@@ -38,7 +38,8 @@ replayed into the daemon exports records bit-identical to the offline
 merged record set for several workers under interval rotation).
 """
 
-from repro.serve.codec import decode_datagram, encode_datagrams, keys_from_halves
+from repro.hashing.mixers import keys_from_halves
+from repro.serve.codec import decode_datagram, encode_datagrams
 from repro.serve.daemon import ServeDaemon, ServeResult
 from repro.serve.replay import replay_datagrams, replay_trace, trace_datagrams
 from repro.serve.ring import DEFAULT_RING_SLOTS, PacketRing

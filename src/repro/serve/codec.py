@@ -107,13 +107,6 @@ def decode_datagram(data: bytes):
     return lo, hi, octets, timestamps
 
 
-def keys_from_halves(lo: np.ndarray, hi: np.ndarray) -> list[int]:
-    """Rebuild Python-int packed keys from their 64-bit halves."""
-    return [
-        (h << 64) | l for l, h in zip(lo.tolist(), hi.tolist())
-    ]
-
-
 def encode_datagrams(
     lo: np.ndarray,
     hi: np.ndarray,

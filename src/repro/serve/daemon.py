@@ -49,7 +49,7 @@ from repro import faults as _faults
 from repro.faults import FaultPlan
 from repro.flow.batch import KeyBatch
 from repro.hashing.families import HashFunction
-from repro.serve.codec import decode_datagram, keys_from_halves
+from repro.serve.codec import decode_datagram
 from repro.serve.ring import PacketRing
 from repro.serve.spec import ServeSpec
 from repro.serve.supervisor import Supervisor
@@ -140,13 +140,12 @@ class _ShardSubset(FlowCollector):
         self.meter.add(packets=n, hashes=n)
         lo, hi = batch.halves()
         sizes = batch.sizes
-        keys_list = batch.keys
         for s, shard in self.shards.items():
             members = np.nonzero(owners == np.uint64(s))[0]
             if not len(members):
                 continue
             sub = KeyBatch(
-                [keys_list[i] for i in members.tolist()],
+                None,
                 lo[members],
                 hi[members],
                 None if sizes is None else sizes[members],
@@ -259,11 +258,7 @@ def _worker_main(
             else:
                 lo, hi, sizes, timestamps = item
                 feeder.feed(
-                    keys_from_halves(lo, hi),
-                    lo,
-                    hi,
-                    sizes if track_bytes else None,
-                    timestamps,
+                    None, lo, hi, sizes if track_bytes else None, timestamps
                 )
                 if plan is not None:
                     maybe_fault()

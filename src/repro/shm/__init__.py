@@ -5,7 +5,7 @@ tables in place:
 
 * :mod:`repro.shm.segments` — named segments with a refcounted
   registry, atexit + crash-safe unlink, ``/dev/shm`` leak checks;
-* :mod:`repro.shm.planes` — the canonical SoA plane layout of a
+* :mod:`repro.shm.planes` — the canonical plane layout of a
   collector inside one segment;
 * :mod:`repro.shm.ingest` — the multi-process shard ingest engine
   behind ``ShardedCollector(jobs=N)`` and ``REPRO_SHARD_JOBS``;

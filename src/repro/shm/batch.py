@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.hashing.mixers import keys_from_halves
 from repro.shm.segments import Segment, attach_segment, carve, create_segment, layout_bytes
 
 
@@ -97,8 +98,6 @@ def attach_trace(ref: SharedTraceRef):
         segment = attach_segment(ref.segment)
         _ATTACHED[ref.segment] = segment
     views = carve(segment, _trace_specs(ref))
-    lo = views[0].tolist()
-    hi = views[1].tolist()
-    flow_keys = [(h << 64) | l for l, h in zip(lo, hi)]
+    flow_keys = keys_from_halves(views[0], views[1])
     timestamps = views[3] if ref.has_timestamps else None
     return Trace(flow_keys, views[2], timestamps=timestamps, name=ref.name)

@@ -3,7 +3,7 @@
 One :class:`ShardIngestEngine` serves one
 :class:`~repro.netwide.sharding.ShardedCollector` in ``jobs > 1`` mode:
 
-* at construction it moves every shard's SoA planes into **one owned
+* at construction it moves every shard's table planes into **one owned
   shared segment** (:func:`~repro.shm.planes.segment_for_planes`) —
   the parent keeps fully functional shard collectors over the shared
   views, so queries, records and NetFlow export read the same memory
@@ -20,13 +20,13 @@ One :class:`ShardIngestEngine` serves one
   and promotion counters are bit-identical to serial ingest.
 
 Workers are a ``ProcessPoolExecutor`` with an initializer that
-rebuilds every shard from its spec (``storage="soa"``) and adopts the
-shared plane views — the layout is a function of the specs alone, so
-no offsets cross the pipe.  Tasks are not pinned to processes, which
-is why *every* worker holds all shards; disjoint span groups per task
-keep concurrent mutation race-free.  A dead worker fails the whole
-batch fast (``BrokenProcessPool`` → ``RuntimeError``) rather than
-silently dropping packets.
+rebuilds every shard from its spec and adopts the shared plane views —
+the layout is a function of the specs alone, so no offsets cross the
+pipe.  Tasks are not pinned to processes, which is why *every* worker
+holds all shards; disjoint span groups per task keep concurrent
+mutation race-free.  A dead worker fails the whole batch fast
+(``BrokenProcessPool`` → ``RuntimeError``) rather than silently
+dropping packets.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _init_worker(plane_segment: str, spec_dicts: list[dict]) -> None:
     shards = [build(CollectorSpec.from_dict(d)) for d in spec_dicts]
     for shard, views in zip(shards, carve_for_planes(_W_PLANES, shards)):
         # The shared state is authoritative; never copy the fresh
-        # zeroed arrays over it.
+        # zeroed planes over it.
         adopt_planes(shard, views, copy=False)
     _W_SHARDS = shards
 
@@ -165,10 +165,10 @@ class ShardIngestEngine:
     """Shared planes + worker pool behind one sharded collector.
 
     Args:
-        shards: the parent's shard collectors (SoA-backed); their
+        shards: the parent's shard collectors (plane-backed); their
             planes are moved into a shared segment in place.
-        spec_dicts: each shard's full spec dict (seed + ``storage``
-            resolved) — what workers rebuild their twins from.
+        spec_dicts: each shard's full spec dict (seed resolved) — what
+            workers rebuild their twins from.
         jobs: worker processes (>= 2).
     """
 

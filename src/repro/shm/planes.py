@@ -1,22 +1,24 @@
-"""Shared-memory plane layout for SoA-backed collectors.
+"""Shared-memory plane layout for plane-backed collectors.
 
-A collector built on the SoA tables (:mod:`repro.native.soa`) keeps its
-entire dataplane state in a handful of flat numpy arrays — *planes*.
-This module maps that state onto a :class:`~repro.shm.segments.Segment`
-so several processes can mutate one collector's tables in place:
+A HashFlow collector keeps its entire dataplane state in a handful of
+flat *planes* (:mod:`repro.core.maintable`): Python lists on the numpy
+tier, numpy arrays on the native tier.  This module maps that state
+onto a :class:`~repro.shm.segments.Segment` so several processes can
+mutate one collector's tables in place:
 
 * :func:`plane_specs` describes a collector's planes as ``(count,
   dtype)`` pairs in a **canonical order** (main-table key lo/hi,
   counters, optional byte plane, then ancillary digests and counters);
 * :func:`adopt_planes` swaps carved segment views in for the
-  collector's private arrays (copying current contents, so adoption is
-  transparent mid-lifetime);
+  collector's planes (copying current contents, so adoption is
+  transparent mid-lifetime) — from then on the planes are numpy
+  arrays on every tier;
 * the canonical order is a function of the collector's *spec* alone,
   so a worker that rebuilds the same spec computes the same layout and
   attaches to the same offsets — no layout metadata crosses the pipe.
 
-Only spec kinds in :data:`SHARED_PLANE_KINDS` participate: their SoA
-state is exactly these planes, nothing else (hash seeds and sizes are
+Only spec kinds in :data:`SHARED_PLANE_KINDS` participate: their state
+is exactly these planes, nothing else (hash seeds and sizes are
 rebuilt deterministically from the spec).
 """
 
@@ -30,42 +32,43 @@ from repro.shm.segments import Segment, carve, layout_bytes
 SHARED_PLANE_KINDS = frozenset({"hashflow"})
 
 
-def _soa_tables(collector):
-    """The collector's (main, ancillary) SoA tables, or a clear error."""
-    from repro.native.soa import NativeAncillaryTable, NativeMainTable
+def _plane_slots(collector) -> list[tuple[object, str, np.dtype]]:
+    """``(table, attribute, dtype)`` of every plane, in canonical order."""
+    from repro.core.ancillary import AncillaryTable
+    from repro.core.maintable import MainTable
 
     main = getattr(collector, "main", None)
     ancillary = getattr(collector, "ancillary", None)
-    if not isinstance(main, NativeMainTable) or not isinstance(
-        ancillary, NativeAncillaryTable
-    ):
+    if not isinstance(main, MainTable) or not isinstance(ancillary, AncillaryTable):
         raise TypeError(
-            f"{type(collector).__name__} does not hold SoA tables; build it "
-            "with storage='soa' (or the native kernel tier) to share planes"
+            f"{type(collector).__name__} does not hold HashFlow table planes"
         )
-    return main, ancillary
-
-
-def plane_arrays(collector) -> list[np.ndarray]:
-    """The collector's state planes, in canonical order."""
-    main, ancillary = _soa_tables(collector)
-    planes = [main.k_lo, main.k_hi, main.counts]
+    key, count = np.dtype(np.uint64), np.dtype(np.int64)
+    slots = [(main, "k_lo", key), (main, "k_hi", key), (main, "counts", count)]
     if main.bytes is not None:
-        planes.append(main.bytes)
-    planes.extend([ancillary.digests, ancillary.counts])
-    return planes
+        slots.append((main, "bytes", count))
+    slots += [(ancillary, "digests", key), (ancillary, "counts", count)]
+    return slots
+
+
+def plane_arrays(collector) -> list:
+    """The collector's state planes (lists or arrays), in canonical order."""
+    return [getattr(table, attr) for table, attr, _ in _plane_slots(collector)]
 
 
 def plane_specs(collector) -> list[tuple[int, np.dtype]]:
     """``(count, dtype)`` of every plane, in canonical order."""
-    return [(arr.size, arr.dtype) for arr in plane_arrays(collector)]
+    return [
+        (len(getattr(table, attr)), dtype)
+        for table, attr, dtype in _plane_slots(collector)
+    ]
 
 
 def adopt_planes(collector, views: list[np.ndarray], copy: bool = True) -> None:
-    """Swap carved segment views in for the collector's private planes.
+    """Swap carved segment views in for the collector's planes.
 
     Args:
-        collector: an SoA-backed collector (see :func:`plane_arrays`).
+        collector: a plane-backed collector (see :func:`plane_arrays`).
         views: arrays from :func:`~repro.shm.segments.carve`, in the
             same canonical order.
         copy: copy current plane contents into the views first (the
@@ -73,32 +76,21 @@ def adopt_planes(collector, views: list[np.ndarray], copy: bool = True) -> None:
             worker attaching to live planes passes False: the shared
             state is already authoritative.
     """
-    main, ancillary = _soa_tables(collector)
-    current = plane_arrays(collector)
-    if len(views) != len(current):
+    slots = _plane_slots(collector)
+    if len(views) != len(slots):
         raise ValueError(
-            f"expected {len(current)} plane views, got {len(views)}"
+            f"expected {len(slots)} plane views, got {len(views)}"
         )
-    it = iter(views)
-
-    def take(old: np.ndarray) -> np.ndarray:
-        view = next(it)
-        if view.dtype != old.dtype or view.size != old.size:
+    for (table, attr, dtype), view in zip(slots, views):
+        old = getattr(table, attr)
+        if view.dtype != dtype or view.size != len(old):
             raise ValueError(
                 f"plane view mismatch: {view.dtype}[{view.size}] for "
-                f"{old.dtype}[{old.size}]"
+                f"{dtype}[{len(old)}]"
             )
         if copy:
             view[:] = old
-        return view
-
-    main.k_lo = take(main.k_lo)
-    main.k_hi = take(main.k_hi)
-    main.counts = take(main.counts)
-    if main.bytes is not None:
-        main.bytes = take(main.bytes)
-    ancillary.digests = take(ancillary.digests)
-    ancillary.counts = take(ancillary.counts)
+        setattr(table, attr, view)
 
 
 def segment_for_planes(collectors, label: str = "planes"):

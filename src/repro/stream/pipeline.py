@@ -142,7 +142,9 @@ class StreamFeeder:
         """Push one batch of packets through collector and rotation.
 
         Args:
-            keys: per-packet Python-int flow keys.
+            keys: per-packet Python-int flow keys, or None: sub-batches
+                then carry the halves alone and rebuild keys only if a
+                consumer reads them.
             lo: per-packet low key halves (``np.uint64``).
             hi: per-packet high key halves (``np.uint64``).
             sizes: optional per-packet byte sizes (``np.int64``).
@@ -152,7 +154,7 @@ class StreamFeeder:
         rotation = self.rotation
         collector = self.collector
         pos = 0
-        n = len(keys)
+        n = len(lo)
         while pos < n:
             limit = min(self.chunk_size, n - pos)
             if rotation is None:
@@ -166,7 +168,7 @@ class StreamFeeder:
                     )
             if take:
                 sub = KeyBatch(
-                    keys[pos : pos + take],
+                    None if keys is None else keys[pos : pos + take],
                     lo[pos : pos + take],
                     hi[pos : pos + take],
                     None if sizes is None else sizes[pos : pos + take],

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.flow.batch import KeyBatch
+from repro.hashing.mixers import keys_from_halves
 from repro.traces.trace import Trace
 
 _FORMAT_VERSION = 1
@@ -41,13 +42,6 @@ _FORMAT_VERSION = 1
 _ARRAY_FORMAT_VERSION = 1
 
 _META_NAME = "meta.json"
-
-
-def _keys_from_halves(lo: np.ndarray, hi: np.ndarray) -> list[int]:
-    """Rebuild exact Python-int keys from their 64-bit halves."""
-    return [
-        (h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())
-    ]
 
 
 def _npz_path(path: str | Path) -> Path:
@@ -92,7 +86,7 @@ def load_trace(path: str | Path) -> Trace:
         version = int(data["version"][0])
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported trace format version {version}")
-        keys = _keys_from_halves(data["key_lo"], data["key_hi"])
+        keys = keys_from_halves(data["key_lo"], data["key_hi"])
         order = data["order"]
         ts = data["timestamps"] if "timestamps" in data else None
         name = str(data["name"][0])
@@ -183,7 +177,7 @@ def load_trace_arrays(dir_path: str | Path, mmap: bool = True) -> Trace:
     ts = None
     if meta.get("timestamps"):
         ts = np.load(root / "timestamps.npy", mmap_mode=mode)
-    return Trace(_keys_from_halves(lo, hi), order, ts, name=str(meta["name"]))
+    return Trace(keys_from_halves(lo, hi), order, ts, name=str(meta["name"]))
 
 
 # ----------------------------------------------------------------------
@@ -193,8 +187,9 @@ def save_key_batch(batch: KeyBatch, path: str | Path) -> None:
     """Save a :class:`~repro.flow.batch.KeyBatch` to an ``.npz`` file.
 
     The 64-bit halves (materialized if still lazy) and the optional
-    per-packet sizes are stored; the Python-int key list is rebuilt
-    from the halves on load, so the round trip is exact.
+    per-packet sizes are stored; the loaded batch rebuilds its
+    Python-int key list from the halves on first read, so the round
+    trip is exact.
     """
     lo, hi = batch.halves()
     payload = {
@@ -221,4 +216,4 @@ def load_key_batch(path: str | Path) -> KeyBatch:
         lo = np.array(data["key_lo"])
         hi = np.array(data["key_hi"])
         sizes = np.array(data["sizes"]) if "sizes" in data else None
-    return KeyBatch(_keys_from_halves(lo, hi), lo, hi, sizes)
+    return KeyBatch(None, lo, hi, sizes)

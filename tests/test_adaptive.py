@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveHashFlow, EpochedHashFlow, merge_records
 from repro.core.hashflow import HashFlow
+from repro.flow.batch import KeyBatch
+from repro.flow.packet import Packet
 
 
 class TestMergeRecords:
@@ -124,3 +127,15 @@ class TestAdaptiveHashFlow:
         for _ in range(25):
             a.process(42)
         assert a.query(42) == 25
+
+    def test_packet_sizes_reach_byte_counters(self):
+        """Batch sizes and ``process_packet`` feed the byte counters
+        exactly as they do for plain HashFlow."""
+        batch = KeyBatch([5, 5, 6], sizes=np.array([100, 200, 300]))
+        a = AdaptiveHashFlow(main_cells=64, track_bytes=True, seed=1)
+        h = HashFlow(main_cells=64, track_bytes=True, seed=1)
+        a.process_batch(batch)
+        h.process_batch(batch)
+        assert a.byte_records() == h.byte_records() == {5: 300, 6: 300}
+        a.process_packet(Packet(key=7, size=64))
+        assert a.byte_query(7) == 64

@@ -11,13 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.hashflow import HashFlow
-from repro.core.maintable import MultiHashTable
+from repro.core.maintable import MainTable
 from repro.sketches.elastic import ElasticSketch
 from repro.sketches.flowradar import FlowRadar
 from repro.sketches.hashpipe import HashPipe
 
 
-def colliding_keys(table: MultiHashTable, bucket: int, count: int) -> list[int]:
+def colliding_keys(table: MainTable, bucket: int, count: int) -> list[int]:
     """Find ``count`` keys whose *first* probe lands in ``bucket``."""
     keys = []
     candidate = 1

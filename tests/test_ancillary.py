@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.ancillary import PROMOTE, STORED, AncillaryTable
 from repro.hashing.digest import DigestFunction
-from repro.hashing.families import HashFamily
+from repro.hashing.families import HashFamily, HashFunction
 
 
 def make(n_cells=64, counter_bits=8, digest_bits=8) -> AncillaryTable:
@@ -148,4 +148,19 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             AncillaryTable(
                 index_hash=fam[0], digest=DigestFunction(fam[1]), **kwargs
+            )
+
+    def test_rejects_hashes_it_cannot_address_by_seed(self):
+        """Cells are addressed by mix128 seeds, so a hash with another
+        bucket function would be silently ignored; it is refused."""
+
+        class OddHash(HashFunction):
+            def bucket(self, key, n):
+                return key % n
+
+        with pytest.raises(TypeError, match="HashFunction"):
+            AncillaryTable(
+                16,
+                index_hash=OddHash(seed=0),
+                digest=DigestFunction(HashFunction(seed=1)),
             )

@@ -8,8 +8,7 @@ from repro.analysis.model import multihash_utilization, pipelined_utilization
 from repro.core.maintable import (
     ABSORBED,
     MISSED,
-    MultiHashTable,
-    PipelinedTables,
+    MainTable,
     pipeline_sizes,
 )
 
@@ -36,8 +35,8 @@ class TestPipelineSizes:
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda n: MultiHashTable(n, depth=3, seed=1),
-        lambda n: PipelinedTables(n, depth=3, alpha=0.7, seed=1),
+        lambda n: MainTable(n, depth=3, seed=1, variant="multihash"),
+        lambda n: MainTable(n, depth=3, alpha=0.7, seed=1, variant="pipelined"),
     ],
     ids=["multihash", "pipelined"],
 )
@@ -117,7 +116,7 @@ class TestMainTableContract:
 class TestUtilizationMatchesModel:
     def test_multihash_matches_eq1(self):
         n, d = 5000, 3
-        table = MultiHashTable(n, depth=d, seed=3)
+        table = MainTable(n, depth=d, seed=3, variant="multihash")
         m = 2 * n
         for key in range(m):
             table.probe(1_000_000 + key)
@@ -127,7 +126,7 @@ class TestUtilizationMatchesModel:
 
     def test_pipelined_matches_eq5(self):
         n, d, alpha = 5000, 3, 0.7
-        table = PipelinedTables(n, depth=d, alpha=alpha, seed=3)
+        table = MainTable(n, depth=d, alpha=alpha, seed=3, variant="pipelined")
         m = n
         for key in range(m):
             table.probe(1_000_000 + key)
@@ -138,8 +137,8 @@ class TestUtilizationMatchesModel:
     def test_pipelined_beats_multihash_at_moderate_load(self):
         """Fig. 2d: pipelined tables improve utilization at d=3."""
         n = 4000
-        mh = MultiHashTable(n, depth=3, seed=5)
-        pt = PipelinedTables(n, depth=3, alpha=0.7, seed=5)
+        mh = MainTable(n, depth=3, seed=5, variant="multihash")
+        pt = MainTable(n, depth=3, alpha=0.7, seed=5, variant="pipelined")
         for key in range(n):
             mh.probe(key)
             pt.probe(key)
@@ -148,7 +147,7 @@ class TestUtilizationMatchesModel:
 
 class TestPipelinedSpecifics:
     def test_per_table_utilization_shape(self):
-        pt = PipelinedTables(1000, depth=3, alpha=0.7, seed=1)
+        pt = MainTable(1000, depth=3, alpha=0.7, seed=1, variant="pipelined")
         for key in range(800):
             pt.probe(key)
         utils = pt.per_table_utilization()
@@ -157,17 +156,17 @@ class TestPipelinedSpecifics:
         assert utils[0] >= utils[-1]
 
     def test_sizes_attribute(self):
-        pt = PipelinedTables(1000, depth=3, alpha=0.7)
+        pt = MainTable(1000, depth=3, alpha=0.7, variant="pipelined")
         assert pt.sizes == pipeline_sizes(1000, 3, 0.7)
 
     def test_depth_one_degenerates_to_single_table(self):
-        pt = PipelinedTables(100, depth=1, alpha=0.7)
+        pt = MainTable(100, depth=1, alpha=0.7, variant="pipelined")
         assert pt.sizes == [100]
 
 
 class TestValidation:
     def test_multihash_invalid(self):
         with pytest.raises(ValueError):
-            MultiHashTable(0)
+            MainTable(0, variant="multihash")
         with pytest.raises(ValueError):
-            MultiHashTable(10, depth=0)
+            MainTable(10, depth=0, variant="multihash")

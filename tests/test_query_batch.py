@@ -21,6 +21,7 @@ from repro.core.adaptive import AdaptiveHashFlow, EpochedHashFlow
 from repro.core.hashflow import HashFlow
 from repro.core.timeout import TimeoutHashFlow
 from repro.flow.batch import KeyBatch
+from repro.hashing.mixers import MASK64
 from repro.netwide.sharding import ShardedCollector
 from repro.sketches.base import gather_estimates
 from repro.sketches.countmin import CountMinSketch
@@ -136,18 +137,18 @@ class TestHashFlowQueryBatch:
         """Control-plane evictions can re-open earlier probe buckets; if
         a flow is ever resident twice, the batched query must still
         return the *first* probe stage's count, like the scalar loop."""
-        # White box (plants records in the list tier's storage): pin numpy.
+        # White box (plants records in the list tier's planes): pin numpy.
         c = HashFlow(main_cells=64, variant="multihash", depth=3, seed=1, kernel="numpy")
         main = c.main
         key = 0xABCDEF123456789 | (1 << 100)
         buckets = [h.bucket(key, main.n_cells) for h in main._hashes]
         # Plant the same flow at two of its probe positions with
         # different counts (the duplicate-record corner).
-        main._keys[buckets[0]] = key
-        main._counts[buckets[0]] = 5
+        main.k_lo[buckets[0]], main.k_hi[buckets[0]] = key & MASK64, key >> 64
+        main.counts[buckets[0]] = 5
         if buckets[1] != buckets[0]:
-            main._keys[buckets[1]] = key
-            main._counts[buckets[1]] = 9
+            main.k_lo[buckets[1]], main.k_hi[buckets[1]] = key & MASK64, key >> 64
+            main.counts[buckets[1]] = 9
         assert c.query(key) == 5
         assert c.query_batch([key]).tolist() == [5]
 
@@ -161,33 +162,6 @@ class TestHashFlowQueryBatch:
         anc_only = [k for k in dict.fromkeys(stream) if k not in resident]
         assert anc_only, "workload too small to exercise the ancillary table"
         assert c.query_batch(anc_only).tolist() == [c.query(k) for k in anc_only]
-
-    def test_tabulation_hash_ancillary_falls_back(self):
-        """Injected hashes without a batched form use the scalar query."""
-        from repro.core.ancillary import AncillaryTable
-        from repro.hashing.tabulation import TabulationHash
-
-        class _TabDigest:
-            bits = 8
-
-            def __init__(self, base):
-                self.base = base
-
-            def __call__(self, key):
-                return self.base(key) & 0xFF
-
-        table = AncillaryTable(
-            n_cells=32,
-            index_hash=TabulationHash(seed=1),
-            digest=_TabDigest(TabulationHash(seed=2)),
-        )
-        assert not table._fast_hashes
-        for key in range(1, 300):
-            table.offer(key, 1 << 30)
-        probes = list(range(1, 400))
-        assert table.query_batch(KeyBatch(probes)).tolist() == [
-            table.query(k) for k in probes
-        ]
 
 
 class TestStandaloneSketchQueryBatch:

@@ -17,7 +17,8 @@ from repro.export.netflow_v5 import (
     parse_datagram,
 )
 from repro.flow.key import pack_key, unpack_key
-from repro.serve.codec import decode_datagram, encode_datagrams, keys_from_halves
+from repro.hashing.mixers import keys_from_halves
+from repro.serve.codec import decode_datagram, encode_datagrams
 
 
 def sample_keys(n: int, seed: int = 0) -> list[int]:

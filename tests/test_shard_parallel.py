@@ -236,17 +236,26 @@ class TestConfiguration:
                 jobs=2,
             )
 
-    def test_storage_lists_native_conflict(self):
-        if not native_available():
-            pytest.skip("native tier unavailable")
-        with pytest.raises(ValueError, match="SoA"):
-            HashFlow(main_cells=256, kernel="native", storage="lists")
-
-    def test_ingest_planes_requires_soa(self):
-        collector = HashFlow(main_cells=256, kernel="numpy")
-        lo = np.zeros(1, dtype=np.uint64)
-        with pytest.raises(RuntimeError, match="SoA"):
-            collector.ingest_planes(lo, lo.copy())
+    @pytest.mark.parametrize("track_bytes", [False, True])
+    def test_numpy_ingest_planes_equals_process_batch(
+        self, shard_trace, track_bytes
+    ):
+        """A numpy-tier collector ingests bare key halves into its
+        Python-list planes exactly as ``process_batch`` does."""
+        batch = batch_for(shard_trace, track_bytes)
+        lo, hi = batch.halves()
+        kwargs = dict(main_cells=256, seed=3, track_bytes=track_bytes, kernel="numpy")
+        planes, batched = HashFlow(**kwargs), HashFlow(**kwargs)
+        planes.ingest_planes(lo, hi, batch.sizes)
+        batched.process_batch(batch)
+        assert isinstance(planes.main.counts, list)
+        assert planes.promotions == batched.promotions > 0
+        assert planes.records() == batched.records()
+        assert [getattr(planes.meter, f) for f in planes.meter.__slots__] == [
+            getattr(batched.meter, f) for f in batched.meter.__slots__
+        ]
+        if track_bytes:
+            assert planes.byte_records() == batched.byte_records()
 
 
 class TestPipelineDispatch:

@@ -196,11 +196,11 @@ class TestSoftwareSwitch:
 class TestRegisterHashFlowStage:
     def test_register_rendering_matches_collector_main_table(self, small_trace):
         """The register-level multi-hash table must behave exactly like
-        the object-level MultiHashTable on the probe path."""
-        from repro.core.maintable import MultiHashTable
+        the object-level multi-hash MainTable on the probe path."""
+        from repro.core.maintable import MainTable
 
         stage = RegisterHashFlowStage(n_cells=256, depth=3, seed=9)
-        table = MultiHashTable(256, depth=3, seed=9)
+        table = MainTable(256, depth=3, variant="multihash", seed=9)
         for key in small_trace.keys():
             stage.update(key)
             table.probe(key)
