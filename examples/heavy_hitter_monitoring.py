@@ -17,9 +17,9 @@ Run:  python examples/heavy_hitter_monitoring.py
 from __future__ import annotations
 
 from repro.analysis.heavy_hitters import evaluate_heavy_hitters
-from repro.experiments.config import build_all
 from repro.flow.key import FlowKey
 from repro.sketches.spacesaving import SpaceSaving
+from repro.specs import build_evaluated
 from repro.traces import CAMPUS
 
 MEMORY_BYTES = 128 * 1024
@@ -34,7 +34,7 @@ def main() -> None:
     print(f"workload: {trace.num_flows} flows, {len(keys)} packets "
           f"(campus profile: top 7.7% of flows carry most packets)\n")
 
-    collectors = build_all(MEMORY_BYTES, seed=1)
+    collectors = build_evaluated(MEMORY_BYTES, seed=1)
     # Space-Saving gets the same memory: each record costs 168 bits.
     collectors["SpaceSaving"] = SpaceSaving(capacity=MEMORY_BYTES * 8 // 168)
 

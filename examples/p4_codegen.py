@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from repro.experiments.config import build_hashflow
+from repro.specs import build
 from repro.switchsim.codegen import generate_p4
 
 MEMORY_BYTES = 1 << 20  # the paper's 1 MB
@@ -22,7 +22,7 @@ MEMORY_BYTES = 1 << 20  # the paper's 1 MB
 
 def main() -> None:
     # Size the tables exactly like the Python collector under 1 MB.
-    collector = build_hashflow(MEMORY_BYTES)
+    collector = build("hashflow", memory_bytes=MEMORY_BYTES)
     program = generate_p4(
         total_cells=collector.main.n_cells,
         depth=collector.main.depth,

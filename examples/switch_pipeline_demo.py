@@ -13,7 +13,7 @@ Run:  python examples/switch_pipeline_demo.py
 
 from __future__ import annotations
 
-from repro.experiments.config import build_all
+from repro.specs import build_evaluated
 from repro.switchsim import (
     AclStage,
     CostModel,
@@ -35,7 +35,7 @@ def main() -> None:
 
     print(f"{'algorithm':>14s} {'Kpps':>7s} {'hashes/pkt':>11s} "
           f"{'accesses/pkt':>13s} {'records':>8s}")
-    for name, collector in build_all(memory_bytes=128 * 1024, seed=2).items():
+    for name, collector in build_evaluated(128 * 1024, seed=2).items():
         switch = measurement_switch(collector, cost_model, acl=acl)
         report = switch.run_trace(trace)
         print(f"{name:>14s} {report.throughput_kpps:>7.2f} "

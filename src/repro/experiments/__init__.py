@@ -1,24 +1,15 @@
 """Experiment harness: runners, figure regeneration, reporting.
 
-Collector construction now goes through the spec registry
-(:mod:`repro.specs`); the ``build_*`` names re-exported here are the
-deprecated shims from :mod:`repro.experiments.config`.
+Collector construction goes through the spec registry
+(:mod:`repro.specs`).
 """
 
 from repro.experiments.ascii_plot import line_chart, plot_result
-from repro.experiments.config import (
-    DEFAULT_MEMORY_BYTES,
-    build_all,
-    build_elastic,
-    build_flowradar,
-    build_hashflow,
-    build_hashpipe,
-    resolve_scale,
-)
 from repro.experiments.figures import EXPERIMENTS
 from repro.experiments.report import pivot, render_table, save_result
 from repro.experiments.runner import ExperimentResult, Workload, make_workload
 from repro.specs import build, build_evaluated
+from repro.specs.sizing import DEFAULT_MEMORY_BYTES, resolve_scale
 
 __all__ = [
     "DEFAULT_MEMORY_BYTES",
@@ -26,12 +17,7 @@ __all__ = [
     "ExperimentResult",
     "Workload",
     "build",
-    "build_all",
-    "build_elastic",
     "build_evaluated",
-    "build_flowradar",
-    "build_hashflow",
-    "build_hashpipe",
     "line_chart",
     "make_workload",
     "pivot",

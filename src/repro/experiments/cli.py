@@ -202,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         help="sink to attach (repeatable): netflow, jsonl[:PATH], csv[:PATH], "
-        "archive, heavy_hitters:T, cardinality, anomaly[:MIN_FANOUT] "
-        "(default: netflow + archive)",
+        "archive, heavy_hitters:T, cardinality, anomaly[:MIN_FANOUT], "
+        "store:DIR[,VANTAGE] (default: netflow + archive)",
     )
     stream.add_argument(
         "--kernel",
@@ -345,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SINK",
         action="append",
         default=None,
-        help="sink to attach (repeatable, same grammar as stream; "
-        "default: netflow + archive)",
+        help="sink to attach (repeatable, same grammar as stream, "
+        "including store:DIR[,VANTAGE]; default: netflow + archive)",
     )
     serve.add_argument(
         "--save-spec",

@@ -1,11 +1,23 @@
-"""NetFlow v5 datagram export/import.
+"""NetFlow v5 datagram export/import: the one v5 wire codec.
 
 HashFlow is a NetFlow replacement on the switch, but the records it
 collects still need to reach a collector; NetFlow v5 is the lingua
-franca.  This module packs ``{flow key: packet count}`` records into
-standard v5 datagrams (24-byte header + up to 30 x 48-byte records) and
-parses them back, so records from any :class:`FlowCollector` can be
-consumed by stock tooling (nfdump, flow-tools, commercial collectors).
+franca.  This module is the only one that knows the v5 wire format
+(24-byte header + up to 30 x 48-byte records): one header packer
+(:func:`encode_header`), one big-endian :data:`RECORD_DTYPE`, one
+vectorized record encoder (:func:`encode_records`) and one decoder
+(:func:`decode_records`).  Every other entry point is a thin wrapper
+over them: the exporter and the record parsers that hand records from
+any :class:`FlowCollector` to stock tooling (nfdump, flow-tools,
+commercial collectors), the live listener's :func:`decode_datagram`
+and the replayer's :func:`encode_datagrams`.
+
+The packed 104-bit key is ``src<<72 | dst<<40 | sport<<24 | dport<<8 |
+proto``; the codec works on its 64-bit halves ``lo = key & 2^64-1`` and
+``hi = key >> 64``::
+
+    lo = (dst & 0xFFFFFF) << 40 | sport << 24 | dport << 8 | proto
+    hi = src << 8 | dst >> 24
 
 The 5-tuple and the packet count (dPkts) are always populated.  For
 ``dOctets`` the precedence is: a *measured* per-flow byte count when
@@ -24,17 +36,50 @@ import struct
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from repro.flow.key import pack_key, unpack_key
+import numpy as np
+
+from repro.flow.key import FLOW_KEY_BITS, FLOW_KEY_MASK
 from repro.flow.packet import DEFAULT_PACKET_BYTES
+from repro.hashing.mixers import keys_from_halves, split_keys
 
 NETFLOW_V5_VERSION = 5
 MAX_RECORDS_PER_DATAGRAM = 30
 
 _HEADER = struct.Struct("!HHIIIIBBH")
-_RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
+
+#: The 48-byte v5 record as a big-endian numpy structured dtype.
+RECORD_DTYPE = np.dtype(
+    [
+        ("src_ip", ">u4"),
+        ("dst_ip", ">u4"),
+        ("nexthop", ">u4"),
+        ("input_if", ">u2"),
+        ("output_if", ">u2"),
+        ("packets", ">u4"),
+        ("octets", ">u4"),
+        ("first_ms", ">u4"),
+        ("last_ms", ">u4"),
+        ("src_port", ">u2"),
+        ("dst_port", ">u2"),
+        ("pad1", "u1"),
+        ("tcp_flags", "u1"),
+        ("proto", "u1"),
+        ("tos", "u1"),
+        ("src_as", ">u2"),
+        ("dst_as", ">u2"),
+        ("src_mask", "u1"),
+        ("dst_mask", "u1"),
+        ("pad2", ">u2"),
+    ]
+)
 
 HEADER_BYTES = _HEADER.size  # 24
-RECORD_BYTES = _RECORD.size  # 48
+RECORD_BYTES = RECORD_DTYPE.itemsize  # 48
+
+_U64 = np.uint64
+
+#: The per-record counters, named alike in RECORD_DTYPE and NetFlowV5Record.
+_COUNTERS = ("packets", "octets", "first_ms", "last_ms")
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,6 +99,118 @@ class NetFlowV5Record:
     octets: int
     first_ms: int = 0
     last_ms: int = 0
+
+
+def encode_header(
+    count: int,
+    sys_uptime_ms: int = 0,
+    unix_secs: int = 0,
+    flow_sequence: int = 0,
+    engine_id: int = 0,
+    sampling_interval: int = 0,
+) -> bytes:
+    """Pack one 24-byte v5 header for ``count`` records."""
+    return _HEADER.pack(
+        NETFLOW_V5_VERSION,
+        count,
+        sys_uptime_ms & 0xFFFFFFFF,
+        unix_secs & 0xFFFFFFFF,
+        0,  # unix_nsecs
+        flow_sequence & 0xFFFFFFFF,
+        0,  # engine_type
+        engine_id,
+        sampling_interval,
+    )
+
+
+def _split_flow_keys(keys: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Python-int flow keys -> ``uint64`` halves, rejecting non-5-tuples."""
+    if keys and (min(keys) < 0 or max(keys) > FLOW_KEY_MASK):
+        raise ValueError(
+            f"key out of range for 104-bit flow ID: {min(keys)}..{max(keys)}"
+        )
+    return split_keys(keys)
+
+
+def encode_records(lo, hi, packets, octets, first_ms, last_ms) -> np.ndarray:
+    """Key halves plus per-record counters -> v5 records.
+
+    ``packets``/``octets``/``first_ms``/``last_ms`` are arrays (or
+    scalars broadcast to every record) of integers, written modulo
+    2^32 as the wire's 32-bit fields.  AS numbers, interfaces, masks,
+    flags and the next hop stay zero.
+
+    Returns:
+        A :data:`RECORD_DTYPE` array; ``.tobytes()`` is the wire payload.
+
+    Raises:
+        ValueError: if a key is negative or wider than 104 bits.
+    """
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    if len(hi) and (hi.min() < 0 or hi.max() >> (FLOW_KEY_BITS - 64)):
+        raise ValueError("key out of range for 104-bit flow ID")
+    lo, hi = lo.astype(_U64, copy=False), hi.astype(_U64, copy=False)
+    fields = np.zeros(len(lo), dtype=RECORD_DTYPE)
+    fields["src_ip"] = hi >> _U64(8)
+    fields["dst_ip"] = ((hi & _U64(0xFF)) << _U64(24)) | (lo >> _U64(40))
+    fields["src_port"] = (lo >> _U64(24)) & _U64(0xFFFF)
+    fields["dst_port"] = (lo >> _U64(8)) & _U64(0xFFFF)
+    fields["proto"] = lo & _U64(0xFF)
+    for name, values in zip(_COUNTERS, (packets, octets, first_ms, last_ms)):
+        fields[name] = np.asarray(values, dtype=np.int64)
+    return fields
+
+
+def decode_records(payload) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A whole number of 48-byte records -> key halves + field view.
+
+    Returns:
+        ``(lo, hi, fields)`` — ``uint64`` key halves and the zero-copy
+        :data:`RECORD_DTYPE` view over ``payload``.
+    """
+    fields = np.frombuffer(payload, dtype=RECORD_DTYPE)
+    src = fields["src_ip"].astype(_U64)
+    dst = fields["dst_ip"].astype(_U64)
+    lo = (
+        ((dst & _U64(0xFFFFFF)) << _U64(40))
+        | (fields["src_port"].astype(_U64) << _U64(24))
+        | (fields["dst_port"].astype(_U64) << _U64(8))
+        | fields["proto"].astype(_U64)
+    )
+    hi = (src << _U64(8)) | (dst >> _U64(24))
+    return lo, hi, fields
+
+
+def _datagrams(
+    records: np.ndarray,
+    uptimes_ms: np.ndarray,
+    unix_secs: int = 0,
+    flow_sequence: int = 0,
+    engine_id: int = 0,
+    sampling_interval: int = 0,
+) -> list[bytes]:
+    """Chunk encoded records into datagrams of at most 30 records.
+
+    Each header's ``sys_uptime`` is ``uptimes_ms`` at the datagram's
+    last record; ``flow_sequence`` counts records from the first
+    datagram on.
+    """
+    body = records.tobytes()
+    datagrams = []
+    for start in range(0, len(records), MAX_RECORDS_PER_DATAGRAM):
+        end = min(start + MAX_RECORDS_PER_DATAGRAM, len(records))
+        header = encode_header(
+            end - start, int(uptimes_ms[end - 1]), unix_secs,
+            flow_sequence + start, engine_id, sampling_interval,
+        )
+        datagrams.append(header + body[start * RECORD_BYTES : end * RECORD_BYTES])
+    return datagrams
+
+
+def _to_records(lo, hi, counters) -> list[NetFlowV5Record]:
+    """Key halves + per-record counter columns (by name) -> records."""
+    columns = [counters[name].tolist() for name in _COUNTERS]
+    return list(map(NetFlowV5Record, keys_from_halves(lo, hi), *columns))
 
 
 class NetFlowV5Exporter:
@@ -96,7 +253,7 @@ class NetFlowV5Exporter:
         octets: Mapping[int, int] | None = None,
         times_ms: Mapping[int, tuple[int, int]] | None = None,
     ) -> list[bytes]:
-        """Pack records into one or more v5 datagrams.
+        """Pack records into one or more v5 datagrams, in flow-key order.
 
         Args:
             records: ``{packed flow key: packet count}``.
@@ -112,28 +269,27 @@ class NetFlowV5Exporter:
 
         Returns:
             Encoded datagrams, each carrying at most 30 records.
+
+        Raises:
+            ValueError: if a key is negative or wider than 104 bits.
         """
-        datagrams = []
-        items = sorted(records.items())
-        for start in range(0, len(items), MAX_RECORDS_PER_DATAGRAM):
-            chunk = items[start : start + MAX_RECORDS_PER_DATAGRAM]
-            body = b"".join(
-                self._encode_record(key, count, sys_uptime_ms, octets, times_ms)
-                for key, count in chunk
-            )
-            header = _HEADER.pack(
-                NETFLOW_V5_VERSION,
-                len(chunk),
-                sys_uptime_ms & 0xFFFFFFFF,
-                unix_secs & 0xFFFFFFFF,
-                0,  # unix_nsecs
-                self.flow_sequence & 0xFFFFFFFF,
-                0,  # engine_type
-                self.engine_id,
-                self.sampling_interval,
-            )
-            self.flow_sequence += len(chunk)
-            datagrams.append(header + body)
+        keys = sorted(records)
+        lo, hi = _split_flow_keys(keys)
+        packets = [records[key] for key in keys]
+        measured, mean = octets or {}, self.mean_packet_bytes
+        byte_counts = [measured.get(key, n * mean) for key, n in zip(keys, packets)]
+        timing, uptime = times_ms or {}, (sys_uptime_ms, sys_uptime_ms)
+        spans = np.array([timing.get(key, uptime) for key in keys], dtype=np.int64)
+        first, last = spans.reshape(-1, 2).T
+        datagrams = _datagrams(
+            encode_records(lo, hi, packets, byte_counts, first, last),
+            np.full(len(keys), sys_uptime_ms, dtype=np.int64),
+            unix_secs,
+            self.flow_sequence,
+            self.engine_id,
+            self.sampling_interval,
+        )
+        self.flow_sequence += len(keys)
         return datagrams
 
     def export_flows(
@@ -198,45 +354,6 @@ class NetFlowV5Exporter:
             times_ms=times_ms or None,
         )
 
-    def _encode_record(
-        self,
-        key: int,
-        count: int,
-        uptime_ms: int,
-        octets_map: Mapping[int, int] | None = None,
-        times_map: Mapping[int, tuple[int, int]] | None = None,
-    ) -> bytes:
-        octets = None if octets_map is None else octets_map.get(key)
-        if octets is None:
-            # Fallback: estimate from the configured mean packet size.
-            octets = count * self.mean_packet_bytes
-        first_ms = last_ms = uptime_ms
-        if times_map is not None:
-            first_ms, last_ms = times_map.get(key, (uptime_ms, uptime_ms))
-        return encode_record(key, count, octets, first_ms, last_ms)
-
-
-def encode_header(
-    count: int,
-    sys_uptime_ms: int = 0,
-    unix_secs: int = 0,
-    flow_sequence: int = 0,
-    engine_id: int = 0,
-    sampling_interval: int = 0,
-) -> bytes:
-    """Pack one 24-byte v5 header for ``count`` records."""
-    return _HEADER.pack(
-        NETFLOW_V5_VERSION,
-        count,
-        sys_uptime_ms & 0xFFFFFFFF,
-        unix_secs & 0xFFFFFFFF,
-        0,  # unix_nsecs
-        flow_sequence & 0xFFFFFFFF,
-        0,  # engine_type
-        engine_id,
-        sampling_interval,
-    )
-
 
 def encode_record(
     key: int,
@@ -247,45 +364,59 @@ def encode_record(
 ) -> bytes:
     """Pack one 48-byte v5 record from a packed flow key.
 
-    The inverse of the record half of :func:`parse_datagram`: the
-    5-tuple comes from the key, counters and SysUptime timing from the
-    arguments, everything else (AS numbers, interfaces, masks) zero.
+    The 5-tuple comes from the key, counters and SysUptime timing from
+    the arguments, everything else (AS numbers, interfaces, masks) zero.
+
+    Raises:
+        ValueError: if ``key`` is negative or wider than 104 bits.
     """
-    src_ip, dst_ip, src_port, dst_port, proto = unpack_key(key)
+    lo, hi = _split_flow_keys([key])
     if last_ms is None:
         last_ms = first_ms
-    return _RECORD.pack(
-        src_ip,
-        dst_ip,
-        0,  # nexthop
-        0,  # input if
-        0,  # output if
-        packets & 0xFFFFFFFF,
-        octets & 0xFFFFFFFF,
-        first_ms & 0xFFFFFFFF,
-        last_ms & 0xFFFFFFFF,
-        src_port,
-        dst_port,
-        0,  # pad1
-        0,  # tcp_flags
-        proto,
-        0,  # tos
-        0,  # src_as
-        0,  # dst_as
-        0,  # src_mask
-        0,  # dst_mask
-        0,  # pad2
+    return encode_records(lo, hi, packets, octets, first_ms, last_ms).tobytes()
+
+
+def encode_datagrams(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    sizes: np.ndarray,
+    times_ms: np.ndarray,
+    flow_sequence: int = 0,
+    engine_id: int = 0,
+) -> list[bytes]:
+    """Per-packet arrays → v5 datagrams, one record per packet.
+
+    The replayer's encoder: packet ``i`` becomes a record with
+    ``dPkts = 1``, ``dOctets = sizes[i]`` and ``first = last =
+    times_ms[i]``, preserving stream order; every 30 consecutive
+    records share a datagram, whose header uptime is its last record's
+    ``times_ms``.  ``flow_sequence`` counts records across the whole
+    call, as the protocol requires.
+
+    Returns:
+        Encoded datagrams in stream order.
+
+    Raises:
+        ValueError: if a key is negative or wider than 104 bits.
+    """
+    ms = np.asarray(times_ms, dtype=np.int64)
+    return _datagrams(
+        encode_records(lo, hi, 1, sizes, ms, ms),
+        ms,
+        flow_sequence=flow_sequence,
+        engine_id=engine_id,
     )
 
 
 def split_datagram(data: bytes) -> tuple[dict, memoryview] | None:
     """Header + the *complete* record payload of a v5 datagram.
 
-    The tolerant front half shared by :func:`parse_datagram` and
-    :func:`parse_datagram_partial`: a datagram too short for a header,
-    or carrying a different NetFlow version, yields None; otherwise the
-    payload view covers ``min(count, records that fit)`` whole records
-    — a truncated trailing record is excluded, never an error.
+    The tolerant front half shared by :func:`parse_datagram`,
+    :func:`parse_datagram_partial` and :func:`decode_datagram`: a
+    datagram too short for a header, or carrying a different NetFlow
+    version, yields None; otherwise the payload view covers
+    ``min(count, records that fit)`` whole records — a truncated
+    trailing record is excluded, never an error.
 
     Returns:
         ``(header_fields, payload)`` where ``payload`` is a zero-copy
@@ -322,22 +453,20 @@ def split_datagram(data: bytes) -> tuple[dict, memoryview] | None:
     return header, payload
 
 
-def _decode_records(payload: memoryview) -> list[NetFlowV5Record]:
-    records = []
-    for offset in range(0, len(payload), RECORD_BYTES):
-        (src_ip, dst_ip, _nh, _in, _out, pkts, octets, first, last,
-         sport, dport, _pad1, _flags, proto, _tos, _sas, _das, _sm, _dm,
-         _pad2) = _RECORD.unpack_from(payload, offset)
-        records.append(
-            NetFlowV5Record(
-                key=pack_key(src_ip, dst_ip, sport, dport, proto),
-                packets=pkts,
-                octets=octets,
-                first_ms=first,
-                last_ms=last,
-            )
+def _split_strict(data: bytes) -> tuple[dict, memoryview]:
+    """:func:`split_datagram`, raising on anything but a whole datagram."""
+    split = split_datagram(data)
+    if split is None:
+        if len(data) < HEADER_BYTES:
+            raise ValueError("datagram shorter than a v5 header")
+        version = _HEADER.unpack_from(data, 0)[0]
+        raise ValueError(f"not a NetFlow v5 datagram (version {version})")
+    header, payload = split
+    if len(payload) < header["count"] * RECORD_BYTES:
+        raise ValueError(
+            f"datagram truncated: {len(data)} bytes for {header['count']} records"
         )
-    return records
+    return header, payload
 
 
 def parse_datagram(data: bytes) -> tuple[dict, list[NetFlowV5Record]]:
@@ -351,18 +480,8 @@ def parse_datagram(data: bytes) -> tuple[dict, list[NetFlowV5Record]]:
     Raises:
         ValueError: on a malformed or non-v5 datagram.
     """
-    split = split_datagram(data)
-    if split is None:
-        if len(data) < HEADER_BYTES:
-            raise ValueError("datagram shorter than a v5 header")
-        version = _HEADER.unpack_from(data, 0)[0]
-        raise ValueError(f"not a NetFlow v5 datagram (version {version})")
-    header, payload = split
-    if len(payload) < header["count"] * RECORD_BYTES:
-        raise ValueError(
-            f"datagram truncated: {len(data)} bytes for {header['count']} records"
-        )
-    return header, _decode_records(payload)
+    header, payload = _split_strict(data)
+    return header, _to_records(*decode_records(payload))
 
 
 def parse_datagram_partial(
@@ -388,7 +507,47 @@ def parse_datagram_partial(
     if split is None:
         return None, [], 0
     header, payload = split
-    return header, _decode_records(payload), HEADER_BYTES + len(payload)
+    return header, _to_records(*decode_records(payload)), HEADER_BYTES + len(payload)
+
+
+def decode_datagram(data: bytes):
+    """One v5 datagram → per-packet ring arrays (the live listener's decode).
+
+    Tolerant like :func:`parse_datagram_partial`: a non-v5 or
+    header-short datagram yields None, a truncated trailing record is
+    simply not decoded.  A record with ``dPkts > 1`` (an upstream
+    exporter aggregating) is expanded back into ``dPkts`` packets, all
+    carrying the record's ``first_ms`` timestamp — so ring occupancy
+    counts packets, not records.  Each gets ``dOctets // dPkts`` bytes
+    and the first ``dOctets % dPkts`` one byte more, so the sizes sum
+    to ``dOctets``.
+
+    Returns:
+        ``(lo, hi, sizes, timestamps)`` arrays (``uint64`` /
+        ``uint64`` / ``int64`` / ``float64``), or None for a datagram
+        that is not NetFlow v5.
+    """
+    split = split_datagram(data)
+    if split is None:
+        return None
+    lo, hi, fields = decode_records(split[1])
+    packets = fields["packets"].astype(np.int64)
+    octets = fields["octets"].astype(np.int64)
+    timestamps = fields["first_ms"].astype(np.float64) / 1000.0
+    if (packets > 1).any():
+        # Expand aggregated records back into per-packet entries.
+        counts = np.maximum(packets, 1)
+        ends = np.cumsum(counts)
+        rank = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+        sizes = np.repeat(octets // counts, counts)
+        sizes += rank < np.repeat(octets % counts, counts)
+        return (
+            np.repeat(lo, counts),
+            np.repeat(hi, counts),
+            sizes,
+            np.repeat(timestamps, counts),
+        )
+    return lo, hi, octets, timestamps
 
 
 def split_stream(data: bytes) -> list[bytes]:
@@ -406,26 +565,15 @@ def split_stream(data: bytes) -> list[bytes]:
             discipline is there to prevent).
     """
     datagrams: list[bytes] = []
+    view = memoryview(data)
     offset = 0
-    total = len(data)
-    while offset < total:
-        if total - offset < HEADER_BYTES:
-            raise ValueError(
-                f"trailing {total - offset} bytes are shorter than a v5 header"
-            )
-        version, count = _HEADER.unpack_from(data, offset)[:2]
-        if version != NETFLOW_V5_VERSION:
-            raise ValueError(
-                f"not a NetFlow v5 datagram at offset {offset} "
-                f"(version {version})"
-            )
-        size = HEADER_BYTES + count * RECORD_BYTES
-        if total - offset < size:
-            raise ValueError(
-                f"datagram at offset {offset} truncated: {total - offset} "
-                f"bytes for {count} records"
-            )
-        datagrams.append(bytes(data[offset : offset + size]))
+    while offset < len(view):
+        try:
+            _, payload = _split_strict(view[offset:])
+        except ValueError as exc:
+            raise ValueError(f"at offset {offset}: {exc}") from exc
+        size = HEADER_BYTES + len(payload)
+        datagrams.append(bytes(view[offset : offset + size]))
         offset += size
     return datagrams
 
@@ -436,12 +584,7 @@ def parse_stream(datagrams: Iterator[bytes]) -> dict[int, int]:
     Records for the same flow across datagrams are summed (as a
     collector would when an exporter splits or re-exports flows).
     """
-    merged: dict[int, int] = {}
-    for datagram in datagrams:
-        _, records = parse_datagram(datagram)
-        for record in records:
-            merged[record.key] = merged.get(record.key, 0) + record.packets
-    return merged
+    return {record.key: record.packets for record in parse_stream_records(datagrams)}
 
 
 def parse_stream_records(datagrams: Iterator[bytes]) -> list[NetFlowV5Record]:
@@ -453,20 +596,27 @@ def parse_stream_records(datagrams: Iterator[bytes]) -> list[NetFlowV5Record]:
     when it ingests archived exports (packets-only parsing is where
     byte counts used to silently vanish).  Records come back in packed
     flow-key order.
+
+    Raises:
+        ValueError: on a malformed or non-v5 datagram.
     """
-    merged: dict[int, NetFlowV5Record] = {}
-    for datagram in datagrams:
-        _, records = parse_datagram(datagram)
-        for record in records:
-            prior = merged.get(record.key)
-            if prior is None:
-                merged[record.key] = record
-            else:
-                merged[record.key] = NetFlowV5Record(
-                    key=record.key,
-                    packets=prior.packets + record.packets,
-                    octets=prior.octets + record.octets,
-                    first_ms=min(prior.first_ms, record.first_ms),
-                    last_ms=max(prior.last_ms, record.last_ms),
-                )
-    return [merged[key] for key in sorted(merged)]
+    lo, hi, fields = decode_records(
+        b"".join(_split_strict(datagram)[1] for datagram in datagrams)
+    )
+    if not len(lo):
+        return []
+    order = np.lexsort((lo, hi))
+    lo, hi, fields = lo[order], hi[order], fields[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
+    )
+    return _to_records(
+        lo[starts],
+        hi[starts],
+        {
+            "packets": np.add.reduceat(fields["packets"].astype(np.int64), starts),
+            "octets": np.add.reduceat(fields["octets"].astype(np.int64), starts),
+            "first_ms": np.minimum.reduceat(fields["first_ms"], starts),
+            "last_ms": np.maximum.reduceat(fields["last_ms"], starts),
+        },
+    )

@@ -25,7 +25,6 @@ exactly the pre-engine behavior; see DESIGN.md §6 for the contract.
 
 from repro.parallel.engine import (
     JOBS_ENV,
-    SHM_TRACES_ENV,
     TRACE_CACHE_ENV,
     default_trace_root,
     materialize_refs,
@@ -33,7 +32,6 @@ from repro.parallel.engine import (
     resolve_jobs,
     run_plan,
     share_plan_traces,
-    shm_traces_enabled,
 )
 from repro.parallel.evaluate import CellWorkload, WorkloadStore, evaluate_cell
 from repro.parallel.plan import CellResult, SweepCell, WorkloadRef
@@ -42,7 +40,6 @@ __all__ = [
     "CellResult",
     "CellWorkload",
     "JOBS_ENV",
-    "SHM_TRACES_ENV",
     "SweepCell",
     "TRACE_CACHE_ENV",
     "WorkloadRef",
@@ -54,5 +51,4 @@ __all__ = [
     "resolve_jobs",
     "run_plan",
     "share_plan_traces",
-    "shm_traces_enabled",
 ]

@@ -19,9 +19,11 @@ the plan ran inline (``jobs=1``, the default) or across a
 
 Worker processes never receive traces over the pipe: the parent
 materializes each distinct base trace into the trace cache once
-(generation is vectorized and cheap relative to collection), and
-workers memory-map the per-packet arrays from disk, so an N-way fan-out
-does not pay N× trace construction.
+(generation is vectorized and cheap relative to collection) and parks
+it in one shared-memory segment that workers attach zero-copy, so an
+N-way fan-out does not pay N× trace construction.  A trace whose
+segment cannot be created (``OSError``) stays on the disk path:
+workers memory-map its arrays from the cache instead.
 
 The worker count comes from the ``jobs=`` argument, else the
 ``REPRO_JOBS`` environment variable, else 1 — serial remains the
@@ -47,10 +49,6 @@ JOBS_ENV = "REPRO_JOBS"
 
 #: Environment variable overriding the on-disk trace cache location.
 TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
-
-#: Environment variable gating shared-memory trace hand-off for
-#: parallel plans (default on; set to ``0`` to force the disk path).
-SHM_TRACES_ENV = "REPRO_SHM_TRACES"
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -113,17 +111,6 @@ def materialize_refs(
             )
             save_trace_arrays(trace, dest)
     return root
-
-
-def shm_traces_enabled() -> bool:
-    """Whether parallel plans park base traces in shared memory.
-
-    On by default: workers attach the parent's segment zero-copy
-    instead of re-reading (and re-building flow keys from) the disk
-    cache once per process.  ``REPRO_SHM_TRACES=0`` forces the disk
-    path — the two are bit-identical, this is purely a transport knob.
-    """
-    return os.environ.get(SHM_TRACES_ENV, "").strip() not in ("0", "false", "no")
 
 
 def share_plan_traces(
@@ -244,9 +231,7 @@ def run_plan(
         return [evaluate_cell(cell, store, index=i) for i, cell in enumerate(cells)]
 
     root = materialize_refs(cells, trace_root)
-    segments: list = []
-    if shm_traces_enabled():
-        cells, segments = share_plan_traces(cells, root)
+    cells, segments = share_plan_traces(cells, root)
     try:
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(cells)),

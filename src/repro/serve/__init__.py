@@ -5,7 +5,6 @@ the operational embodiment the paper's introduction assumes — a
 standing collector that NetFlow v5 exporters stream datagrams at, with
 rotation and export happening *while* traffic arrives:
 
-* :mod:`repro.serve.codec` — vectorized v5 ↔ packet-array codec;
 * :mod:`repro.serve.ring` — lock-minimal shared-memory SPSC packet
   rings (one per worker, on :mod:`repro.shm.segments`);
 * :mod:`repro.serve.spec` — :class:`ServeSpec`, the frozen
@@ -38,8 +37,8 @@ replayed into the daemon exports records bit-identical to the offline
 merged record set for several workers under interval rotation).
 """
 
+from repro.export.netflow_v5 import decode_datagram, encode_datagrams
 from repro.hashing.mixers import keys_from_halves
-from repro.serve.codec import decode_datagram, encode_datagrams
 from repro.serve.daemon import ServeDaemon, ServeResult
 from repro.serve.replay import replay_datagrams, replay_trace, trace_datagrams
 from repro.serve.ring import DEFAULT_RING_SLOTS, PacketRing

@@ -4,7 +4,8 @@
 long-lived multi-process service:
 
 * the **parent** owns the UDP socket and the sinks.  It decodes each
-  NetFlow v5 datagram into packet arrays (:mod:`repro.serve.codec`),
+  NetFlow v5 datagram into packet arrays
+  (:func:`repro.export.netflow_v5.decode_datagram`),
   routes them to a worker (for several workers: by the sharded
   collector's own owner hash, so every flow key has exactly one home
   process), and pushes them into that worker's
@@ -46,10 +47,10 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro import faults as _faults
+from repro.export.netflow_v5 import decode_datagram
 from repro.faults import FaultPlan
 from repro.flow.batch import KeyBatch
 from repro.hashing.families import HashFunction
-from repro.serve.codec import decode_datagram
 from repro.serve.ring import PacketRing
 from repro.serve.spec import ServeSpec
 from repro.serve.supervisor import Supervisor

@@ -2,7 +2,7 @@
 
 Turns a :class:`~repro.traces.trace.Trace` into the datagrams a real
 v5 exporter would emit (one record per packet, 30 records per
-datagram, via :func:`repro.serve.codec.encode_datagrams`) and sends
+datagram, via :func:`repro.export.netflow_v5.encode_datagrams`) and sends
 them to a listening daemon, optionally paced to a target packet rate.
 
 Timestamp identity with the offline pipeline is deliberate: when the
@@ -22,8 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.export.netflow_v5 import HEADER_BYTES, RECORD_BYTES
-from repro.serve.codec import encode_datagrams
+from repro.export.netflow_v5 import HEADER_BYTES, RECORD_BYTES, encode_datagrams
 from repro.stream.spec import DEFAULT_PACKET_RATE
 
 

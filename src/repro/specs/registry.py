@@ -315,8 +315,7 @@ def build_evaluated(
     """The paper's four evaluated algorithms at one memory budget.
 
     Returns ``{display name: collector}`` in the paper's plotting order
-    (HashFlow, HashPipe, ElasticSketch, FlowRadar) — the registry-driven
-    successor of ``experiments.config.build_all``.
+    (HashFlow, HashPipe, ElasticSketch, FlowRadar).
     """
     from repro.specs.sizing import DEFAULT_MEMORY_BYTES
 

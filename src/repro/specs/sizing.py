@@ -16,9 +16,8 @@ records").  Per-algorithm cell sizes:
   PacketCount); Bloom bits = 40 × counting cells; 4 Bloom hashes and 3
   counting hashes.
 
-These formulas used to live inside ``experiments/config.py``'s
-``build_*`` functions; they are now sizing rules registered with the
-collector registry (:func:`repro.specs.registry.register_sizing`), so
+These formulas are sizing rules registered with the collector registry
+(:func:`repro.specs.registry.register_sizing`), so
 ``build(kind, memory_bytes=...)`` sizes any kind the same way the
 experiment harness does.  Each rule maps ``(memory_bytes, explicit
 params)`` to the *size* parameters only — everything else comes from

@@ -1,7 +1,17 @@
-"""Tests for repro.export.netflow_v5."""
+"""Tests for repro.export.netflow_v5, the one NetFlow v5 codec.
+
+Covers the exporter and record parsers, the live listener's
+``decode_datagram`` and the replayer's ``encode_datagrams``.  Round
+trips cannot catch a field swapped on both sides of one codec, so
+``TestGoldenBytes`` pins the wire layout against bytes packed here
+with ``struct`` from the v5 field table.
+"""
 
 from __future__ import annotations
 
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,13 +21,20 @@ from repro.export.netflow_v5 import (
     MAX_RECORDS_PER_DATAGRAM,
     RECORD_BYTES,
     NetFlowV5Exporter,
+    NetFlowV5Record,
+    decode_datagram,
+    encode_datagrams,
+    encode_header,
+    encode_record,
     parse_datagram,
     parse_datagram_partial,
     parse_stream,
+    parse_stream_records,
     split_datagram,
     split_stream,
 )
-from repro.flow.key import pack_key
+from repro.flow.key import pack_key, unpack_key
+from repro.hashing.mixers import keys_from_halves
 
 
 def sample_records(n: int) -> dict[int, int]:
@@ -25,6 +42,26 @@ def sample_records(n: int) -> dict[int, int]:
         pack_key(0x0A000000 + i, 0x0B000000 + i, 1000 + i, 80, 6): i + 1
         for i in range(n)
     }
+
+
+def sample_keys(n: int, seed: int = 0) -> list[int]:
+    rng = np.random.default_rng(seed)
+    return [
+        pack_key(
+            int(rng.integers(0, 1 << 32)),
+            int(rng.integers(0, 1 << 32)),
+            int(rng.integers(0, 1 << 16)),
+            int(rng.integers(0, 1 << 16)),
+            int(rng.integers(0, 1 << 8)),
+        )
+        for _ in range(n)
+    ]
+
+
+def halves(keys: list[int]):
+    lo = np.array([k & ((1 << 64) - 1) for k in keys], dtype=np.uint64)
+    hi = np.array([k >> 64 for k in keys], dtype=np.uint64)
+    return lo, hi
 
 
 class TestExport:
@@ -440,3 +477,271 @@ class TestTruncationFuzz:
                 # A cut that lands exactly on a datagram boundary is a
                 # valid (shorter) stream.
                 assert b"".join(again) == shortened
+
+
+class TestReplayEncode:
+    """encode_datagrams: the replayer's one-record-per-packet encoder."""
+
+    def test_matches_scalar_parse(self):
+        keys = sample_keys(45)
+        lo, hi = halves(keys)
+        sizes = np.arange(45, dtype=np.int64) + 40
+        times_ms = np.arange(45, dtype=np.float64) * 2.0
+        datagrams = encode_datagrams(lo, hi, sizes, times_ms)
+        assert len(datagrams) == 2  # 30 + 15
+        parsed = []
+        for datagram in datagrams:
+            parsed.extend(parse_datagram(datagram)[1])
+        assert [r.key for r in parsed] == keys
+        assert [r.octets for r in parsed] == sizes.tolist()
+        assert [r.first_ms for r in parsed] == times_ms.astype(int).tolist()
+        assert all(r.packets == 1 for r in parsed)
+
+    def test_flow_sequence_counts_records_across_datagrams(self):
+        keys = sample_keys(MAX_RECORDS_PER_DATAGRAM + 5)
+        lo, hi = halves(keys)
+        sizes = np.full(len(keys), 40, dtype=np.int64)
+        ms = np.zeros(len(keys), dtype=np.float64)
+        datagrams = encode_datagrams(lo, hi, sizes, ms, flow_sequence=100)
+        header0 = parse_datagram(datagrams[0])[0]
+        header1 = parse_datagram(datagrams[1])[0]
+        assert header0["flow_sequence"] == 100
+        assert header1["flow_sequence"] == 100 + MAX_RECORDS_PER_DATAGRAM
+
+
+class TestLiveDecode:
+    """decode_datagram: the listener's datagram -> ring-array decode."""
+
+    def test_inverts_scalar_exporter(self):
+        keys = sample_keys(30, seed=1)
+        records = {k: 1 for k in keys}
+        datagram = NetFlowV5Exporter(mean_packet_bytes=100).export(records)[0]
+        lo, hi, sizes, _ = decode_datagram(datagram)
+        assert keys_from_halves(lo, hi) == sorted(records)
+        assert sizes.tolist() == [100] * 30
+
+    def test_round_trips_encode(self):
+        keys = sample_keys(40, seed=2)
+        lo, hi = halves(keys)
+        sizes = np.arange(40, dtype=np.int64) + 64
+        times_ms = np.arange(40, dtype=np.float64) * 2.0
+        for datagram in encode_datagrams(lo, hi, sizes, times_ms):
+            out_lo, out_hi, out_sizes, out_ts = decode_datagram(datagram)
+            n = len(out_lo)
+            np.testing.assert_array_equal(out_lo, lo[:n])
+            np.testing.assert_array_equal(out_hi, hi[:n])
+            np.testing.assert_array_equal(out_sizes, sizes[:n])
+            # ms / 1000.0, exactly.
+            np.testing.assert_array_equal(out_ts, times_ms[:n] / 1000.0)
+            lo, hi, sizes, times_ms = lo[n:], hi[n:], sizes[n:], times_ms[n:]
+
+    def test_halves_match_key_split(self):
+        keys = sample_keys(20, seed=3)
+        datagram = NetFlowV5Exporter().export({k: 1 for k in keys})[0]
+        lo, hi = decode_datagram(datagram)[:2]
+        expected = [(k & ((1 << 64) - 1), k >> 64) for k in sorted(keys)]
+        assert list(zip(lo.tolist(), hi.tolist())) == expected
+
+    def test_aggregated_record_expands_to_packets(self):
+        key = pack_key(0x0A000001, 0x0B000002, 1234, 80, 6)
+        datagram = encode_header(1) + encode_record(
+            key, packets=5, octets=500, first_ms=250
+        )
+        lo, hi, sizes, ts = decode_datagram(datagram)
+        assert len(lo) == 5
+        assert keys_from_halves(lo, hi) == [key] * 5
+        assert sizes.tolist() == [100] * 5
+        assert ts.tolist() == [0.25] * 5
+
+    def test_aggregated_record_keeps_every_byte(self):
+        # dOctets % dPkts leftover bytes go to the first packets, so the
+        # expanded sizes sum to dOctets (3 x 33 would lose a byte).
+        a = pack_key(0x0A000001, 0x0B000002, 1234, 80, 6)
+        b = pack_key(0x0A000003, 0x0B000004, 4321, 443, 17)
+        datagram = (
+            encode_header(3)
+            + encode_record(a, packets=3, octets=100)
+            + encode_record(b, packets=1, octets=7)
+            + encode_record(a, packets=4, octets=6)
+        )
+        lo, hi, sizes, _ = decode_datagram(datagram)
+        assert keys_from_halves(lo, hi) == [a] * 3 + [b] + [a] * 4
+        assert sizes.tolist() == [34, 33, 33, 7, 2, 2, 1, 1]
+
+    def test_non_v5_datagram_is_none(self):
+        assert decode_datagram(b"junk") is None
+        v9 = (9).to_bytes(2, "big") + b"\x00" * 22
+        assert decode_datagram(v9) is None
+
+    def test_truncated_trailing_record_excluded(self):
+        keys = sample_keys(3, seed=4)
+        datagram = NetFlowV5Exporter().export({k: 1 for k in keys})[0]
+        lo, _, _, _ = decode_datagram(datagram[:-10])
+        assert len(lo) == 2
+
+
+class TestEncodeRecordScalar:
+    def test_encode_record_round_trips_key(self):
+        key = pack_key(0xC0A80001, 0x08080808, 443, 51515, 17)
+        datagram = encode_header(1, sys_uptime_ms=9) + encode_record(
+            key, packets=3, octets=180, first_ms=10, last_ms=20
+        )
+        header, records = parse_datagram(datagram)
+        assert header["sys_uptime"] == 9
+        assert records[0].key == key
+        assert unpack_key(records[0].key) == unpack_key(key)
+        assert (records[0].packets, records[0].octets) == (3, 180)
+        assert (records[0].first_ms, records[0].last_ms) == (10, 20)
+
+
+#: The v5 wire layout, field by field, as the NetFlow v5 format defines it.
+V5_HEADER = struct.Struct(
+    "!H"  # version
+    "H"  # count
+    "I"  # sys_uptime (ms)
+    "I"  # unix_secs
+    "I"  # unix_nsecs
+    "I"  # flow_sequence
+    "B"  # engine_type
+    "B"  # engine_id
+    "H"  # sampling_interval
+)
+V5_RECORD = struct.Struct(
+    "!I"  # srcaddr
+    "I"  # dstaddr
+    "I"  # nexthop
+    "H"  # input ifIndex
+    "H"  # output ifIndex
+    "I"  # dPkts
+    "I"  # dOctets
+    "I"  # First (SysUptime ms)
+    "I"  # Last (SysUptime ms)
+    "H"  # srcport
+    "H"  # dstport
+    "B"  # pad1
+    "B"  # tcp_flags
+    "B"  # prot
+    "B"  # tos
+    "H"  # src_as
+    "H"  # dst_as
+    "B"  # src_mask
+    "B"  # dst_mask
+    "H"  # pad2
+)
+
+SRC, DST, SPORT, DPORT, PROTO = 0x0A141E28, 0xC0A80102, 51515, 443, 17
+KEY = pack_key(SRC, DST, SPORT, DPORT, PROTO)
+PACKETS, OCTETS, FIRST, LAST = 7, 9001, 123_456, 234_567
+UPTIME, UNIX_SECS, SEQUENCE, ENGINE, SAMPLING = 345_678, 1_700_000_000, 42, 9, 100
+
+GOLDEN_HEADER = V5_HEADER.pack(5, 1, UPTIME, UNIX_SECS, 0, SEQUENCE, 0, ENGINE, SAMPLING)
+GOLDEN_RECORD = V5_RECORD.pack(
+    SRC, DST, 0, 0, 0, PACKETS, OCTETS, FIRST, LAST, SPORT, DPORT,
+    0, 0, PROTO, 0, 0, 0, 0, 0, 0,
+)
+GOLDEN = GOLDEN_HEADER + GOLDEN_RECORD
+GOLDEN_FIELDS = {
+    "version": 5, "count": 1, "sys_uptime": UPTIME, "unix_secs": UNIX_SECS,
+    "flow_sequence": SEQUENCE, "engine_id": ENGINE,
+    "sampling_interval": SAMPLING,
+}
+
+
+class TestGoldenBytes:
+    """Both directions against bytes packed independently of the codec."""
+
+    def test_header_layout(self):
+        assert (V5_HEADER.size, V5_RECORD.size) == (HEADER_BYTES, RECORD_BYTES)
+        assert encode_header(1, UPTIME, UNIX_SECS, SEQUENCE, ENGINE, SAMPLING) == (
+            GOLDEN_HEADER
+        )
+
+    def test_exporter_writes_golden_datagram(self):
+        exporter = NetFlowV5Exporter(engine_id=ENGINE, sampling_interval=SAMPLING)
+        exporter.flow_sequence = SEQUENCE
+        datagrams = exporter.export(
+            {KEY: PACKETS}, sys_uptime_ms=UPTIME, unix_secs=UNIX_SECS,
+            octets={KEY: OCTETS}, times_ms={KEY: (FIRST, LAST)},
+        )
+        assert datagrams == [GOLDEN]
+
+    def test_encode_record_writes_golden_record(self):
+        assert encode_record(KEY, PACKETS, OCTETS, FIRST, LAST) == GOLDEN_RECORD
+
+    def test_replay_encoder_writes_golden_datagram(self):
+        datagrams = encode_datagrams(
+            np.array([KEY & ((1 << 64) - 1)], dtype=np.uint64),
+            np.array([KEY >> 64], dtype=np.uint64),
+            np.array([OCTETS]),
+            np.array([FIRST]),
+            flow_sequence=SEQUENCE,
+            engine_id=ENGINE,
+        )
+        assert datagrams == [
+            V5_HEADER.pack(5, 1, FIRST, 0, 0, SEQUENCE, 0, ENGINE, 0)
+            + V5_RECORD.pack(
+                SRC, DST, 0, 0, 0, 1, OCTETS, FIRST, FIRST, SPORT, DPORT,
+                0, 0, PROTO, 0, 0, 0, 0, 0, 0,
+            )
+        ]
+
+    def test_parsers_read_golden_datagram(self):
+        record = NetFlowV5Record(KEY, PACKETS, OCTETS, FIRST, LAST)
+        assert parse_datagram(GOLDEN) == (GOLDEN_FIELDS, [record])
+        assert parse_datagram_partial(GOLDEN) == (GOLDEN_FIELDS, [record], len(GOLDEN))
+        assert parse_stream_records([GOLDEN, GOLDEN]) == [
+            NetFlowV5Record(KEY, 2 * PACKETS, 2 * OCTETS, FIRST, LAST)
+        ]
+
+    def test_parsers_ignore_fields_the_library_leaves_zero(self):
+        # Next hop, interfaces, flags, ToS, AS numbers and masks all
+        # set: the decoded record must still come from the right bytes.
+        busy = GOLDEN_HEADER + V5_RECORD.pack(
+            SRC, DST, 0x01020304, 5, 6, PACKETS, OCTETS, FIRST, LAST, SPORT,
+            DPORT, 0, 0x12, PROTO, 0x20, 65000, 65001, 24, 16, 0,
+        )
+        assert parse_datagram(busy)[1] == [
+            NetFlowV5Record(KEY, PACKETS, OCTETS, FIRST, LAST)
+        ]
+
+    def test_live_decode_reads_golden_datagram(self):
+        lo, hi, sizes, timestamps = decode_datagram(GOLDEN)
+        assert keys_from_halves(lo, hi) == [KEY] * PACKETS
+        # 9001 = 6 x 1286 + 1285: the leftover bytes go to the first packets.
+        assert sizes.tolist() == [1286] * 6 + [1285]
+        assert timestamps.tolist() == [FIRST / 1000.0] * PACKETS
+
+
+#: Every encode path, fed one flow key.
+ENCODERS = {
+    "exporter": lambda key: NetFlowV5Exporter().export({key: 1}),
+    "encode_record": lambda key: encode_record(key, 1, 40),
+    "replay": lambda key: encode_datagrams(
+        np.array([key & ((1 << 64) - 1)], dtype=np.uint64),
+        np.array([key >> 64]),
+        np.array([40]),
+        np.array([0]),
+    ),
+}
+
+
+class TestKeyRange:
+    """A v5 record holds exactly a 104-bit 5-tuple key."""
+
+    @pytest.mark.parametrize("path", sorted(ENCODERS))
+    @pytest.mark.parametrize(
+        "key",
+        [-1, -(1 << 100), 1 << 104, 1 << 120],
+        ids=["-1", "-2**100", "2**104", "2**120"],
+    )
+    def test_every_encoder_rejects_out_of_range_key(self, path, key):
+        with pytest.raises(ValueError, match="out of range"):
+            ENCODERS[path](key)
+
+    @pytest.mark.parametrize("path", sorted(ENCODERS))
+    def test_widest_key_encodes(self, path):
+        key = (1 << 104) - 1
+        encoded = ENCODERS[path](key)
+        if path == "encode_record":
+            encoded = [encode_header(1) + encoded]
+        assert parse_datagram(encoded[0])[1][0].key == key

@@ -1,8 +1,9 @@
-"""Tests for shared-memory plan traces (REPRO_SHM_TRACES).
+"""Tests for shared-memory plan traces.
 
-The engine's parallel path can publish each distinct base trace once
-as a shared-memory segment and hand workers zero-copy refs instead of
-per-worker mmap loads.  Contract: bit-identical rows to both the
+The engine's parallel path publishes each distinct base trace once as
+a shared-memory segment and hands workers zero-copy refs instead of
+per-worker mmap loads; the disk path remains the fallback when a
+segment cannot be created.  Contract: bit-identical rows to both the
 serial path and the disk-backed parallel path, and no leaked segments.
 """
 
@@ -13,15 +14,14 @@ import glob
 import numpy as np
 import pytest
 
+import repro.shm
 from repro.parallel import (
-    SHM_TRACES_ENV,
     SweepCell,
     WorkloadRef,
     WorkloadStore,
     materialize_refs,
     run_plan,
     share_plan_traces,
-    shm_traces_enabled,
 )
 from repro.shm import attach_trace
 
@@ -63,21 +63,6 @@ def make_cells() -> list[SweepCell]:
             **shared,
         ),
     ]
-
-
-class TestEnvGate:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(SHM_TRACES_ENV, raising=False)
-        assert shm_traces_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "no"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(SHM_TRACES_ENV, value)
-        assert not shm_traces_enabled()
-
-    def test_other_values_enable(self, monkeypatch):
-        monkeypatch.setenv(SHM_TRACES_ENV, "1")
-        assert shm_traces_enabled()
 
 
 class TestShareRewrite:
@@ -141,9 +126,17 @@ class TestPlanIdentity:
     def test_parallel_shm_rows_match_serial_and_disk(self, trace_cache, monkeypatch):
         cells = make_cells()
         serial = run_plan(cells, jobs=1)
-        monkeypatch.setenv(SHM_TRACES_ENV, "0")
-        disk = run_plan(cells, jobs=2)
-        monkeypatch.delenv(SHM_TRACES_ENV, raising=False)
+        refused = []
+
+        def no_shared_memory(trace, label="trace"):
+            refused.append(label)
+            raise OSError("no shared memory")
+
+        with monkeypatch.context() as patch:
+            # No segment can be created: every trace takes the disk path.
+            patch.setattr(repro.shm, "share_trace", no_shared_memory)
+            disk = run_plan(cells, jobs=2)
+        assert len(refused) == 2  # one attempt per distinct base trace
         before = shm_segments()
         shm = run_plan(cells, jobs=2)
         assert [r.rows for r in shm] == [r.rows for r in serial]

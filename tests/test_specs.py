@@ -30,6 +30,7 @@ from repro.specs import (
     reseeded,
     save_spec,
 )
+from repro.specs.sizing import DEFAULT_MEMORY_BYTES, resolve_scale
 from repro.traces.profiles import CAIDA
 from repro.traces.replay import EpochRunner
 
@@ -152,8 +153,25 @@ class TestRegistry:
             build("hashflow")
 
 
+class TestResolveScale:
+    def test_explicit_scale(self):
+        assert resolve_scale(0.5) == 0.5
+
+    def test_env_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        assert resolve_scale(None) == 0.1
+
+    def test_env_override(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "0.25")
+        assert resolve_scale(None) == 0.25
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            resolve_scale(0.0)
+
+
 class TestSizingRules:
-    """The hoisted sizing rules must match the legacy builders exactly."""
+    """The paper's §IV-A memory budgets, as the registry sizes them."""
 
     @pytest.mark.parametrize("kind", ["hashflow", "hashpipe", "elastic", "flowradar"])
     def test_budget_tight_fit(self, kind):
@@ -161,16 +179,38 @@ class TestSizingRules:
         collector = build(kind, memory_bytes=budget)
         assert 0.95 * budget < collector.memory_bytes <= budget
 
-    def test_matches_deprecated_builders(self):
-        from repro.experiments import config
+    def test_paper_1mb_record_capacity(self):
+        """1 MB ≈ 60K full flow records (paper §IV-A); HashFlow's main
+        table gets ~55K cells after paying for the ancillary table."""
+        hf = build("hashflow", memory_bytes=DEFAULT_MEMORY_BYTES)
+        assert 54_000 < hf.main.n_cells < 56_500
+        assert hf.ancillary.n_cells == hf.main.n_cells
 
-        budget = 128 * 1024
-        with pytest.deprecated_call():
-            legacy = config.build_all(budget, seed=2)
-        fresh = build_evaluated(budget, seed=2)
-        assert list(legacy) == list(fresh)
-        for name in fresh:
-            assert legacy[name].spec == fresh[name].spec
+    def test_hashpipe_cells(self):
+        hp = build("hashpipe", memory_bytes=DEFAULT_MEMORY_BYTES)
+        assert hp.stages == 4
+        assert 4 * hp.cells_per_stage == pytest.approx(61_680, rel=0.01)
+
+    def test_elastic_equal_cells(self):
+        es = build("elastic", memory_bytes=DEFAULT_MEMORY_BYTES)
+        assert es.light.width == es.heavy_cells_per_stage * 3
+
+    def test_flowradar_bloom_ratio(self):
+        fr = build("flowradar", memory_bytes=DEFAULT_MEMORY_BYTES)
+        assert fr.bloom.n_bits == 40 * fr.counting_cells
+        # ~40K counting cells per MB -> the decode cliff near 33-40K flows.
+        assert 39_000 < fr.counting_cells < 41_000
+
+    def test_evaluated_collectors_share_one_budget(self):
+        collectors = build_evaluated(128 * 1024)
+        assert list(collectors) == [
+            "HashFlow",
+            "HashPipe",
+            "ElasticSketch",
+            "FlowRadar",
+        ]
+        sizes = [c.memory_bytes for c in collectors.values()]
+        assert max(sizes) - min(sizes) < 0.05 * 128 * 1024
 
     def test_no_sizing_rule_is_spec_error(self):
         with pytest.raises(SpecError, match="no registered sizing rule"):
