@@ -42,11 +42,11 @@ N_FLOWS = int(os.environ.get("QUERY_BENCH_FLOWS", "1000000"))
 #: (flows per cell) matches the update bench's 4000-flow / 64 KB setup.
 MEMORY = max(64 * 1024, N_FLOWS * 16)
 
-#: Minimum acceptable batched/scalar query speedup for HashFlow and
-#: count-min.  Measured well above 4x at the default 1M-flow sweep; the
-#: default floor only guards against outright regressions (< 1x) so
-#: small CI workloads, where fixed numpy call overhead weighs more, do
-#: not flake.
+#: Minimum acceptable batched/scalar query speedup for HashFlow,
+#: HashPipe and count-min.  Measured well above 4x at the default
+#: 1M-flow sweep; the default floor only guards against outright
+#: regressions (< 1x) so small CI workloads, where fixed numpy call
+#: overhead weighs more, do not flake.
 SPEEDUP_FLOOR = float(os.environ.get("QUERY_SPEEDUP_FLOOR", "1.0"))
 
 JSON_PATH = RESULTS_DIR / "BENCH_query_throughput.json"
@@ -133,7 +133,7 @@ def test_query_speedup_recorded(workload):
         )
         + "\n"
     )
-    for algo in ("HashFlow", "CountMinSketch"):
+    for algo in ("HashFlow", "HashPipe", "CountMinSketch"):
         assert speedups[algo] >= SPEEDUP_FLOOR, (
             f"{algo} batched query path is only {speedups[algo]:.2f}x the "
             f"scalar path (floor {SPEEDUP_FLOOR}x) — batch-query engine "

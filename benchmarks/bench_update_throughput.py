@@ -44,9 +44,11 @@ from repro.traces.profiles import CAIDA
 MEMORY = 64 * 1024
 N_FLOWS = 4000
 
-#: Minimum acceptable batched/scalar speedup for HashFlow.  Measured
-#: ~4-5x; the floor is deliberately lower so slower CI machines do not
-#: flake, while a real engine regression (ratio -> ~1) still fails.
+#: Minimum acceptable batched/scalar speedup for HashFlow and count-min.
+#: Measured ~4-5x and ~20x; the floor is deliberately lower so slower CI
+#: machines do not flake, while a real engine regression (ratio -> ~1)
+#: still fails.  HashPipe's ratio (~1.7x) is recorded only: it sits too
+#: close to the floor to gate on a shared runner.
 SPEEDUP_FLOOR = 1.5
 
 #: Minimum acceptable native/numpy update speedup for HashFlow
@@ -174,6 +176,7 @@ def test_batch_speedup_recorded(stream):
 
     scalar = _best_of(3, cms_scalar)
     batched = _best_of(3, cms_batched)
+    speedups["CountMinSketch"] = scalar / batched
     result.add_row(
         algorithm="CountMinSketch",
         scalar_mpps=round(n / scalar / 1e6, 3),
@@ -182,10 +185,11 @@ def test_batch_speedup_recorded(stream):
     )
 
     save_result(result, RESULTS_DIR)
-    assert speedups["HashFlow"] >= SPEEDUP_FLOOR, (
-        f"HashFlow batched path is only {speedups['HashFlow']:.2f}x the "
-        f"scalar path (floor {SPEEDUP_FLOOR}x) — batch engine regression"
-    )
+    for algo in ("HashFlow", "CountMinSketch"):
+        assert speedups[algo] >= SPEEDUP_FLOOR, (
+            f"{algo} batched path is only {speedups[algo]:.2f}x the "
+            f"scalar path (floor {SPEEDUP_FLOOR}x) — batch engine regression"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ probe:
   so it should displace that sentinel.
 
 State is two flat planes, ``digests`` and ``counts``, with the same
-plane types as the main table (:mod:`repro.core.maintable`): Python
+plane types as the main table (:mod:`repro.sketches.planes`): Python
 lists on the numpy tier, numpy arrays on the native tier or when
 shared.
 """
@@ -29,8 +29,8 @@ import numpy as np
 from repro.hashing.digest import DigestFunction
 from repro.hashing.families import HashFunction
 from repro.hashing.mixers import mix128, mix128_batch
-from repro.core.maintable import cleared, new_plane
 from repro.sketches.base import CostMeter
+from repro.sketches.planes import cleared, new_plane
 from repro.sketches.linear_counting import linear_counting_estimate
 
 DEFAULT_COUNTER_BITS = 8

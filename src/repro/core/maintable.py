@@ -17,13 +17,14 @@ multi-hash stages all span them (offset 0, size ``n``).  The C kernels
 (``native/csrc/kernels.c``) take the same ``(seed, offset, size)``
 triples, so one layout serves every tier.
 
-State is four flat *planes*: the 104-bit keys split into 64-bit
-``k_lo``/``k_hi`` halves, ``counts``, and optional ``bytes``.  Planes
-are Python lists on the numpy tier — the batched walk in
-:class:`~repro.core.hashflow.HashFlow` indexes lists faster than numpy
-arrays (DESIGN §2) — and ``np.uint64``/``np.int64`` arrays on the
-native tier or once :func:`repro.shm.planes.adopt_planes` maps them
-into shared memory.  Every method here works on either.
+State is four flat *planes* (:mod:`repro.sketches.planes`): the
+104-bit keys split into 64-bit ``k_lo``/``k_hi`` halves, ``counts``,
+and optional ``bytes``.  Planes are Python lists on the numpy tier —
+the batched walk in :class:`~repro.core.hashflow.HashFlow` indexes
+lists faster than numpy arrays (DESIGN §2) — and
+``np.uint64``/``np.int64`` arrays on the native tier or once
+:func:`repro.shm.planes.adopt_planes` maps them into shared memory.
+Every method here works on either.
 
 Probe contract (Algorithm 1): a probe either increments an existing
 record, fills an empty bucket, or fails — reporting the *sentinel* (the
@@ -33,8 +34,6 @@ strategy.  Probes never evict, so a flow is never split across buckets.
 
 from __future__ import annotations
 
-from itertools import compress
-
 import numpy as np
 
 from repro.flow.batch import KeyBatch
@@ -42,6 +41,7 @@ from repro.flow.key import FLOW_KEY_BITS
 from repro.hashing.families import HashFamily
 from repro.hashing.mixers import MASK64, keys_from_halves, mix128, mix128_batch
 from repro.sketches.base import CostMeter
+from repro.sketches.planes import cleared, new_plane, occupied
 
 _COUNTER_BITS = 32
 
@@ -52,31 +52,6 @@ MISSED = 1
 
 DEFAULT_DEPTH = 3
 DEFAULT_ALPHA = 0.7
-
-
-def new_plane(n: int, dtype, arrays: bool):
-    """A zeroed plane of ``n`` cells: a numpy array or a Python list."""
-    return np.zeros(n, dtype=dtype) if arrays else [0] * n
-
-
-def cleared(plane):
-    """``plane`` zeroed: an array in place (its memory may be shared
-    with other processes), a list by a fresh one (faster than a copy)."""
-    if isinstance(plane, np.ndarray):
-        plane.fill(0)
-        return plane
-    return [0] * len(plane)
-
-
-def occupied(plane, counts, dtype) -> np.ndarray:
-    """``plane``'s cells whose ``counts`` entry is nonzero, in flat order.
-
-    List planes are filtered at C speed without converting whole
-    planes, so a rotation pays per resident record, not per cell.
-    """
-    if isinstance(counts, np.ndarray):
-        return np.asarray(plane)[counts != 0]
-    return np.fromiter(compress(plane, counts), dtype)
 
 
 def pipeline_sizes(n_cells: int, depth: int, alpha: float) -> list[int]:

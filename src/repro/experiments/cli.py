@@ -265,22 +265,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-interval",
         type=float,
         default=None,
-        help="seconds between stats lines (default: spec / "
-        "REPRO_SERVE_STATS_INTERVAL / 5)",
+        help="seconds between stats lines (default: spec, else 5)",
     )
     serve.add_argument(
         "--ring-slots",
         type=int,
         default=None,
-        help="packet slots per worker ring, a power of two (default: spec / "
-        "REPRO_SERVE_RING_SLOTS / 65536)",
+        help="packet slots per worker ring, a power of two (default: spec, "
+        "else 65536)",
     )
     serve.add_argument(
         "--backpressure",
         choices=("block", "drop"),
         default=None,
         help="full-ring policy: block (lossless) or drop (shed + count; "
-        "default: spec / REPRO_SERVE_BACKPRESSURE / block)",
+        "default: spec, else block)",
     )
     serve.add_argument(
         "--max-restarts",
@@ -530,7 +529,6 @@ def run_serve(args) -> int:
     from repro.serve import (
         ServeDaemon,
         ServeSpec,
-        env_serve_defaults,
         load_serve_spec,
         replay_trace,
         save_serve_spec,
@@ -584,7 +582,7 @@ def run_serve(args) -> int:
                 "rotation": _parse_rotation(args.rotate),
                 "sinks": [_parse_sink(s) for s in (args.sink or ["netflow", "archive"])],
             }
-            spec = ServeSpec(pipeline=pipeline, **{**env_serve_defaults(), **overrides})
+            spec = ServeSpec(pipeline=pipeline, **overrides)
         if args.listen:
             spec = spec.with_listen(*_parse_listen(args.listen))
         if args.save_spec:

@@ -5,10 +5,11 @@ packet stream cannot live in a single ``np.uint64`` array.  A
 :class:`KeyBatch` therefore carries the stream twice:
 
 * ``keys`` — the Python-int sequence, used by code that stores or
-  compares exact Python-int keys (dict-based collectors, HashPipe);
+  compares exact Python-int keys (dict-based collectors);
 * ``lo`` / ``hi`` — the 64-bit halves of every key as ``np.uint64``
   arrays, the representation the vectorized mixers in
-  :mod:`repro.hashing.mixers` and HashFlow's planes consume.
+  :mod:`repro.hashing.mixers` and the table planes (HashFlow, HashPipe,
+  count-min) consume.
 
 Either side is built lazily from the other: collectors without a
 vectorized update path never pay for the halves, and a batch built

@@ -188,25 +188,6 @@ def keys_from_halves(lo: np.ndarray, hi: np.ndarray) -> list[int]:
     return [(h << 64) | l for l, h in zip(lo.tolist(), hi.tolist())]
 
 
-def low_halves(keys) -> np.ndarray:
-    """Low 64 bits of every key as a ``np.uint64`` array.
-
-    The batch-query engine compares *stored* table keys against a query
-    batch's precomputed ``lo`` halves as a vectorized prefilter (two
-    distinct keys rarely share their low 64 bits); only the surviving
-    candidates pay for an exact Python-int comparison.  Unlike
-    :func:`split_keys` this never builds the high-half array, since
-    table-side keys are only needed for that prefilter.
-
-    Args:
-        keys: sequence of non-negative Python ints (up to 128 bits).
-
-    Returns:
-        ``np.uint64`` array with ``keys[i] & MASK64`` at position ``i``.
-    """
-    return np.fromiter((k & MASK64 for k in keys), np.uint64, count=len(keys))
-
-
 def derive_seeds(master_seed: int, count: int) -> list[int]:
     """Derive ``count`` well-separated 64-bit seeds from one master seed.
 

@@ -9,7 +9,7 @@ often caught by another on its path.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.netwide.merge import merge_max
@@ -47,31 +47,22 @@ class NetworkDeployment:
         router: flow router over the topology.
         collector: what every switch runs — a
             :class:`~repro.specs.CollectorSpec` (or spec dict / kind
-            name / prototype collector), from which each switch's
-            instance is built with a seed derived deterministically
-            from the switch *name* (stable across processes, unlike
-            ``hash(name)``); or a legacy ``factory(switch_name)``
-            callable.
+            name / registered collector class / prototype collector),
+            from which each switch's instance is built with a seed
+            derived deterministically from the switch *name* (stable
+            across processes, unlike ``hash(name)``).
     """
 
     def __init__(
         self,
         router: FlowRouter,
-        collector: (
-            CollectorSpec | FlowCollector | Mapping | str | Callable[[str], FlowCollector]
-        ),
+        collector: CollectorSpec | FlowCollector | Mapping | str | type[FlowCollector],
     ):
         self.router = router
-        self.spec: CollectorSpec | None = None
-        if callable(collector) and not isinstance(collector, (FlowCollector, type)):
-            self.collectors: dict[str, FlowCollector] = {
-                name: collector(name) for name in router.graph.nodes
-            }
-        else:
-            self.spec = as_spec(collector)
-            self.collectors = {
-                name: build(self.spec.reseed(name)) for name in router.graph.nodes
-            }
+        self.spec = as_spec(collector)
+        self.collectors: dict[str, FlowCollector] = {
+            name: build(self.spec.reseed(name)) for name in router.graph.nodes
+        }
 
     def run(self, trace: Trace) -> DeploymentReport:
         """Replay a trace network-wide and merge the records."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import warnings
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -29,10 +29,10 @@ class ShardedCollector(FlowCollector):
 
     Args:
         collector: what each shard runs — a :class:`CollectorSpec`
-            (or spec dict / kind name / prototype collector), from
-            which shard ``i``'s instance is built with a
-            deterministically derived seed (``spec.reseed(i)``); or a
-            legacy ``factory(shard_index)`` callable.
+            (or spec dict / kind name / registered collector class /
+            prototype collector), from which shard ``i``'s instance is
+            built with a deterministically derived seed
+            (``spec.reseed(i)``).
         n_shards: number of shards (owner switches).
         seed: seed of the shard-assignment hash (independent of every
             collector-internal hash).
@@ -54,9 +54,7 @@ class ShardedCollector(FlowCollector):
 
     def __init__(
         self,
-        collector: (
-            CollectorSpec | FlowCollector | Mapping | str | Callable[[int], FlowCollector]
-        ),
+        collector: CollectorSpec | FlowCollector | Mapping | str | type[FlowCollector],
         n_shards: int,
         seed: int = 0,
         jobs: int | None = None,
@@ -70,29 +68,7 @@ class ShardedCollector(FlowCollector):
         self.seed = seed
         self._jobs_param = None if jobs is None else int(jobs)
         self._shard_hash = HashFunction(seed ^ 0x5AAD)
-        self._shard_spec: CollectorSpec | None = None
         self._engine = None
-        legacy = callable(collector) and not isinstance(
-            collector, (FlowCollector, type)
-        )
-        if legacy:
-            if jobs is not None and resolve_shard_jobs(jobs) > 1:
-                from repro.specs import SpecError
-
-                raise SpecError(
-                    "ShardedCollector(jobs>1) needs to rebuild each shard "
-                    "from its spec inside worker processes, so it cannot "
-                    "accept an ad-hoc factory callable; pass a "
-                    "CollectorSpec (or spec dict / kind name / prototype "
-                    "collector) instead"
-                )
-            # Legacy ad-hoc factory: not spec-describable.  The env
-            # default is deliberately ignored (a global REPRO_SHARD_JOBS
-            # must not break existing factory users); ingest stays
-            # serial.
-            self.jobs = 1
-            self.shards = [collector(i) for i in range(n_shards)]
-            return
         self._shard_spec = as_spec(collector)
         self.jobs = self._resolve_jobs(resolve_shard_jobs(jobs))
         if self.jobs > 1:
@@ -145,18 +121,7 @@ class ShardedCollector(FlowCollector):
 
     def spec_params(self) -> dict:
         """Nested spec: the per-shard prototype, shard count, and the
-        shard-assignment hash seed.
-
-        Raises:
-            SpecError: for instances built from a legacy callable.
-        """
-        if self._shard_spec is None:
-            from repro.specs import SpecError
-
-            raise SpecError(
-                "ShardedCollector built from an ad-hoc factory callable "
-                "cannot be described by a spec; pass a CollectorSpec instead"
-            )
+        shard-assignment hash seed."""
         params = {
             "collector": self._shard_spec.to_dict(),
             "n_shards": self.n_shards,

@@ -46,7 +46,6 @@ from repro.serve.spec import (
     BACKPRESSURE_MODES,
     WORKER_LOSS_MODES,
     ServeSpec,
-    env_serve_defaults,
     load_serve_spec,
     save_serve_spec,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "WORKER_LOSS_MODES",
     "decode_datagram",
     "encode_datagrams",
-    "env_serve_defaults",
     "keys_from_halves",
     "load_serve_spec",
     "replay_datagrams",

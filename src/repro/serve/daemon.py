@@ -85,20 +85,6 @@ def _mp_context():
         return mp.get_context("spawn")
 
 
-class _HalfBatch:
-    """Just enough of a KeyBatch for the vectorized owner hash:
-    :func:`~repro.hashing.mixers.split_keys` only asks for halves."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-
-    def halves(self):
-        return self.lo, self.hi
-
-
 class _ShardSubset(FlowCollector):
     """A worker's slice of a sharded collector: only its owned shards.
 
@@ -543,7 +529,7 @@ class ServeDaemon:
                         push(rings[0], lo, hi, sizes, timestamps)
                     else:
                         owners = route_hash.values_batch(
-                            _HalfBatch(lo, hi)
+                            KeyBatch(None, lo, hi)
                         ) % np.uint64(n_shards)
                         homes = owners % np.uint64(workers)
                         for w in range(workers):

@@ -14,7 +14,6 @@ whether it runs for ten seconds under CI or indefinitely under systemd.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
@@ -31,12 +30,6 @@ BACKPRESSURE_MODES = ("block", "drop")
 #: ``drop`` counts them as ``lost``.
 WORKER_LOSS_MODES = ("auto", "replay", "drop")
 
-#: Environment defaults for specs *composed* by the CLI (spec files
-#: are taken verbatim; explicit flags override both).
-RING_SLOTS_ENV = "REPRO_SERVE_RING_SLOTS"
-BACKPRESSURE_ENV = "REPRO_SERVE_BACKPRESSURE"
-STATS_INTERVAL_ENV = "REPRO_SERVE_STATS_INTERVAL"
-
 _FIELDS = {
     "pipeline",
     "workers",
@@ -48,26 +41,6 @@ _FIELDS = {
     "on_worker_loss",
     "faults",
 }
-
-
-def env_serve_defaults() -> dict[str, Any]:
-    """ServeSpec field defaults from ``REPRO_SERVE_*`` (unset → empty).
-
-    Used by ``repro-experiments serve`` when composing a spec from
-    flags, so a deployment can pin its ring geometry / back-pressure /
-    stats cadence machine-wide without editing every invocation.
-    """
-    defaults: dict[str, Any] = {}
-    raw = os.environ.get(RING_SLOTS_ENV, "").strip()
-    if raw:
-        defaults["ring_slots"] = int(raw)
-    raw = os.environ.get(BACKPRESSURE_ENV, "").strip()
-    if raw:
-        defaults["backpressure"] = raw
-    raw = os.environ.get(STATS_INTERVAL_ENV, "").strip()
-    if raw:
-        defaults["stats_interval"] = float(raw)
-    return defaults
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,7 @@
 """Shared-memory plane layout for plane-backed collectors.
 
 A HashFlow collector keeps its entire dataplane state in a handful of
-flat *planes* (:mod:`repro.core.maintable`): Python lists on the numpy
+flat *planes* (:mod:`repro.sketches.planes`): Python lists on the numpy
 tier, numpy arrays on the native tier.  This module maps that state
 onto a :class:`~repro.shm.segments.Segment` so several processes can
 mutate one collector's tables in place:

@@ -311,9 +311,8 @@ class FlowCollector(ABC):
     def fresh_factory(self) -> Callable[[], "FlowCollector"]:
         """A zero-argument factory producing fresh clones.
 
-        This is what epoch runners and deployments hold instead of
-        ad-hoc lambdas: the factory is the spec's bound ``build``
-        method, so it serializes conceptually as the spec itself.
+        The factory is the spec's bound ``build`` method, so it
+        serializes conceptually as the spec itself.
         """
         return self.spec.build
 

@@ -12,18 +12,22 @@ import numpy as np
 
 from repro.flow.batch import KeyBatch
 from repro.hashing.families import HashFamily
-from repro.hashing.mixers import MASK64
 from repro.native import resolve_kernel
 from repro.sketches.base import CostMeter
+from repro.sketches.planes import cleared, new_plane
 
 
 class CountMinSketch:
     """A count-min sketch with saturating counters.
 
+    State is one row-major plane, ``rows`` (:mod:`repro.sketches.planes`):
+    row ``r`` owns cells ``[r·width, (r+1)·width)``.
+
     Args:
         width: number of counters per row.
         depth: number of rows (independent hash functions).
-        counter_bits: counter width in bits; counters saturate at
+        counter_bits: counter width in bits, at most 62 (counters live
+            in ``int64`` planes); counters saturate at
             ``2**counter_bits - 1``.
         seed: hash family seed.
         conservative: if True, use conservative update (only the minimal
@@ -48,8 +52,11 @@ class CountMinSketch:
             raise ValueError(f"width must be positive, got {width}")
         if depth <= 0:
             raise ValueError(f"depth must be positive, got {depth}")
-        if counter_bits <= 0:
-            raise ValueError(f"counter_bits must be positive, got {counter_bits}")
+        if not 0 < counter_bits <= 62:
+            raise ValueError(
+                "counter_bits must be in [1, 62] (counters live in int64 "
+                f"planes), got {counter_bits}"
+            )
         self.width = width
         self.depth = depth
         self.counter_bits = counter_bits
@@ -58,31 +65,16 @@ class CountMinSketch:
         self.seed = seed
         self.meter = meter if meter is not None else CostMeter()
         self._hashes = HashFamily(depth, master_seed=seed)
+        self._seeds_arr = np.array([h.seed for h in self._hashes], dtype=np.uint64)
+        # Row offsets: row r's cell for key k is offs[r] + h_r(k) % width.
+        self._offs = list(range(0, depth * width, width))
         self.kernel, self._native = resolve_kernel(kernel)
-        if self._native is not None:
-            if counter_bits > 62:
-                raise ValueError(
-                    "the native tier stores counters as int64; "
-                    f"counter_bits must be <= 62, got {counter_bits}"
-                )
-            # SoA storage: row-major flat counter plane for the kernel.
-            self._seeds_arr = np.array(
-                [h.seed for h in self._hashes], dtype=np.uint64
-            )
-            self._rows_flat = np.zeros(depth * width, dtype=np.int64)
-            self._rows = None
-            return
-        self._rows_flat = None
-        self._rows = [[0] * width for _ in range(depth)]
+        self.rows = new_plane(depth * width, np.int64, self._native is not None)
 
-    def _native_update(self, batch: KeyBatch, amount: int) -> None:
-        """Run a batch through the compiled count-min kernel."""
-        lo, hi = batch.halves()
-        hashes, reads, writes = self._native.countmin_update(
-            lo, hi, self._seeds_arr, self.depth, self.width,
-            self.max_count, amount, self.conservative, self._rows_flat,
-        )
-        self.meter.add(hashes=hashes, reads=reads, writes=writes)
+    def _cells(self, batch: KeyBatch) -> np.ndarray:
+        """``(depth, len(batch))`` flat cell indices of a key batch."""
+        rows = self._hashes.bucket_matrix(batch, self.width).astype(np.int64)
+        return rows + np.array(self._offs, dtype=np.int64)[:, None]
 
     def add(self, key: int, amount: int = 1) -> None:
         """Add ``amount`` occurrences of ``key``."""
@@ -91,31 +83,27 @@ class CountMinSketch:
         if self._native is not None:
             # Batch of one through the kernel: bit-identical counters
             # and meter deltas, one implementation per tier.
-            self._native_update(KeyBatch([key]), amount)
+            self.add_batch(KeyBatch([key]), amount)
             return
         meter = self.meter
+        rows = self.rows
         width = self.width
         max_count = self.max_count
+        meter.hashes += self.depth
+        meter.reads += self.depth
         if self.conservative:
-            idxs = []
-            current = []
-            for h, row in zip(self._hashes, self._rows):
-                i = h.bucket(key, width)
-                idxs.append(i)
-                current.append(row[i])
-            meter.hashes += self.depth
-            meter.reads += self.depth
-            target = min(current) + amount
-            for row, i in zip(self._rows, idxs):
-                if row[i] < target:
-                    row[i] = min(target, max_count)
+            cells = [
+                off + h.bucket(key, width) for off, h in zip(self._offs, self._hashes)
+            ]
+            target = min([rows[c] for c in cells]) + amount
+            for c in cells:
+                if rows[c] < target:
+                    rows[c] = min(target, max_count)
                     meter.writes += 1
         else:
-            for h, row in zip(self._hashes, self._rows):
-                i = h.bucket(key, width)
-                row[i] = min(row[i] + amount, max_count)
-            meter.hashes += self.depth
-            meter.reads += self.depth
+            for off, h in zip(self._offs, self._hashes):
+                c = off + h.bucket(key, width)
+                rows[c] = min(rows[c] + amount, max_count)
             meter.writes += self.depth
 
     def add_batch(self, keys, amount: int = 1) -> None:
@@ -126,10 +114,10 @@ class CountMinSketch:
         meter settled once per batch.
 
         The plain variant collapses each row's updates to one pass over
-        the *distinct* buckets hit — ``min(c + k·amount, max)`` equals
+        the *distinct* cells hit — ``min(c + k·amount, max)`` equals
         ``k`` sequential saturating adds.  The conservative variant
         depends on the evolving row minima, so it keeps a per-packet
-        loop over precomputed indices.
+        loop over precomputed cells.
         """
         if amount < 0:
             raise ValueError(f"amount must be >= 0, got {amount}")
@@ -138,29 +126,33 @@ class CountMinSketch:
         if n == 0:
             return
         if self._native is not None:
-            self._native_update(batch, amount)
+            lo, hi = batch.halves()
+            hashes, reads, writes = self._native.countmin_update(
+                lo, hi, self._seeds_arr, self.depth, self.width,
+                self.max_count, amount, self.conservative, self.rows,
+            )
+            self.meter.add(hashes=hashes, reads=reads, writes=writes)
             return
-        width = self.width
-        depth = self.depth
+        rows = self.rows
         max_count = self.max_count
+        depth = self.depth
         if self.conservative:
-            rows_idx = [h.buckets_batch(batch, width).tolist() for h in self._hashes]
-            rows = self._rows
             writes = 0
-            for i in range(n):
-                idxs = [r[i] for r in rows_idx]
-                target = min(row[j] for row, j in zip(rows, idxs)) + amount
-                for row, j in zip(rows, idxs):
-                    if row[j] < target:
-                        row[j] = target if target < max_count else max_count
+            for packet_cells in self._cells(batch).T.tolist():
+                target = min([rows[c] for c in packet_cells]) + amount
+                for c in packet_cells:
+                    if rows[c] < target:
+                        rows[c] = target if target < max_count else max_count
                         writes += 1
             self.meter.add(hashes=n * depth, reads=n * depth, writes=writes)
         else:
-            for h, row in zip(self._hashes, self._rows):
-                uniq, hits = np.unique(h.buckets_batch(batch, width), return_counts=True)
-                for j, k in zip(uniq.tolist(), hits.tolist()):
-                    value = row[j] + k * amount
-                    row[j] = value if value < max_count else max_count
+            for off, h in zip(self._offs, self._hashes):
+                uniq, hits = np.unique(
+                    h.buckets_batch(batch, self.width), return_counts=True
+                )
+                for c, k in zip((uniq + np.uint64(off)).tolist(), hits.tolist()):
+                    value = rows[c] + k * amount
+                    rows[c] = value if value < max_count else max_count
             self.meter.add(hashes=n * depth, reads=n * depth, writes=n * depth)
 
     def query(self, key: int) -> int:
@@ -168,19 +160,19 @@ class CountMinSketch:
         until counters saturate)."""
         if self._native is not None:
             return int(self.query_batch(KeyBatch([key]))[0])
+        rows = self.rows
         width = self.width
         return min(
-            row[h.bucket(key, width)] for h, row in zip(self._hashes, self._rows)
+            rows[off + h.bucket(key, width)] for off, h in zip(self._offs, self._hashes)
         )
 
     def query_batch(self, keys) -> np.ndarray:
         """Batched point queries: the whole sweep is numpy passes.
 
-        Per row, the bucket indices of every key come from one
-        vectorized mixing pass over the batch's 64-bit halves and the
-        counters are gathered in one indexing operation; the row
-        minimum folds the rows together.  Bit-identical to the scalar
-        :meth:`query` per key.
+        The cells of every key in every row come from one vectorized
+        mixing pass per row over the batch's 64-bit halves; one gather
+        and a minimum over rows answer the batch.  Bit-identical to the
+        scalar :meth:`query` per key.
         """
         batch = KeyBatch.coerce(keys)
         if not len(batch):
@@ -188,17 +180,11 @@ class CountMinSketch:
         if self._native is not None:
             lo, hi = batch.halves()
             return self._native.countmin_query(
-                lo, hi, self._seeds_arr, self.depth, self.width,
-                self._rows_flat,
+                lo, hi, self._seeds_arr, self.depth, self.width, self.rows,
             )
-        estimates = None
-        width = self.width
-        for h, row in zip(self._hashes, self._rows):
-            values = np.fromiter(row, np.int64, count=width)[
-                h.buckets_batch(batch, width)
-            ]
-            estimates = values if estimates is None else np.minimum(estimates, values)
-        return estimates
+        # The numpy tier's plane is a list: fromiter converts it fastest.
+        rows = np.fromiter(self.rows, np.int64, count=len(self.rows))
+        return rows[self._cells(batch)].min(axis=0)
 
     def zero_fraction(self) -> float:
         """Fraction of zero counters in the first row.
@@ -207,19 +193,12 @@ class CountMinSketch:
         "linear counting is used by ElasticSketch to estimate the number
         of flows in its count-min sketch").
         """
-        if self._rows_flat is not None:
-            width = self.width
-            zeros = width - int(np.count_nonzero(self._rows_flat[:width]))
-            return zeros / width
-        row = self._rows[0]
-        return row.count(0) / self.width
+        first = np.asarray(self.rows[: self.width], dtype=np.int64)
+        return (self.width - int(np.count_nonzero(first))) / self.width
 
     def reset(self) -> None:
         """Clear all counters."""
-        if self._rows_flat is not None:
-            self._rows_flat.fill(0)
-            return
-        self._rows = [[0] * self.width for _ in range(self.depth)]
+        self.rows = cleared(self.rows)
 
     @property
     def memory_bits(self) -> int:

@@ -12,6 +12,9 @@ splits one flow into multiple partial records in different tables, which
 wastes memory and makes counts inaccurate — exactly the behaviour this
 implementation reproduces (packets of an evicted flow that arrive later
 re-insert it at stage 1 with a fresh count).
+
+State is stage-major ``k_lo``/``k_hi``/``counts`` planes
+(:mod:`repro.sketches.planes`): stage ``s`` owns cells ``[s·n, (s+1)·n)``.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ import numpy as np
 from repro.flow.batch import KeyBatch
 from repro.flow.key import FLOW_KEY_BITS
 from repro.hashing.families import HashFamily
-from repro.hashing.mixers import MASK64, low_halves, mix128
+from repro.hashing.mixers import MASK64, keys_from_halves, mix128
 from repro.native import resolve_kernel
 from repro.sketches.base import FlowCollector
+from repro.sketches.planes import cleared, new_plane, occupied
 from repro.specs import register
 
 _COUNTER_BITS = 32
-_EMPTY = 0  # cell key sentinel: packed flow keys are never all-zero in practice
 
 DEFAULT_STAGES = 4
 
@@ -40,9 +43,10 @@ class HashPipe(FlowCollector):
         cells_per_stage: buckets in each stage table.
         stages: number of pipeline stages (paper default: 4).
         seed: hash family seed.
-        kernel: execution tier — ``"native"``, ``"numpy"``, or None to
-            follow ``REPRO_KERNEL``.  Bit-identical either way; an
-            explicit choice is recorded in the spec.
+        kernel: execution tier — ``"native"`` (C kernels over numpy
+            planes), ``"numpy"`` (Python walks over list planes), or
+            None to follow ``REPRO_KERNEL``.  Bit-identical either way;
+            an explicit choice is recorded in the spec.
     """
 
     name = "HashPipe"
@@ -71,91 +75,54 @@ class HashPipe(FlowCollector):
         # Seeds prebound for the hot path: `mix128(key, seed) % n` inline
         # skips the HashFunction.bucket call per stage.
         self._seeds = [h.seed for h in self._hashes]
-        if self._native is not None:
-            # SoA storage: stage-major flat planes the C kernel mutates
-            # in place (stage s owns cells [s*n, (s+1)*n)).
-            self._seeds_arr = np.array(self._seeds, dtype=np.uint64)
-            n_total = stages * cells_per_stage
-            self._k_lo = np.zeros(n_total, dtype=np.uint64)
-            self._k_hi = np.zeros(n_total, dtype=np.uint64)
-            self._counts_arr = np.zeros(n_total, dtype=np.int64)
-            self._keys = None
-            self._counts = None
-            return
-        self._keys = [[_EMPTY] * cells_per_stage for _ in range(stages)]
-        self._counts = [[0] * cells_per_stage for _ in range(stages)]
-
-    def _native_update(self, batch: KeyBatch) -> None:
-        """Run a batch through the compiled pipeline-walk kernel."""
-        lo, hi = batch.halves()
-        hashes, reads, writes = self._native.hashpipe_update(
-            lo, hi, self._seeds_arr, self.stages, self.cells_per_stage,
-            self._k_lo, self._k_hi, self._counts_arr,
-        )
-        self.meter.add(
-            packets=len(batch), hashes=hashes, reads=reads, writes=writes
-        )
+        self._seeds_arr = np.array(self._seeds, dtype=np.uint64)
+        arrays = self._native is not None
+        n_total = stages * cells_per_stage
+        self.k_lo = new_plane(n_total, np.uint64, arrays)
+        self.k_hi = new_plane(n_total, np.uint64, arrays)
+        self.counts = new_plane(n_total, np.int64, arrays)
 
     def process(self, key: int) -> None:
-        """Push one packet through the pipeline (HashPipe update rule)."""
+        """Push one packet through the pipeline (HashPipe update rule).
+
+        The reference walk: a ``(key, count)`` carry visits each stage,
+        which takes it if empty or holding the same key; otherwise the
+        carry swaps with the stage's record if that one is smaller (at
+        stage 1, always) and travels on.
+        """
         if self._native is not None:
             # Batch of one through the kernel: bit-identical walk and
             # meter deltas, one implementation per tier.
-            self._native_update(KeyBatch([key]))
+            self.process_batch(KeyBatch([key]))
             return
         meter = self.meter
         meter.packets += 1
         n = self.cells_per_stage
-        seeds = self._seeds
-        keys = self._keys
-        counts = self._counts
-
-        # Stage 1: always insert, evicting whatever is there.
-        idx = mix128(key, seeds[0]) % n
-        meter.hashes += 1
-        meter.reads += 1
-        stage_keys = keys[0]
-        stage_counts = counts[0]
-        occupant_count = stage_counts[idx]
-        if occupant_count == 0:
-            stage_keys[idx] = key
-            stage_counts[idx] = 1
-            meter.writes += 1
-            return
-        if stage_keys[idx] == key:
-            stage_counts[idx] = occupant_count + 1
-            meter.writes += 1
-            return
-        carry_key, carry_count = stage_keys[idx], occupant_count
-        stage_keys[idx] = key
-        stage_counts[idx] = 1
-        meter.writes += 1
-
-        # Later stages: keep the larger record, carry the smaller onward.
-        for s in range(1, self.stages):
-            idx = mix128(carry_key, seeds[s]) % n
+        k_lo = self.k_lo
+        k_hi = self.k_hi
+        counts = self.counts
+        carry = key
+        c_lo, c_hi, c_count = key & MASK64, key >> 64, 1
+        for s, seed in enumerate(self._seeds):
+            idx = s * n + mix128(carry, seed) % n
             meter.hashes += 1
             meter.reads += 1
-            stage_keys = keys[s]
-            stage_counts = counts[s]
-            occupant_count = stage_counts[idx]
-            if occupant_count == 0:
-                stage_keys[idx] = carry_key
-                stage_counts[idx] = carry_count
+            count = counts[idx]
+            if count == 0 or (k_lo[idx] == c_lo and k_hi[idx] == c_hi):
+                k_lo[idx] = c_lo
+                k_hi[idx] = c_hi
+                counts[idx] = count + c_count
                 meter.writes += 1
                 return
-            if stage_keys[idx] == carry_key:
-                stage_counts[idx] = occupant_count + carry_count
+            if s == 0 or count < c_count:
+                k_lo[idx], c_lo = c_lo, k_lo[idx]
+                k_hi[idx], c_hi = c_hi, k_hi[idx]
+                counts[idx], c_count = c_count, count
+                carry = (c_hi << 64) | c_lo
                 meter.writes += 1
-                return
-            if occupant_count < carry_count:
-                stage_keys[idx], carry_key = carry_key, stage_keys[idx]
-                stage_counts[idx], carry_count = carry_count, occupant_count
-                meter.writes += 1
-        # Carry evicted from the final stage is discarded.
 
     def process_batch(self, keys) -> None:
-        """Batched HashPipe update.
+        """Batched HashPipe update over the batch's 64-bit halves.
 
         Stage-1 indices depend only on the incoming keys, so they are
         precomputed for the whole batch in one vectorized pass.  Later
@@ -168,126 +135,117 @@ class HashPipe(FlowCollector):
         batch = KeyBatch.coerce(keys)
         if not len(batch):
             return
+        lo, hi = batch.halves()
         if self._native is not None:
-            self._native_update(batch)
+            hashes, reads, writes = self._native.hashpipe_update(
+                lo, hi, self._seeds_arr, self.stages, self.cells_per_stage,
+                self.k_lo, self.k_hi, self.counts,
+            )
+            self.meter.add(
+                packets=len(lo), hashes=hashes, reads=reads, writes=writes
+            )
             return
         n = self.cells_per_stage
         seeds = self._seeds
-        row0 = self._hashes[0].buckets_batch(batch, n).tolist()
-        keys_ = self._keys
-        counts_ = self._counts
         stages = self.stages
+        k_lo = self.k_lo
+        k_hi = self.k_hi
+        counts = self.counts
         mix = mix128
-        hashes = reads = writes = 0
-        stage0_keys = keys_[0]
-        stage0_counts = counts_[0]
-        for i, key in enumerate(batch.keys):
+        probes = writes = 0
+        row0 = self._hashes[0].buckets_batch(batch, n).tolist()
+        for idx, key_lo, key_hi in zip(row0, lo.tolist(), hi.tolist()):
             # Stage 1: always insert, evicting whatever is there.
-            idx = row0[i]
-            hashes += 1
-            reads += 1
-            occupant_count = stage0_counts[idx]
-            if occupant_count == 0:
-                stage0_keys[idx] = key
-                stage0_counts[idx] = 1
-                writes += 1
+            probes += 1
+            count = counts[idx]
+            if count == 0:
+                k_lo[idx] = key_lo
+                k_hi[idx] = key_hi
+                counts[idx] = 1
                 continue
-            if stage0_keys[idx] == key:
-                stage0_counts[idx] = occupant_count + 1
-                writes += 1
+            if k_lo[idx] == key_lo and k_hi[idx] == key_hi:
+                counts[idx] = count + 1
                 continue
-            carry_key, carry_count = stage0_keys[idx], occupant_count
-            stage0_keys[idx] = key
-            stage0_counts[idx] = 1
-            writes += 1
+            c_lo, c_hi, c_count = k_lo[idx], k_hi[idx], count
+            k_lo[idx] = key_lo
+            k_hi[idx] = key_hi
+            counts[idx] = 1
 
             # Later stages: keep the larger record, carry the smaller.
             for s in range(1, stages):
-                idx = mix(carry_key, seeds[s]) % n
-                hashes += 1
-                reads += 1
-                stage_keys = keys_[s]
-                stage_counts = counts_[s]
-                occupant_count = stage_counts[idx]
-                if occupant_count == 0:
-                    stage_keys[idx] = carry_key
-                    stage_counts[idx] = carry_count
+                idx = s * n + mix((c_hi << 64) | c_lo, seeds[s]) % n
+                probes += 1
+                count = counts[idx]
+                if count == 0 or (k_lo[idx] == c_lo and k_hi[idx] == c_hi):
+                    k_lo[idx] = c_lo
+                    k_hi[idx] = c_hi
+                    counts[idx] = count + c_count
                     writes += 1
                     break
-                if stage_keys[idx] == carry_key:
-                    stage_counts[idx] = occupant_count + carry_count
-                    writes += 1
-                    break
-                if occupant_count < carry_count:
-                    stage_keys[idx], carry_key = carry_key, stage_keys[idx]
-                    stage_counts[idx], carry_count = carry_count, occupant_count
+                if count < c_count:
+                    k_lo[idx], c_lo = c_lo, k_lo[idx]
+                    k_hi[idx], c_hi = c_hi, k_hi[idx]
+                    counts[idx], c_count = c_count, count
                     writes += 1
             # Carry evicted from the final stage is discarded.
         self.meter.add(
-            packets=len(batch), hashes=hashes, reads=reads, writes=writes
+            packets=len(row0), hashes=probes, reads=probes,
+            writes=len(row0) + writes,
         )
 
     def records(self) -> dict[int, int]:
-        """Reported records: per-flow sums of the (possibly split) cells."""
+        """Reported records: per-flow sums of the (possibly split) cells,
+        in stage-major cell order on every tier."""
+        counts = self.counts
+        keys = keys_from_halves(
+            occupied(self.k_lo, counts, np.uint64),
+            occupied(self.k_hi, counts, np.uint64),
+        )
         result: dict[int, int] = {}
-        if self._native is not None:
-            # Ascending flat index == stage-major cell order, the same
-            # iteration order as the list tier.
-            for idx in np.nonzero(self._counts_arr)[0].tolist():
-                key = (int(self._k_hi[idx]) << 64) | int(self._k_lo[idx])
-                result[key] = result.get(key, 0) + int(self._counts_arr[idx])
-            return result
-        for stage_keys, stage_counts in zip(self._keys, self._counts):
-            for key, count in zip(stage_keys, stage_counts):
-                if count > 0:
-                    result[key] = result.get(key, 0) + count
+        for key, count in zip(keys, occupied(counts, counts, np.int64).tolist()):
+            result[key] = result.get(key, 0) + count
         return result
 
     def query(self, key: int) -> int:
         """Sum the flow's counts across all stages (0 if absent)."""
         if self._native is not None:
             return int(self.query_batch(KeyBatch([key]))[0])
+        lo = key & MASK64
+        hi = key >> 64
         n = self.cells_per_stage
         total = 0
-        for s in range(self.stages):
-            idx = self._hashes[s].bucket(key, n)
-            if self._counts[s][idx] and self._keys[s][idx] == key:
-                total += self._counts[s][idx]
+        for s, seed in enumerate(self._seeds):
+            idx = s * n + mix128(key, seed) % n
+            if self.k_lo[idx] == lo and self.k_hi[idx] == hi:
+                total += self.counts[idx]
         return total
 
     def query_batch(self, keys) -> np.ndarray:
         """Batched :meth:`query`: vectorized per-stage partial-record sum.
 
-        All stage indices come from one ``bucket_matrix`` pass over the
-        batch's 64-bit halves.  Each stage's stored keys are compared
-        against the batch's ``lo`` halves vectorized; only candidates
-        (occupied bucket, matching low half) pay for the exact
-        Python-int comparison, and matches accumulate — a split flow's
-        partial records sum exactly as in the scalar query.
+        All stage indices come from one ``bucket_matrix`` pass; each
+        stage compares both key halves with the batch's, and matches
+        accumulate, so a split flow's partial records sum as in the
+        scalar query.
         """
         batch = KeyBatch.coerce(keys)
-        n = len(batch)
-        out = np.zeros(n, dtype=np.int64)
-        if not n:
-            return out
+        if not len(batch):
+            return np.zeros(0, dtype=np.int64)
+        lo, hi = batch.halves()
+        n = self.cells_per_stage
         if self._native is not None:
-            lo, hi = batch.halves()
             return self._native.hashpipe_query(
-                lo, hi, self._seeds_arr, self.stages, self.cells_per_stage,
-                self._k_lo, self._k_hi, self._counts_arr,
+                lo, hi, self._seeds_arr, self.stages, n,
+                self.k_lo, self.k_hi, self.counts,
             )
-        rows = self._hashes.bucket_matrix(batch, self.cells_per_stage)
-        lo = batch.lo
-        query_keys = batch.keys
-        for row, stage_keys, stage_counts in zip(rows, self._keys, self._counts):
-            counts_arr = np.fromiter(
-                stage_counts, np.int64, count=self.cells_per_stage
-            )
-            candidates = (counts_arr[row] > 0) & (low_halves(stage_keys)[row] == lo)
-            for i in np.nonzero(candidates)[0].tolist():
-                idx = int(row[i])
-                if stage_keys[idx] == query_keys[i]:
-                    out[i] += stage_counts[idx]
+        k_lo = np.asarray(self.k_lo, dtype=np.uint64)
+        k_hi = np.asarray(self.k_hi, dtype=np.uint64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        out = np.zeros(len(lo), dtype=np.int64)
+        rows = self._hashes.bucket_matrix(batch, n).astype(np.int64)
+        for s, row in enumerate(rows):
+            idx = row + s * n
+            out += np.where((k_lo[idx] == lo) & (k_hi[idx] == hi), counts[idx], 0)
         return out
 
     def estimate_cardinality(self) -> float:
@@ -298,38 +256,17 @@ class HashPipe(FlowCollector):
         so this simply counts resident keys and underestimates badly
         under load.
         """
-        if self._native is not None:
-            occupied = np.nonzero(self._counts_arr)[0]
-            pairs = {
-                (int(self._k_lo[i]), int(self._k_hi[i])) for i in occupied.tolist()
-            }
-            return float(len(pairs))
-        distinct: set[int] = set()
-        for stage_keys, stage_counts in zip(self._keys, self._counts):
-            distinct.update(
-                k for k, c in zip(stage_keys, stage_counts) if c > 0
-            )
-        return float(len(distinct))
+        return float(len(self.records()))
 
     def occupancy(self) -> int:
         """Number of non-empty cells across all stages."""
-        if self._native is not None:
-            return int(np.count_nonzero(self._counts_arr))
-        return sum(
-            sum(1 for c in stage_counts if c > 0) for stage_counts in self._counts
-        )
+        return int(np.count_nonzero(np.asarray(self.counts, dtype=np.int64)))
 
     def reset(self) -> None:
         """Clear all stages and the meter."""
-        if self._native is not None:
-            self._k_lo.fill(0)
-            self._k_hi.fill(0)
-            self._counts_arr.fill(0)
-            self.meter.reset()
-            return
-        n = self.cells_per_stage
-        self._keys = [[_EMPTY] * n for _ in range(self.stages)]
-        self._counts = [[0] * n for _ in range(self.stages)]
+        self.k_lo = cleared(self.k_lo)
+        self.k_hi = cleared(self.k_hi)
+        self.counts = cleared(self.counts)
         self.meter.reset()
 
     @property

@@ -173,13 +173,16 @@ def as_spec(obj: Any, params: Mapping[str, Any] | None = None) -> CollectorSpec:
 
     Args:
         obj: a kind string, a :class:`CollectorSpec`, a canonical spec
-            mapping, or a collector instance exposing ``.spec``.
-        params: extra params merged in (kind-string form only).
+            mapping, a registered collector class (its kind with
+            default params), or a collector instance exposing ``.spec``.
+        params: extra params merged in.
     """
     if isinstance(obj, CollectorSpec):
         if params:
             return obj.with_params(**dict(params))
         return obj
+    if inspect.isclass(obj) and "kind" in vars(obj):
+        obj = obj.kind
     if isinstance(obj, str):
         return CollectorSpec(obj, dict(params or {}))
     if isinstance(obj, Mapping):

@@ -10,7 +10,7 @@ HashFlow specifically.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,26 +82,17 @@ class EpochRunner:
     Args:
         collector: what each epoch runs — a
             :class:`~repro.specs.CollectorSpec` (or spec dict / kind
-            name), a prototype collector (cloned per epoch via its
-            spec), or a legacy zero-argument factory callable.  A new
-            instance is built once per epoch, so state never leaks
-            across epochs — the device reset the paper's epoch model
-            implies.
+            name / registered collector class), or a prototype
+            collector (cloned per epoch via its spec).  A new instance
+            is built once per epoch, so state never leaks across
+            epochs — the device reset the paper's epoch model implies.
     """
 
     def __init__(
         self,
-        collector: CollectorSpec | FlowCollector | Mapping | str | Callable[[], FlowCollector],
+        collector: CollectorSpec | FlowCollector | Mapping | str | type[FlowCollector],
     ):
-        self.spec: CollectorSpec | None = None
-        if isinstance(collector, FlowCollector):
-            self.spec = collector.spec
-            self.collector_factory: Callable[[], FlowCollector] = collector.fresh_factory()
-        elif isinstance(collector, (CollectorSpec, Mapping, str)):
-            self.spec = as_spec(collector)
-            self.collector_factory = self.spec.build
-        else:
-            self.collector_factory = collector
+        self.spec = as_spec(collector)
 
     def run(
         self, trace: Trace, epoch_packets: int, jobs: int | None = None
@@ -113,18 +104,17 @@ class EpochRunner:
         through the parallel sweep engine: ``jobs`` (default: the
         ``REPRO_JOBS`` environment variable, else serial) selects the
         worker count.  Parallel reports are bit-identical to serial
-        ones.  Runners built from a legacy factory callable cannot ship
-        their collector to another process and always run serially.
+        ones.
         """
         from repro.parallel import resolve_jobs
 
         if epoch_packets <= 0:
             raise ValueError(f"epoch_packets must be positive, got {epoch_packets}")
-        if resolve_jobs(jobs) > 1 and self.spec is not None and len(trace):
+        if resolve_jobs(jobs) > 1 and len(trace):
             return self._run_parallel(trace, epoch_packets, jobs)
         reports = []
         for index, epoch in enumerate(split_by_packets(trace, epoch_packets)):
-            collector = self.collector_factory()
+            collector = self.spec.build()
             # key_batch() carries the pre-split 64-bit halves, so
             # collectors with a vectorized update path skip per-packet
             # key splitting entirely.

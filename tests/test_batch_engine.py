@@ -246,8 +246,9 @@ class TestHashPipeEquivalence:
             scalar.process(key)
         batched.process_all(stream, chunk_size=batch_size)
         assert_equivalent(scalar, batched, stream[:200])
-        assert scalar._keys == batched._keys
-        assert scalar._counts == batched._counts
+        assert np.array_equal(scalar.k_lo, batched.k_lo)
+        assert np.array_equal(scalar.k_hi, batched.k_hi)
+        assert np.array_equal(scalar.counts, batched.counts)
 
     def test_empty_batch(self):
         c = HashPipe(cells_per_stage=16)
@@ -278,7 +279,7 @@ class TestCountMinEquivalence:
         for key in stream:
             scalar.add(key)
         batched.add_batch(stream)
-        assert scalar._rows == batched._rows
+        assert np.array_equal(scalar.rows, batched.rows)
         assert meter_tuple(scalar.meter) == meter_tuple(batched.meter)
         assert [scalar.query(k) for k in stream[:100]] == [
             batched.query(k) for k in stream[:100]
@@ -297,7 +298,7 @@ class TestCountMinEquivalence:
         for key in stream:
             scalar.add(key, 3)
         batched.add_batch(stream, 3)
-        assert scalar._rows == batched._rows
+        assert np.array_equal(scalar.rows, batched.rows)
         assert meter_tuple(scalar.meter) == meter_tuple(batched.meter)
 
     def test_empty_and_validation(self):
@@ -313,5 +314,5 @@ class TestCountMinEquivalence:
         for key in [1, 2, 3]:
             scalar.add(key, 0)
         batched.add_batch([1, 2, 3], 0)
-        assert scalar._rows == batched._rows
+        assert np.array_equal(scalar.rows, batched.rows)
         assert meter_tuple(scalar.meter) == meter_tuple(batched.meter)

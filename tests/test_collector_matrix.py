@@ -36,9 +36,7 @@ COLLECTOR_FACTORIES = {
     "epoched": lambda: EpochedHashFlow(HashFlow(main_cells=256, seed=3), 500),
     "adaptive": lambda: AdaptiveHashFlow(main_cells=256, seed=3),
     "timeout": lambda: TimeoutHashFlow(HashFlow(main_cells=256, seed=3)),
-    "sharded": lambda: ShardedCollector(
-        lambda i: HashFlow(main_cells=128, seed=10 + i), n_shards=2
-    ),
+    "sharded": lambda: ShardedCollector(HashFlow(main_cells=128, seed=10), n_shards=2),
 }
 
 STREAM = [k % 60 + 1 for k in range(600)]

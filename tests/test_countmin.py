@@ -36,6 +36,7 @@ class TestBasics:
             {"width": 0, "depth": 1},
             {"width": 8, "depth": 0},
             {"width": 8, "depth": 1, "counter_bits": 0},
+            {"width": 8, "depth": 1, "counter_bits": 63, "kernel": "numpy"},
         ],
     )
     def test_validation(self, kwargs):

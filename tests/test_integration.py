@@ -195,8 +195,6 @@ class TestNetworkWideExtension:
 
         workload = make_workload(CAMPUS, 1200, seed=5)
         router = FlowRouter(fat_tree_core(4, 2), seed=5)
-        deployment = NetworkDeployment(
-            router, lambda name: HashFlow(main_cells=600, seed=hash(name) & 0xFFFF)
-        )
+        deployment = NetworkDeployment(router, HashFlow(main_cells=600))
         report = deployment.run(workload.trace)
         assert report.coverage(set(workload.true_sizes)) > 0.6

@@ -84,8 +84,7 @@ class TestNetworkDeployment:
     def test_full_coverage_with_roomy_collectors(self, small_trace):
         router = FlowRouter(fat_tree_core(3, 2), seed=3)
         deployment = NetworkDeployment(
-            router,
-            lambda name: HashFlow(main_cells=4 * small_trace.num_flows, seed=hash(name) & 0xFFFF),
+            router, HashFlow(main_cells=4 * small_trace.num_flows)
         )
         report = deployment.run(small_trace)
         coverage = report.coverage(set(small_trace.true_sizes()))
@@ -96,9 +95,7 @@ class TestNetworkDeployment:
         switches recovers flows any single switch dropped."""
         cells = small_trace.num_flows // 4
         router = FlowRouter(fat_tree_core(4, 2), seed=4)
-        deployment = NetworkDeployment(
-            router, lambda name: HashFlow(main_cells=cells, seed=hash(name) & 0xFFFF)
-        )
+        deployment = NetworkDeployment(router, HashFlow(main_cells=cells))
         report = deployment.run(small_trace)
         truth = set(small_trace.true_sizes())
         merged_cov = report.coverage(truth)
@@ -113,7 +110,7 @@ class TestNetworkDeployment:
         exceed the true size (up to promotion edge cases)."""
         router = FlowRouter(linear_chain(3), seed=5)
         deployment = NetworkDeployment(
-            router, lambda name: HashFlow(main_cells=2 * small_trace.num_flows)
+            router, HashFlow(main_cells=2 * small_trace.num_flows)
         )
         report = deployment.run(small_trace)
         truth = small_trace.true_sizes()
@@ -124,8 +121,6 @@ class TestNetworkDeployment:
 
     def test_per_switch_packets_reported(self, tiny_trace):
         router = FlowRouter(linear_chain(2), seed=0)
-        deployment = NetworkDeployment(
-            router, lambda name: HashFlow(main_cells=64)
-        )
+        deployment = NetworkDeployment(router, HashFlow(main_cells=64))
         report = deployment.run(tiny_trace)
         assert sum(report.per_switch_packets.values()) >= len(tiny_trace)

@@ -18,20 +18,6 @@ def make(n_shards: int, cells_per_shard: int) -> ShardedCollector:
     )
 
 
-class TestLegacyFactory:
-    def test_callable_factory_still_supported(self, tiny_trace):
-        sharded = ShardedCollector(
-            lambda i: HashFlow(main_cells=64, seed=100 + i), n_shards=2, seed=1
-        )
-        sharded.process_all(tiny_trace.keys())
-        assert len(sharded.records()) > 0
-        # Ad-hoc factories cannot be described by a spec.
-        from repro.specs import SpecError
-
-        with pytest.raises(SpecError):
-            sharded.spec
-
-
 class TestPartitioning:
     def test_each_flow_owned_by_one_shard(self, small_trace):
         sharded = make(4, 512)

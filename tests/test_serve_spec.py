@@ -5,12 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.serve import ServeSpec, load_serve_spec, save_serve_spec
-from repro.serve.spec import (
-    BACKPRESSURE_ENV,
-    RING_SLOTS_ENV,
-    STATS_INTERVAL_ENV,
-    env_serve_defaults,
-)
 from repro.specs import SpecError
 
 
@@ -123,28 +117,3 @@ class TestAccessors:
     def test_pipeline_spec_property(self):
         spec = ServeSpec(pipeline=pipeline_dict())
         assert spec.pipeline_spec.source["kind"] == "udp"
-
-
-class TestEnvDefaults:
-    def test_unset_env_is_empty(self, monkeypatch):
-        for var in (RING_SLOTS_ENV, BACKPRESSURE_ENV, STATS_INTERVAL_ENV):
-            monkeypatch.delenv(var, raising=False)
-        assert env_serve_defaults() == {}
-
-    def test_env_values_parsed(self, monkeypatch):
-        monkeypatch.setenv(RING_SLOTS_ENV, "4096")
-        monkeypatch.setenv(BACKPRESSURE_ENV, "drop")
-        monkeypatch.setenv(STATS_INTERVAL_ENV, "1.5")
-        assert env_serve_defaults() == {
-            "ring_slots": 4096,
-            "backpressure": "drop",
-            "stats_interval": 1.5,
-        }
-
-    def test_env_defaults_feed_spec(self, monkeypatch):
-        monkeypatch.setenv(RING_SLOTS_ENV, "256")
-        monkeypatch.delenv(BACKPRESSURE_ENV, raising=False)
-        monkeypatch.delenv(STATS_INTERVAL_ENV, raising=False)
-        spec = ServeSpec(pipeline=pipeline_dict(), **env_serve_defaults())
-        assert spec.ring_slots == 256
-        assert spec.backpressure == "block"

@@ -177,19 +177,6 @@ class TestLifecycle:
 
 
 class TestConfiguration:
-    def test_legacy_factory_rejects_explicit_jobs(self):
-        with pytest.raises(SpecError, match="ad-hoc factory"):
-            ShardedCollector(
-                lambda i: HashFlow(main_cells=256, seed=i), n_shards=2, jobs=2
-            )
-
-    def test_legacy_factory_ignores_env(self, monkeypatch):
-        monkeypatch.setenv(SHARD_JOBS_ENV, "4")
-        collector = ShardedCollector(
-            lambda i: HashFlow(main_cells=256, seed=i), n_shards=2
-        )
-        assert collector.jobs == 1
-
     def test_env_resolution(self, monkeypatch):
         monkeypatch.delenv(SHARD_JOBS_ENV, raising=False)
         assert resolve_shard_jobs() == 1

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.hashflow import HashFlow
 from repro.netwide.deployment import NetworkDeployment
+from repro.netwide.sharding import ShardedCollector
 from repro.netwide.topology import FlowRouter, fat_tree_core
 from repro.sketches.exact import ExactCollector
 from repro.specs import (
@@ -338,17 +339,22 @@ class TestOrchestrationWithoutLambdas:
         deployment = NetworkDeployment(router, prototype)
         assert deployment.spec == prototype.spec
 
-    def test_epoch_runner_prototype_matches_legacy_factory(self):
-        trace = CAIDA.generate(n_flows=300, seed=13)
-        new = EpochRunner(HashFlow(main_cells=128, seed=4)).run(trace, 500)
-        old = EpochRunner(lambda: HashFlow(main_cells=128, seed=4)).run(trace, 500)
-        assert EpochRunner.merge(new) == EpochRunner.merge(old)
-
     def test_epoch_runner_accepts_spec_and_class(self):
         trace = CAIDA.generate(n_flows=100, seed=13)
         by_spec = EpochRunner(CollectorSpec("exact")).run(trace, 200)
         by_class = EpochRunner(ExactCollector).run(trace, 200)
         assert EpochRunner.merge(by_spec) == EpochRunner.merge(by_class)
+
+    def test_registered_class_is_its_kind(self):
+        assert as_spec(ExactCollector) == CollectorSpec("exact")
+        assert as_spec(HashFlow, {"main_cells": 64}) == CollectorSpec(
+            "hashflow", {"main_cells": 64}
+        )
+        sharded = ShardedCollector(ExactCollector, n_shards=2)
+        exact = ExactCollector()
+        sharded.process_all(STREAM)
+        exact.process_all(STREAM)
+        assert sharded.records() == exact.records()
 
     def test_sharded_round_trip_via_netwide_spec(self):
         spec = matrix_spec("sharded")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.hashflow import HashFlow
+from repro.specs import CollectorSpec
 from repro.traces.replay import (
     EpochRunner,
     split_by_packets,
@@ -59,25 +60,29 @@ class TestSplitByTime:
 
 class TestEpochRunner:
     def test_per_epoch_reports(self, small_trace):
-        runner = EpochRunner(lambda: HashFlow(main_cells=4096, seed=1))
+        runner = EpochRunner(HashFlow(main_cells=4096, seed=1))
         reports = runner.run(small_trace, epoch_packets=2000)
         assert sum(r.packets for r in reports) == len(small_trace)
         assert [r.index for r in reports] == list(range(len(reports)))
 
-    def test_fresh_collector_per_epoch(self, small_trace):
+    def test_fresh_collector_per_epoch(self, small_trace, monkeypatch):
         built = []
+        build = CollectorSpec.build
 
-        def factory():
-            collector = HashFlow(main_cells=4096, seed=1)
+        def recording_build(spec, *args, **kwargs):
+            collector = build(spec, *args, **kwargs)
             built.append(collector)
             return collector
 
-        runner = EpochRunner(factory)
+        monkeypatch.setattr(CollectorSpec, "build", recording_build)
+        runner = EpochRunner(HashFlow(main_cells=4096, seed=1))
         reports = runner.run(small_trace, epoch_packets=2000)
         assert len(built) == len(reports)
+        # Each epoch's collector saw only that epoch's packets.
+        assert [c.meter.packets for c in built] == [r.packets for r in reports]
 
     def test_merge_approximates_truth_when_roomy(self, small_trace):
-        runner = EpochRunner(lambda: HashFlow(main_cells=8192, seed=1))
+        runner = EpochRunner(HashFlow(main_cells=8192, seed=1))
         reports = runner.run(small_trace, epoch_packets=1500)
         merged = EpochRunner.merge(reports)
         truth = small_trace.true_sizes()
@@ -92,7 +97,7 @@ class TestEpochRunner:
         single.process_all(small_trace.keys())
         single_coverage = len(single.records()) / small_trace.num_flows
 
-        runner = EpochRunner(lambda: HashFlow(main_cells=256, seed=2))
+        runner = EpochRunner(HashFlow(main_cells=256, seed=2))
         reports = runner.run(small_trace, epoch_packets=700)
         merged = EpochRunner.merge(reports)
         epoch_coverage = len(merged) / small_trace.num_flows
