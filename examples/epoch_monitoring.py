@@ -2,15 +2,15 @@
 """Long-running monitoring with rotation policies and adaptive HashFlow.
 
 A fixed-size HashFlow saturates on an unbounded stream; operational
-NetFlow therefore measures in epochs.  This example contrasts four
+NetFlow therefore measures in epochs.  This example contrasts three
 deployments over the same long stream:
 
 1. a single HashFlow left running (saturates),
-2. :class:`EpochRunner` — fresh tables per epoch, merged at the collector,
-3. a `repro.stream` pipeline with count rotation — the streaming form of
-   :class:`EpochedHashFlow` (which is now a thin adapter over the same
-   :class:`~repro.stream.rotation.CountRotation` policy),
-4. the same pipeline with RFC 3954 timeout rotation (flow-granular expiry),
+2. a `repro.stream` pipeline with count rotation — the tables are
+   exported and reset every epoch, and each epoch's records are checked
+   against a fresh HashFlow fed only that epoch
+   (:func:`~repro.traces.replay.split_by_packets`),
+3. the same pipeline with RFC 3954 timeout rotation (flow-granular expiry),
 
 and finishes with :class:`AdaptiveHashFlow` reacting to a mice-churn
 regime change (the paper's "adaptive to traffic variation" future work).
@@ -20,10 +20,10 @@ Run:  python examples/epoch_monitoring.py
 
 from __future__ import annotations
 
-from repro.core.adaptive import AdaptiveHashFlow, EpochedHashFlow
+from repro.core.adaptive import AdaptiveHashFlow
 from repro.core.hashflow import HashFlow
-from repro.stream import Pipeline
-from repro.traces import CAMPUS, EpochRunner, merge_traces
+from repro.stream import Pipeline, merge_flow_records
+from repro.traces import CAMPUS, merge_traces, split_by_packets
 
 N_FLOWS = 12_000
 CELLS = 2_048
@@ -44,18 +44,8 @@ def main() -> None:
     print(f"single table:      {len(single.records()):>6d} flows reported "
           f"(utilization {single.utilization():.2f} — saturated)")
 
-    # 2. Fresh tables per epoch, merged off-switch.  The runner clones
-    #    the prototype's spec per epoch — no factory lambda needed.
-    runner = EpochRunner(HashFlow(main_cells=CELLS, seed=4))
-    reports = runner.run(stream, epoch_packets=EPOCH_PACKETS)
-    merged = EpochRunner.merge(reports)
-    exact = sum(1 for k, v in merged.items() if truth.get(k) == v)
-    print(f"epoch runner:      {len(merged):>6d} flows reported over "
-          f"{len(reports)} epochs ({exact} with exact counts)")
-
-    # 3. The streaming pipeline with count rotation: same rotating
-    #    collection as EpochedHashFlow, but composed from stages and
-    #    fanning every epoch's export out to sinks.
+    # 2. Count rotation: every epoch's records are exported to the sinks
+    #    and the tables reset, so each epoch starts from empty tables.
     pipeline = Pipeline(
         source={"kind": "synthetic",  # placeholder; we feed `stream` below
                 "params": {"profile": "campus", "n_flows": 16}},
@@ -64,15 +54,22 @@ def main() -> None:
         sinks=[{"kind": "archive"}, {"kind": "cardinality"}],
     )
     result = pipeline.run(trace=stream)
-    rotating = EpochedHashFlow(
-        HashFlow(main_cells=CELLS, seed=4), epoch_packets=EPOCH_PACKETS
-    )
-    rotating.process_all(stream.keys())
-    match = "match" if result.records == rotating.records() else "MISMATCH"
-    print(f"stream pipeline:   {len(result.records):>6d} flows reported, "
-          f"{result.rotations} rotations (EpochedHashFlow adapter: {match})")
+    exact = sum(1 for k, v in result.records.items() if truth.get(k) == v)
+    archived = {
+        index: merge_flow_records(records)
+        for index, records in pipeline.sinks[0].by_rotation.items()
+    }
+    fresh = {}
+    for index, epoch in enumerate(split_by_packets(stream, EPOCH_PACKETS)):
+        table = HashFlow(main_cells=CELLS, seed=4)
+        table.process_all(epoch.key_batch())
+        fresh[index] = table.records()
+    match = "match" if archived == fresh else "MISMATCH"
+    print(f"count rotation:    {len(result.records):>6d} flows reported over "
+          f"{len(archived)} epochs ({exact} with exact counts; "
+          f"fresh tables per epoch: {match})")
 
-    # 4. Timeout rotation over the same stream: flow-granular expiry
+    # 3. Timeout rotation over the same stream: flow-granular expiry
     #    instead of table-wide epochs (packets are clocked at the
     #    pipeline's synthetic packet rate, as the stream is untimestamped).
     timed = Pipeline(
@@ -86,7 +83,7 @@ def main() -> None:
     print(f"timeout pipeline:  {len(expiry.records):>6d} flows reported, "
           f"{expiry.rotations} expiry sweeps")
 
-    # 5. Adaptive promotion under a regime change: steady traffic, then
+    # 4. Adaptive promotion under a regime change: steady traffic, then
     #    a burst of pure mice churn.
     adaptive = AdaptiveHashFlow(
         main_cells=CELLS, ancillary_cells=CELLS, window=2048, seed=4

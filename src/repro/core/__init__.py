@@ -1,9 +1,8 @@
 """HashFlow core: the paper's primary contribution."""
 
-from repro.core.adaptive import AdaptiveHashFlow, EpochedHashFlow, merge_records
+from repro.core.adaptive import AdaptiveHashFlow
 from repro.core.ancillary import PROMOTE, STORED, AncillaryTable
 from repro.core.hashflow import HashFlow
-from repro.core.timeout import ExportedRecord, TimeoutHashFlow
 from repro.core.maintable import (
     ABSORBED,
     DEFAULT_ALPHA,
@@ -22,11 +21,7 @@ __all__ = [
     "STORED",
     "AdaptiveHashFlow",
     "AncillaryTable",
-    "EpochedHashFlow",
-    "ExportedRecord",
     "HashFlow",
-    "TimeoutHashFlow",
     "MainTable",
-    "merge_records",
     "pipeline_sizes",
 ]

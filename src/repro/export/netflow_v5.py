@@ -302,8 +302,7 @@ class NetFlowV5Exporter:
 
         Accepts any iterable of records exposing ``key`` / ``packets``
         and optionally ``octets`` / ``first_seen`` / ``last_seen`` —
-        :class:`~repro.stream.records.FlowRecord` (and therefore
-        ``TimeoutHashFlow.ExportedRecord``) qualify.  Measured octets
+        :class:`~repro.stream.records.FlowRecord` qualifies.  Measured octets
         take precedence over the mean-packet-size estimate; first/last
         seen timestamps (seconds; None means untracked, a measured
         0.0 counts) are converted to SysUptime milliseconds for the v5

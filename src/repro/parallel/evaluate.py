@@ -42,7 +42,6 @@ COLLECTOR_METRICS = frozenset(
         "records",
         "accurate_records",
         "hh_sweep",
-        "epoch_report",
     }
 )
 
@@ -55,8 +54,8 @@ _ZERO_METER = {"packets": 0, "hashes": 0, "reads": 0, "writes": 0}
 class CellWorkload:
     """A materialized workload with lazily-built evaluation vectors.
 
-    Cells that only need the raw trace (Table I statistics, epoch
-    reports) never pay for the full
+    Cells that only need the raw trace (Table I statistics, pipeline
+    runs) never pay for the full
     :class:`~repro.experiments.runner.Workload` construction (packet
     key list, 64-bit halves, truth vectors); cells that do share one
     instance per process.
@@ -239,7 +238,7 @@ def evaluate_cell(cell: SweepCell, store: WorkloadStore, index: int = 0) -> Cell
         # Touching cw.workload first (when any metric needs truth
         # vectors) makes cw.batch come from it, so the stream batch is
         # materialized exactly once per workload per process.
-        if any(m not in ("records", "epoch_report") for m in cell.metrics):
+        if any(m != "records" for m in cell.metrics):
             cw.workload
         collector.process_all(cw.batch)
 
@@ -278,10 +277,6 @@ def evaluate_cell(cell: SweepCell, store: WorkloadStore, index: int = 0) -> Cell
                     cell.params["thresholds"],
                 )
             ]
-        elif metric == "epoch_report":
-            base["packets"] = len(cw.trace)
-            base["flows"] = cw.trace.num_flows
-            base["records"] = collector.records()
         elif metric == "stats":
             stats = cw.trace.stats()
             base["flows"] = stats.flows

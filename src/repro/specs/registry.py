@@ -1,9 +1,8 @@
 """The global collector registry: kinds, builders, sizing rules.
 
 Every collector the harness evaluates registers itself under a short
-*kind* name (``@register("hashflow")`` on the class, or on a builder
-function for wrapper kinds whose params nest another spec).  The
-registry then offers one construction path for the whole codebase:
+*kind* name (``@register("hashflow")`` on the class).  The registry
+then offers one construction path for the whole codebase:
 
 * :func:`build` — from a kind name, a :class:`CollectorSpec`, a spec
   dict, or a JSON file's contents, optionally sized to a memory budget
@@ -33,7 +32,6 @@ _REGISTRATION_MODULES = (
     "repro.specs.sizing",
     "repro.core.hashflow",
     "repro.core.adaptive",
-    "repro.core.timeout",
     "repro.sketches.hashpipe",
     "repro.sketches.elastic",
     "repro.sketches.flowradar",
@@ -46,10 +44,6 @@ _REGISTRATION_MODULES = (
 
 #: The paper's four evaluated algorithms, in plotting order (§IV).
 EVALUATED_KINDS = ("hashflow", "hashpipe", "elastic", "flowradar")
-
-#: Params keys under which wrapper kinds nest an inner collector spec.
-_NESTED_KEYS = ("inner", "collector")
-
 
 @dataclass(frozen=True)
 class Registration:
@@ -74,41 +68,28 @@ _SIZING: dict[str, Callable[[int, Mapping[str, Any]], dict[str, Any]]] = {}
 _loaded = False
 
 
-def _takes_seed(ctor: Callable[..., Any]) -> bool:
-    """Whether a constructor/builder accepts a ``seed`` keyword."""
-    target = ctor.__init__ if inspect.isclass(ctor) else ctor
-    try:
-        sig = inspect.signature(target)
-    except (TypeError, ValueError):  # builtins without introspection
-        return False
-    params = sig.parameters.values()
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
+def _takes_seed(cls: type) -> bool:
+    """Whether a collector class's constructor accepts a ``seed`` keyword."""
+    params = inspect.signature(cls.__init__).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
         return True
-    return "seed" in sig.parameters
+    return "seed" in params
 
 
-def register(kind: str, *, cls: type | None = None):
-    """Class/function decorator registering a collector kind.
+def register(kind: str):
+    """Class decorator registering a collector kind.
 
-    Applied to a :class:`~repro.sketches.base.FlowCollector` subclass,
-    the class itself is the builder (``cls(**params)``); applied to a
-    function (wrapper kinds that must build a nested spec first), the
-    function is the builder and ``cls`` names the collector class it
-    produces.  Either way the produced class gets a ``kind`` attribute
-    so instances can report their spec.
+    The decorated :class:`~repro.sketches.base.FlowCollector` subclass
+    is constructed straight from spec params (``cls(**params)``) and
+    gets a ``kind`` attribute so instances can report their spec.
     """
 
-    def deco(obj):
-        target_cls = cls if cls is not None else obj
-        if inspect.isclass(target_cls):
-            target_cls.kind = kind
+    def deco(cls):
+        cls.kind = kind
         _REGISTRY[kind] = Registration(
-            kind=kind,
-            ctor=obj,
-            accepts_seed=_takes_seed(obj),
-            sizing=None,
+            kind=kind, ctor=cls, accepts_seed=_takes_seed(cls), sizing=None
         )
-        return obj
+        return cls
 
     return deco
 
@@ -160,12 +141,9 @@ def display_name(kind: str) -> str:
     """The display name instances of a kind report (e.g. ``"HashFlow"``).
 
     Lets plan-building code label results without constructing a
-    collector; falls back to the kind name for builder-function kinds
-    whose class is not introspectable.
+    collector.
     """
-    ctor = _get(kind).ctor
-    name = getattr(ctor, "name", None) if inspect.isclass(ctor) else None
-    return name if isinstance(name, str) else kind
+    return _get(kind).ctor.name
 
 
 def as_spec(obj: Any, params: Mapping[str, Any] | None = None) -> CollectorSpec:
@@ -216,44 +194,22 @@ def derive_seed(base_seed: int, salt: int | str) -> int:
 def reseeded(spec: CollectorSpec, salt: int | str) -> CollectorSpec:
     """A spec whose (possibly nested) seed is derived from ``salt``.
 
-    Seedful kinds get ``seed = derive_seed(current_seed, salt)``;
-    wrapper kinds *also* recurse into their nested collector spec (a
-    sharded spec deployed per switch must vary both its shard-assignment
-    hash and its shards' collector seeds); seed-free kinds (exact,
-    space-saving) come back unchanged.
+    Seedful kinds get ``seed = derive_seed(current_seed, salt)``; the
+    sharded wrapper *also* recurses into its nested ``collector`` spec
+    (a sharded spec deployed per switch must vary both its
+    shard-assignment hash and its shards' collector seeds); seed-free
+    kinds (exact, space-saving) come back unchanged.
     """
     reg = _get(spec.kind)
     updates: dict = {}
     if reg.accepts_seed:
         updates["seed"] = derive_seed(spec.params.get("seed", 0), salt)
-    for key in _NESTED_KEYS:
-        nested = spec.params.get(key)
-        if isinstance(nested, Mapping) and "kind" in nested:
-            inner = reseeded(CollectorSpec.from_dict(nested), salt)
-            updates[key] = inner.to_dict()
+    nested = spec.params.get("collector")
+    if isinstance(nested, Mapping) and "kind" in nested:
+        updates["collector"] = reseeded(CollectorSpec.from_dict(nested), salt).to_dict()
     if not updates:
         return spec
     return spec.with_params(**updates)
-
-
-def _apply_seed(params: dict, reg: Registration, seed: int) -> None:
-    """Apply a seed override in place, following nested wrapper specs.
-
-    Seedful kinds take it directly; wrapper kinds whose builder has no
-    ``seed`` parameter (epoched, timeout) forward it into the nested
-    collector spec so the override is never silently lost.  Genuinely
-    seed-free kinds (exact, space-saving) ignore it.
-    """
-    if reg.accepts_seed:
-        params["seed"] = seed
-        return
-    for key in _NESTED_KEYS:
-        nested = params.get(key)
-        if isinstance(nested, Mapping) and "kind" in nested:
-            inner = CollectorSpec.from_dict(nested)
-            inner_params = dict(inner.params)
-            _apply_seed(inner_params, _get(inner.kind), seed)
-            params[key] = CollectorSpec(inner.kind, inner_params).to_dict()
 
 
 def build(
@@ -275,9 +231,8 @@ def build(
         scale: experiment scale factor; scales ``memory_bytes`` (or the
             paper's 1 MB default when ``memory_bytes`` is omitted)
             exactly as the experiment harness does.
-        seed: overrides the spec's hash seed; wrapper kinds whose own
-            builder is seedless forward it into their nested collector
-            spec (ignored only for genuinely seed-free kinds).
+        seed: overrides the spec's hash seed (ignored by seed-free
+            kinds such as exact and space-saving).
         **params: extra constructor params; they override sized params.
 
     Returns:
@@ -304,8 +259,8 @@ def build(
             )
         for key, value in rule(budget, merged).items():
             merged.setdefault(key, value)
-    if seed is not None:
-        _apply_seed(merged, reg, seed)
+    if seed is not None and reg.accepts_seed:
+        merged["seed"] = seed
     try:
         return reg.ctor(**merged)
     except TypeError as exc:

@@ -8,10 +8,9 @@ in a config file, shipped to another shard/epoch/process, and rebuilt
 bit-identically — ``build(collector.spec)`` is the contract every
 registered collector honours.
 
-Wrapper collectors (epoched, timeout, sharded) nest their inner
-collector's spec under a params key (``"inner"`` / ``"collector"``) as
-a plain ``{"kind": ..., "params": ...}`` dict, keeping the whole
-structure JSON-native.
+The sharded wrapper nests its per-shard collector's spec under its
+``"collector"`` param as a plain ``{"kind": ..., "params": ...}`` dict,
+keeping the whole structure JSON-native.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class CollectorSpec:
         kind: registered collector kind (see
             :func:`repro.specs.registry.available_kinds`).
         params: constructor parameters; values are JSON scalars or
-            nested spec dicts for wrapper kinds.
+            a nested spec dict for the sharded wrapper.
     """
 
     kind: str
@@ -121,8 +120,8 @@ class CollectorSpec:
         The derivation is deterministic (same spec + same salt → same
         seed), which is what lets shards, switches, and epochs rebuild
         their exact collector from the deployment's one prototype spec.
-        Seed-free kinds are returned unchanged; wrapper kinds reseed
-        their nested collector.
+        Seed-free kinds are returned unchanged; the sharded wrapper
+        reseeds its nested collector too.
         """
         from repro.specs.registry import reseeded
 

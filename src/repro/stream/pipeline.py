@@ -28,7 +28,13 @@ from repro.flow.batch import KeyBatch
 from repro.sketches.base import FlowCollector
 from repro.specs import build as build_collector
 from repro.stream.records import FlowRecord, merge_flow_records
-from repro.stream.rotation import RotationPolicy, TimeoutRotation, build_rotation
+from repro.stream.rotation import (
+    RotationPolicy,
+    TimeoutRotation,
+    build_rotation,
+    positive_count,
+    positive_finite,
+)
 from repro.stream.sinks import Sink, build_sink
 from repro.stream.sources import Source, build_source
 from repro.stream.spec import DEFAULT_PACKET_RATE, PipelineSpec
@@ -233,7 +239,9 @@ class Pipeline:
 
     Raises:
         ValueError: for a timeout rotation over a collector without
-            per-flow eviction (``evict``).
+            per-flow eviction (``evict``), or a ``chunk_size``,
+            ``packet_rate`` or ``packet_bytes`` that is not positive
+            (counts must be integers, the rate finite).
     """
 
     def __init__(
@@ -261,11 +269,9 @@ class Pipeline:
                 "count/interval rotation or an evictable collector"
             )
         self.sinks = tuple(build_sink(s) for s in sinks)
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.chunk_size = int(chunk_size)
-        self.packet_rate = float(packet_rate)
-        self.packet_bytes = int(packet_bytes)
+        self.chunk_size = positive_count("chunk_size", chunk_size)
+        self.packet_rate = positive_finite("packet_rate", packet_rate)
+        self.packet_bytes = positive_count("packet_bytes", packet_bytes)
         self._ran = False
 
     # ------------------------------------------------------------------

@@ -4,10 +4,8 @@ Every stage boundary in :mod:`repro.stream` — rotation policies
 exporting from a collector, sinks receiving what was exported — speaks
 :class:`FlowRecord`: a frozen per-flow export carrying the packed key,
 the packet count, optional byte and timing information, and the export
-reason.  It is a superset of the record
-:class:`~repro.core.timeout.TimeoutHashFlow` has always exported
-(``ExportedRecord`` is now an alias of this class), so timeout expiry,
-epoch rotation and end-of-run drains all produce the same shape.
+reason.  Timeout expiry, epoch rotation and end-of-run drains all
+produce this one shape.
 """
 
 from __future__ import annotations

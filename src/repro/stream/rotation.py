@@ -2,13 +2,11 @@
 
 Operational flow collection never reports once at the end of a run — it
 *rotates*: tables are exported and freed on a schedule so long-lived
-measurement keeps absorbing new flows.  The repo grew three separate
-embodiments of that idea (``EpochedHashFlow``'s packet-count epochs,
-``traces.replay.split_by_time``'s wall-clock windows, and
-``TimeoutHashFlow``'s RFC 3954 active/inactive expiry); this module
-unifies them behind one :class:`RotationPolicy` protocol that both the
-streaming :class:`~repro.stream.pipeline.Pipeline` and the legacy
-wrapper collectors (now thin adapters) drive.
+measurement keeps absorbing new flows.  Three schedules cover it —
+packet-count epochs, wall-clock windows, and RFC 3954 active/inactive
+expiry — behind one :class:`RotationPolicy` protocol, driven by
+:class:`~repro.stream.pipeline.StreamFeeder` (offline through
+:class:`~repro.stream.pipeline.Pipeline`, live in the serve worker).
 
 A policy answers four questions:
 
@@ -28,13 +26,43 @@ them next to the collector's :class:`~repro.specs.CollectorSpec`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from abc import ABC, abstractmethod
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.flow.batch import KeyBatch
+from repro.specs import SpecError
 from repro.stream.records import FlowRecord
+
+
+def positive_count(name: str, value) -> int:
+    """``value`` as a count: an integer >= 1 (bools refused).
+
+    A fractional count would truncate — to 0 below 1, which stalls the
+    feed loop (``admit`` returns 0 while ``due`` stays true).
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def positive_finite(name: str, value) -> float:
+    """``value`` as a finite real > 0 (bools refused).
+
+    NaN compares false against every bound, so an unchecked NaN timeout
+    or clock rate silently expires nothing.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def export_and_reset(collector) -> dict[int, int]:
@@ -42,9 +70,7 @@ def export_and_reset(collector) -> dict[int, int]:
 
     The cost meter's cumulative counters survive the reset (rotation is
     control-plane work; the dataplane cost history must not vanish with
-    the tables) — this is the exact bookkeeping
-    :meth:`~repro.core.adaptive.EpochedHashFlow.rotate` has always
-    done, hoisted here so every epoch-style rotation shares it.
+    the tables); every epoch-style rotation and drain shares it.
     """
     exported = collector.records()
     meter = collector.meter
@@ -78,13 +104,12 @@ def _records_from(
 class RotationPolicy(ABC):
     """When to export records from a standing collector, and which.
 
-    Subclasses implement the batched streaming protocol used by
-    :class:`~repro.stream.pipeline.Pipeline` (``admit`` → feed →
-    ``note`` → ``due`` → ``collect``) plus whatever scalar hooks their
-    legacy adapter needs.  All state a policy keeps is control-plane
-    state (packet counters, per-flow timestamps); the collector's
-    tables are only touched through ``records()``/``reset()``/
-    ``evict()`` during a sweep.
+    Subclasses implement the batched streaming protocol driven by
+    :class:`~repro.stream.pipeline.StreamFeeder` (``admit`` → feed →
+    ``note`` → ``due`` → ``collect``).  All state a policy keeps is
+    control-plane state (packet counters, per-flow timestamps); the
+    collector's tables are only touched through ``records()``/
+    ``reset()``/``evict()`` during a sweep.
     """
 
     #: Registry kind name (``"count"`` / ``"interval"`` / ``"timeout"``).
@@ -103,9 +128,6 @@ class RotationPolicy(ABC):
     def reset(self) -> None:
         """Clear all rotation state."""
 
-    # ------------------------------------------------------------------
-    # Batched streaming protocol (Pipeline)
-    # ------------------------------------------------------------------
     @abstractmethod
     def admit(self, n: int, timestamps: np.ndarray | None) -> int:
         """How many of the next ``n`` pending packets may be fed before
@@ -162,19 +184,18 @@ class RotationPolicy(ABC):
 class CountRotation(RotationPolicy):
     """Rotate after every ``epoch_packets`` packets.
 
-    The policy behind :class:`~repro.core.adaptive.EpochedHashFlow`:
-    a fixed packet budget per epoch, export-all at the boundary.
+    A fixed packet budget per epoch, export-all at the boundary: each
+    rotation's records equal those of a fresh collector fed only that
+    epoch (:func:`repro.traces.replay.split_by_packets`).
 
     Args:
-        epoch_packets: packets per epoch (> 0).
+        epoch_packets: packets per epoch (an integer >= 1).
     """
 
     kind = "count"
 
     def __init__(self, epoch_packets: int):
-        if epoch_packets <= 0:
-            raise ValueError(f"epoch_packets must be positive, got {epoch_packets}")
-        self.epoch_packets = int(epoch_packets)
+        self.epoch_packets = positive_count("epoch_packets", epoch_packets)
         self._in_epoch = 0
 
     def spec_params(self) -> dict[str, Any]:
@@ -183,17 +204,6 @@ class CountRotation(RotationPolicy):
     def reset(self) -> None:
         self._in_epoch = 0
 
-    # -- scalar adapter hooks (EpochedHashFlow) ------------------------
-    def tick(self) -> bool:
-        """Count one packet; returns whether the epoch just filled."""
-        self._in_epoch += 1
-        return self._in_epoch >= self.epoch_packets
-
-    def mark_rotated(self) -> None:
-        """Start a fresh epoch (the adapter ran its own export)."""
-        self._in_epoch = 0
-
-    # -- batched protocol ----------------------------------------------
     def admit(self, n: int, timestamps: np.ndarray | None) -> int:
         return min(n, self.epoch_packets - self._in_epoch)
 
@@ -220,15 +230,13 @@ class IntervalRotation(RotationPolicy):
     exports), matching the splitter's behaviour.
 
     Args:
-        window: window length in seconds (> 0).
+        window: window length in seconds (finite, > 0).
     """
 
     kind = "interval"
 
     def __init__(self, window: float):
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = float(window)
+        self.window = positive_finite("window", window)
         self._epoch_end: float | None = None
         self._due = False
 
@@ -271,8 +279,7 @@ class IntervalRotation(RotationPolicy):
 class TimeoutRotation(RotationPolicy):
     """RFC 3954 active/inactive timeout expiry.
 
-    The policy behind :class:`~repro.core.timeout.TimeoutHashFlow`:
-    per-flow first/last-seen timestamps live control-plane side, an
+    Per-flow first/last-seen timestamps live control-plane side, an
     expiry sweep runs every ``expiry_interval`` packets, and a sweep
     exports (then evicts) every flow idle past ``inactive_timeout`` or
     alive past ``active_timeout``.  Requires a collector with a
@@ -280,10 +287,11 @@ class TimeoutRotation(RotationPolicy):
 
     Args:
         inactive_timeout: seconds of silence before export (NetFlow
-            default: 15s).
+            default: 15s; finite, > 0).
         active_timeout: maximum record lifetime before a mid-flow
-            export (NetFlow default: 30min).
-        expiry_interval: packets between sweeps.
+            export (NetFlow default: 30min; finite, >= the inactive
+            timeout).
+        expiry_interval: packets between sweeps (an integer >= 1).
     """
 
     kind = "timeout"
@@ -294,15 +302,11 @@ class TimeoutRotation(RotationPolicy):
         active_timeout: float = 1800.0,
         expiry_interval: int = 1024,
     ):
-        if inactive_timeout <= 0 or active_timeout <= 0:
-            raise ValueError("timeouts must be positive")
-        if active_timeout < inactive_timeout:
+        self.inactive_timeout = positive_finite("inactive_timeout", inactive_timeout)
+        self.active_timeout = positive_finite("active_timeout", active_timeout)
+        if self.active_timeout < self.inactive_timeout:
             raise ValueError("active timeout must be >= inactive timeout")
-        if expiry_interval <= 0:
-            raise ValueError(f"expiry_interval must be positive, got {expiry_interval}")
-        self.inactive_timeout = float(inactive_timeout)
-        self.active_timeout = float(active_timeout)
-        self.expiry_interval = int(expiry_interval)
+        self.expiry_interval = positive_count("expiry_interval", expiry_interval)
         self._first_seen: dict[int, float] = {}
         self._last_seen: dict[int, float] = {}
         self._now = 0.0
@@ -321,37 +325,8 @@ class TimeoutRotation(RotationPolicy):
         self._now = 0.0
         self._since_sweep = 0
 
-    # -- scalar adapter hooks (TimeoutHashFlow) ------------------------
-    @property
-    def now(self) -> float:
-        """The policy's clock: the latest timestamp observed."""
-        return self._now
-
-    def track(self, key: int, timestamp: float) -> bool:
-        """Observe one timestamped packet; returns whether a sweep is due."""
-        self._now = max(self._now, timestamp)
-        if key not in self._first_seen:
-            self._first_seen[key] = timestamp
-        self._last_seen[key] = timestamp
-        self._since_sweep += 1
-        return self._since_sweep >= self.expiry_interval
-
-    def touch(self, key: int) -> None:
-        """Observe an untimestamped packet: timing maps update at the
-        current clock, but the clock and the sweep counter stand still
-        (plain ``process(key)`` semantics)."""
-        self._first_seen.setdefault(key, self._now)
-        self._last_seen[key] = self._now
-
-    def flush_horizon(self) -> float:
-        """A clock value late enough to expire every resident flow."""
-        return self._now + self.active_timeout + self.inactive_timeout
-
-    def sweep(
-        self,
-        collector,
-        now: float,
-        byte_counts: Mapping[int, int] | None = None,
+    def _sweep(
+        self, collector, now: float, byte_counts: Mapping[int, int] | None
     ) -> list[FlowRecord]:
         """Export and evict every flow past a timeout at clock ``now``."""
         self._since_sweep = 0
@@ -381,7 +356,6 @@ class TimeoutRotation(RotationPolicy):
             del self._last_seen[key]
         return exported
 
-    # -- batched protocol ----------------------------------------------
     def admit(self, n: int, timestamps: np.ndarray | None) -> int:
         return min(n, self.expiry_interval - self._since_sweep)
 
@@ -390,11 +364,7 @@ class TimeoutRotation(RotationPolicy):
             raise ValueError("timeout rotation needs packet timestamps")
         first_seen = self._first_seen
         last_seen = self._last_seen
-        times = (
-            timestamps.tolist()
-            if isinstance(timestamps, np.ndarray)
-            else list(timestamps)
-        )
+        times = timestamps.tolist()
         for key, ts in zip(batch.keys, times):
             if key not in first_seen:
                 first_seen[key] = ts
@@ -410,13 +380,14 @@ class TimeoutRotation(RotationPolicy):
     def collect(
         self, collector, byte_counts: Mapping[int, int] | None = None
     ) -> list[FlowRecord]:
-        return self.sweep(collector, self._now, byte_counts)
+        return self._sweep(collector, self._now, byte_counts)
 
     def drain(
         self, collector, byte_counts: Mapping[int, int] | None = None
     ) -> list[FlowRecord]:
-        """One sweep with an infinitely late clock (everything expires)."""
-        exported = self.sweep(collector, self.flush_horizon(), byte_counts)
+        """One sweep with a clock late enough to expire every flow."""
+        horizon = self._now + self.active_timeout + self.inactive_timeout
+        exported = self._sweep(collector, horizon, byte_counts)
         self.reset()
         return exported
 
@@ -431,7 +402,12 @@ ROTATIONS: dict[str, type[RotationPolicy]] = {
 
 def build_rotation(spec: Mapping[str, Any] | RotationPolicy | None):
     """Build a rotation policy from its spec dict (passthrough for
-    instances and None)."""
+    instances and None).
+
+    Raises:
+        ValueError: unknown kind, or a param value the policy refuses.
+        SpecError: params the policy does not take.
+    """
     if spec is None or isinstance(spec, RotationPolicy):
         return spec
     kind = spec.get("kind") if isinstance(spec, Mapping) else None
@@ -439,4 +415,8 @@ def build_rotation(spec: Mapping[str, Any] | RotationPolicy | None):
         raise ValueError(
             f"unknown rotation kind {kind!r}; available: {', '.join(sorted(ROTATIONS))}"
         )
-    return ROTATIONS[kind](**dict(spec.get("params", {})))
+    params = dict(spec.get("params", {}))
+    try:
+        return ROTATIONS[kind](**params)
+    except TypeError as exc:
+        raise SpecError(f"cannot build {kind!r} rotation from params {params}: {exc}") from exc

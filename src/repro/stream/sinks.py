@@ -337,11 +337,11 @@ class TextSink(Sink):
 class ArchiveSink(Sink):
     """Keep every exported record in memory.
 
-    The streaming counterpart of ``TimeoutHashFlow.exported`` /
-    ``EpochedHashFlow``'s archive: :attr:`exported` preserves each
-    export verbatim, :attr:`by_rotation` groups them per rotation
-    index (supervision tests compare live vs offline runs on the
-    non-degraded rotations), :meth:`merged` sums per flow.
+    :attr:`exported` preserves each export verbatim,
+    :attr:`by_rotation` groups them per rotation index (each epoch's
+    records under count or interval rotation; supervision tests compare
+    live vs offline runs on the non-degraded rotations), and
+    :meth:`merged` sums per flow.
     """
 
     kind = "archive"

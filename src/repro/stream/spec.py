@@ -25,6 +25,7 @@ from typing import Any, Mapping
 from repro.flow.batch import DEFAULT_CHUNK_SIZE
 from repro.flow.packet import DEFAULT_PACKET_BYTES
 from repro.specs import CollectorSpec, SpecError, reseeded
+from repro.stream.rotation import build_rotation, positive_count, positive_finite
 
 #: Synthetic clock rate (packets/second) for untimestamped sources.
 DEFAULT_PACKET_RATE = 10_000.0
@@ -95,15 +96,18 @@ class PipelineSpec:
             "sinks",
             tuple(_canonical_stage(s, "sink") for s in self.sinks),
         )
-        if self.chunk_size <= 0:
-            raise SpecError(f"chunk_size must be positive, got {self.chunk_size}")
-        if self.packet_rate <= 0:
-            raise SpecError(f"packet_rate must be positive, got {self.packet_rate}")
-        if self.packet_bytes <= 0:
-            raise SpecError(f"packet_bytes must be positive, got {self.packet_bytes}")
-        object.__setattr__(self, "chunk_size", int(self.chunk_size))
-        object.__setattr__(self, "packet_rate", float(self.packet_rate))
-        object.__setattr__(self, "packet_bytes", int(self.packet_bytes))
+        # Values that would stall the feed loop or expire nothing are
+        # refused here, at load, before any process starts.
+        try:
+            build_rotation(rotation)
+            chunk_size = positive_count("chunk_size", self.chunk_size)
+            packet_rate = positive_finite("packet_rate", self.packet_rate)
+            packet_bytes = positive_count("packet_bytes", self.packet_bytes)
+        except ValueError as exc:
+            raise SpecError(f"invalid pipeline spec: {exc}") from exc
+        object.__setattr__(self, "chunk_size", chunk_size)
+        object.__setattr__(self, "packet_rate", packet_rate)
+        object.__setattr__(self, "packet_bytes", packet_bytes)
 
     # ------------------------------------------------------------------
     # Identity

@@ -8,12 +8,7 @@ from repro.traces.mixer import (
     syn_flood,
 )
 from repro.traces.pcap import read_pcap, write_pcap
-from repro.traces.replay import (
-    EpochReport,
-    EpochRunner,
-    split_by_packets,
-    split_by_time,
-)
+from repro.traces.replay import split_by_packets, split_by_time
 from repro.traces.profiles import (
     CAIDA,
     CAMPUS,
@@ -42,8 +37,6 @@ from repro.traces.trace import Trace, trace_from_keys
 __all__ = [
     "CAIDA",
     "CAMPUS",
-    "EpochReport",
-    "EpochRunner",
     "ISP1",
     "ISP2",
     "PROFILES",

@@ -1,94 +1,82 @@
-"""Tests for repro.core.adaptive."""
+"""Tests for repro.core.adaptive, and count rotation of HashFlow."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.adaptive import AdaptiveHashFlow, EpochedHashFlow, merge_records
+from repro.core.adaptive import AdaptiveHashFlow
 from repro.core.hashflow import HashFlow
 from repro.flow.batch import KeyBatch
 from repro.flow.packet import Packet
+from repro.stream import Pipeline, StreamFeeder, build_rotation
+from repro.traces.trace import trace_from_keys
+
+_SOURCE = {"kind": "synthetic", "params": {"profile": "caida", "n_flows": 16}}
 
 
-class TestMergeRecords:
-    def test_sums_counts(self):
-        into = {1: 2}
-        merge_records(into, {1: 3, 2: 5})
-        assert into == {1: 5, 2: 5}
+def rotate(keys, epoch_packets, collector=None):
+    """Run ``keys`` through a count-rotation pipeline.
 
-    def test_empty_merge(self):
-        into = {1: 1}
-        merge_records(into, {})
-        assert into == {1: 1}
+    Returns the pipeline (its collector and archive sink) and the result.
+    """
+    pipeline = Pipeline(
+        source=_SOURCE,
+        collector=collector or HashFlow(main_cells=128, seed=1),
+        rotation={"kind": "count", "params": {"epoch_packets": epoch_packets}},
+        sinks=[{"kind": "archive"}],
+    )
+    return pipeline, pipeline.run(trace=trace_from_keys(list(keys)))
 
 
-class TestEpochedHashFlow:
+class TestCountRotation:
     def test_rotation_happens(self):
-        inner = HashFlow(main_cells=128, seed=1)
-        e = EpochedHashFlow(inner, epoch_packets=100)
-        e.process_all([i % 30 for i in range(350)])
-        assert e.epochs_completed == 3
+        _, result = rotate([i % 30 for i in range(350)], epoch_packets=100)
+        assert result.rotations == 3
 
     def test_records_span_epochs(self):
-        inner = HashFlow(main_cells=128, seed=1)
-        e = EpochedHashFlow(inner, epoch_packets=50)
-        stream = [7] * 120  # one flow across multiple epochs
-        e.process_all(stream)
-        assert e.records()[7] == 120
-        assert e.query(7) == 120
+        pipeline, result = rotate([7] * 120, epoch_packets=50)  # one flow
+        assert result.records == {7: 120}
+        per_epoch = {
+            index: [r.packets for r in records]
+            for index, records in pipeline.sinks[0].by_rotation.items()
+        }
+        assert per_epoch == {0: [50], 1: [50], 2: [20]}
 
     def test_rotation_resets_live_tables(self):
-        inner = HashFlow(main_cells=64, seed=1)
-        e = EpochedHashFlow(inner, epoch_packets=10)
-        e.process_all([1] * 10)
-        assert inner.records() == {}  # just rotated
-        assert e.records() == {1: 10}
+        collector = HashFlow(main_cells=64, seed=1)
+        exported = []
+        feeder = StreamFeeder(
+            collector,
+            build_rotation({"kind": "count", "params": {"epoch_packets": 10}}),
+            lambda records, rotation, now: exported.extend(records),
+        )
+        batch = KeyBatch([1] * 10)
+        lo, hi = batch.halves()
+        feeder.feed(batch.keys, lo, hi, None, np.arange(10.0))
+        assert collector.records() == {}  # rotated at the boundary
+        assert [(r.key, r.packets, r.reason) for r in exported] == [(1, 10, "epoch")]
 
     def test_meter_survives_rotation(self):
-        inner = HashFlow(main_cells=64, seed=1)
-        e = EpochedHashFlow(inner, epoch_packets=10)
-        e.process_all([i % 5 for i in range(30)])
-        assert e.meter.packets == 30
+        pipeline, _ = rotate(
+            [i % 5 for i in range(30)], 10, HashFlow(main_cells=64, seed=1)
+        )
+        assert pipeline.collector.meter.packets == 30
 
     def test_epoching_avoids_saturation(self):
         """A long skewed stream overflows plain HashFlow's fixed tables;
         rotation keeps reporting everything (the adaptivity win)."""
         plain = HashFlow(main_cells=64, ancillary_cells=64, seed=2)
-        rotating = EpochedHashFlow(
-            HashFlow(main_cells=64, ancillary_cells=64, seed=2), epoch_packets=200
-        )
         stream = list(range(1000))  # 1000 distinct single-packet flows
         plain.process_all(stream)
-        rotating.process_all(stream)
-        assert len(rotating.records()) > len(plain.records())
-
-    def test_manual_rotate_returns_epoch_records(self):
-        e = EpochedHashFlow(HashFlow(main_cells=64), epoch_packets=10_000)
-        e.process_all([1, 1, 2])
-        exported = e.rotate()
-        assert exported == {1: 2, 2: 1}
-
-    def test_reset(self):
-        e = EpochedHashFlow(HashFlow(main_cells=64), epoch_packets=10)
-        e.process_all([1] * 25)
-        e.reset()
-        assert e.records() == {}
-        assert e.epochs_completed == 0
-
-    def test_memory_is_inner_only(self):
-        inner = HashFlow(main_cells=64)
-        e = EpochedHashFlow(inner, epoch_packets=10)
-        assert e.memory_bits == inner.memory_bits
+        _, rotating = rotate(
+            stream, 200, HashFlow(main_cells=64, ancillary_cells=64, seed=2)
+        )
+        assert len(rotating.records) > len(plain.records())
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EpochedHashFlow(HashFlow(main_cells=8), epoch_packets=0)
-
-    def test_cardinality_single_epoch_passthrough(self):
-        e = EpochedHashFlow(HashFlow(main_cells=256), epoch_packets=10_000)
-        e.process_all(range(50))
-        assert e.estimate_cardinality() == pytest.approx(50, rel=0.3)
+            rotate([1, 2, 3], epoch_packets=0)
 
 
 class TestAdaptiveHashFlow:
@@ -108,6 +96,15 @@ class TestAdaptiveHashFlow:
         )
         a.process_all(range(20_000))  # endless distinct mice
         assert a.margin > 0
+
+    def test_reset_clears_margin_and_window(self):
+        a = AdaptiveHashFlow(
+            main_cells=32, ancillary_cells=32, window=256, seed=2
+        )
+        a.process_all(range(5_000))
+        assert a.margin > 0
+        a.reset()
+        assert (a.margin, a._window_offers, a._window_replacements) == (0, 0, 0)
 
     def test_margin_bounded(self):
         a = AdaptiveHashFlow(

@@ -8,11 +8,12 @@ fails loudly.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.core.adaptive import AdaptiveHashFlow, EpochedHashFlow
+from repro.core.adaptive import AdaptiveHashFlow
 from repro.core.hashflow import HashFlow
-from repro.core.timeout import TimeoutHashFlow
 from repro.netwide.sharding import ShardedCollector
 from repro.sketches.cuckoo import CuckooFlowCache
 from repro.sketches.elastic import ElasticSketch
@@ -33,13 +34,31 @@ COLLECTOR_FACTORIES = {
     "cuckoo": lambda: CuckooFlowCache(n_cells=512, seed=3),
     "sampled": lambda: SampledNetFlow(every_n=2),
     "exact": ExactCollector,
-    "epoched": lambda: EpochedHashFlow(HashFlow(main_cells=256, seed=3), 500),
     "adaptive": lambda: AdaptiveHashFlow(main_cells=256, seed=3),
-    "timeout": lambda: TimeoutHashFlow(HashFlow(main_cells=256, seed=3)),
     "sharded": lambda: ShardedCollector(HashFlow(main_cells=128, seed=10), n_shards=2),
 }
 
 STREAM = [k % 60 + 1 for k in range(600)]
+
+
+def skewed_stream(n_packets: int, n_flows: int, seed: int) -> list[int]:
+    """A skewed 104-bit-key stream (few elephants, many mice)."""
+    rng = random.Random(seed)
+    flows = [rng.getrandbits(104) | 1 for _ in range(n_flows)]
+    return [
+        flows[min(int(rng.expovariate(4.0 / n_flows)), n_flows - 1)]
+        for _ in range(n_packets)
+    ]
+
+
+#: Distinct mice fed before ``reset()``: more flows than any matrix
+#: table holds.  The adaptive entry gets 20,000, since its promotion
+#: margin moves at most once per 4,096-packet window and must have moved
+#: before the reset.
+CHURN_FLOWS = {"adaptive": 20_000}
+#: More flows than most matrix tables have cells, so leftover state
+#: would change which flows win the contended cells.
+CONTENDED = skewed_stream(3_000, 600, seed=5)
 
 
 @pytest.fixture(params=sorted(COLLECTOR_FACTORIES), ids=sorted(COLLECTOR_FACTORIES))
@@ -93,3 +112,28 @@ class TestContractMatrix:
         collector.process_all(STREAM)
         other.process_all(STREAM)
         assert collector.records() == other.records()
+
+
+def meter_tuple(meter) -> tuple[int, int, int, int]:
+    return (meter.packets, meter.hashes, meter.reads, meter.writes)
+
+
+@pytest.mark.parametrize("kind", sorted(COLLECTOR_FACTORIES))
+def test_reset_equals_fresh_build(kind):
+    """``reset()`` clears *all* state: a collector reused after a churn
+    stream answers a contended stream exactly as a fresh build does.
+
+    Rotation relies on this: every epoch resets the standing collector
+    instead of building a new one.
+    """
+    churn = list(range(1, CHURN_FLOWS.get(kind, 1_000) + 1))
+    used = COLLECTOR_FACTORIES[kind]()
+    used.process_all(churn)
+    used.reset()
+    used.process_all(CONTENDED)
+    fresh = COLLECTOR_FACTORIES[kind]()
+    fresh.process_all(CONTENDED)
+    assert used.records() == fresh.records()
+    assert meter_tuple(used.meter) == meter_tuple(fresh.meter)
+    probes = list(dict.fromkeys(CONTENDED)) + churn[:256] + [1 << 100]
+    assert used.query_batch(probes).tolist() == fresh.query_batch(probes).tolist()

@@ -105,9 +105,8 @@ class TestExamplesRun:
         module.EPOCH_PACKETS = 4000
         module.main()
         out = capsys.readouterr().out
-        assert "epoch runner" in out
-        assert "stream pipeline" in out
-        assert "adapter: match" in out
+        assert "count rotation" in out
+        assert "fresh tables per epoch: match" in out
         assert "timeout pipeline" in out
         assert "AdaptiveHashFlow" in out
 

@@ -318,49 +318,45 @@ class TestMeasuredFields:
 
 
 class TestTimeoutExportWiring:
-    """TimeoutHashFlow's first/last seen reach the v5 first/last fields."""
+    """Timeout rotation's first/last seen reach the v5 first/last fields."""
+
+    @staticmethod
+    def run(trace, main_cells, **timeouts):
+        from repro.stream import Pipeline
+
+        pipeline = Pipeline(
+            source={"kind": "synthetic",
+                    "params": {"profile": "caida", "n_flows": 16}},
+            collector={"kind": "hashflow",
+                       "params": {"main_cells": main_cells, "seed": 1}},
+            rotation={"kind": "timeout", "params": timeouts},
+            sinks=[{"kind": "netflow_v5"}],
+            packet_rate=1000.0,
+        )
+        return pipeline.run(trace=trace), pipeline.sinks[0]
 
     def test_exported_records_carry_their_timing(self):
-        from repro.core.hashflow import HashFlow
-        from repro.core.timeout import TimeoutHashFlow
-        from repro.flow.packet import Packet
+        from repro.traces.trace import Trace
 
-        t = TimeoutHashFlow(
-            HashFlow(main_cells=256, seed=1),
-            inactive_timeout=1.0, active_timeout=60.0, expiry_interval=10_000,
-        )
         key = pack_key(10, 20, 30, 40, 6)
-        for ts in (0.25, 0.5, 2.0):
-            t.process_packet(Packet(key=key, timestamp=ts))
-        exported = t.flush()
-        datagrams = NetFlowV5Exporter().export_flows(exported)
-        parsed = {r.key: r for r in parse_datagram(datagrams[0])[1]}
+        trace = Trace([key], np.zeros(3, dtype=np.int64),
+                      timestamps=np.array([0.25, 0.5, 2.0]))
+        _, sink = self.run(trace, 256, inactive_timeout=1.0,
+                           active_timeout=60.0, expiry_interval=10_000)
+        parsed = {r.key: r for r in parse_datagram(sink.datagrams[0])[1]}
         assert parsed[key].first_ms == 250
         assert parsed[key].last_ms == 2000
         assert parsed[key].packets == 3
 
     def test_round_trip_through_full_expiry_run(self, small_trace):
-        from repro.core.hashflow import HashFlow
-        from repro.core.timeout import TimeoutHashFlow
-
-        t = TimeoutHashFlow(
-            HashFlow(main_cells=4096, seed=2),
-            inactive_timeout=0.5, active_timeout=30.0, expiry_interval=256,
-        )
-        # Untimestamped trace: clock it by packet index.
-        for i, key in enumerate(small_trace.keys()):
-            from repro.flow.packet import Packet
-
-            t.process_packet(Packet(key=key, timestamp=i / 1000.0))
-        t.flush()
-        datagrams = NetFlowV5Exporter().export_flows(t.exported)
-        merged = parse_stream(iter(datagrams))
-        expected: dict[int, int] = {}
-        for record in t.exported:
-            expected[record.key] = expected.get(record.key, 0) + record.packets
-        assert merged == expected
+        # Untimestamped trace: the pipeline clocks it by packet index
+        # (packet_rate=1000, so packet i arrives at i/1000 s).
+        result, sink = self.run(small_trace, 4096, inactive_timeout=0.5,
+                                active_timeout=30.0, expiry_interval=256)
+        assert result.rotations > 0
+        assert sink.parse_back() == result.records
         # Timing fields are populated (not the pre-wiring zeros).
-        _, records = parse_datagram(datagrams[0])
+        _, records = parse_datagram(sink.datagrams[0])
         assert any(r.last_ms > 0 for r in records)
 
 

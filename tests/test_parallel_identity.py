@@ -4,8 +4,7 @@ The engine's contract (DESIGN.md §6) is that ``REPRO_JOBS``/``jobs``
 changes wall-clock time and nothing else.  This matrix runs every
 figure that was rewired onto the sweep engine at ``jobs=2`` and
 asserts the resulting ``ExperimentResult`` rows are *exactly* equal to
-the serial rows — float for float, row order included — plus the same
-for epoch replay.
+the serial rows — float for float, row order included.
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import figures
-from repro.specs import CollectorSpec
-from repro.traces.profiles import CAIDA
-from repro.traces.replay import EpochRunner
 
 TINY = 0.01
 
@@ -55,20 +51,3 @@ def test_env_var_drives_figures(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "2")
     parallel = figures.fig4(scale=TINY, seed=0)
     assert parallel.rows == serial.rows
-
-
-class TestEpochRunnerParallel:
-    def test_reports_bit_identical(self):
-        trace = CAIDA.generate(n_flows=3000, seed=11)
-        runner = EpochRunner(CollectorSpec("hashflow", {"main_cells": 256, "seed": 5}))
-        serial = runner.run(trace, epoch_packets=2500)
-        parallel = runner.run(trace, epoch_packets=2500, jobs=2)
-        assert len(serial) > 1
-        assert parallel == serial
-
-    def test_merge_unaffected(self):
-        trace = CAIDA.generate(n_flows=2000, seed=12)
-        runner = EpochRunner(CollectorSpec("hashflow", {"main_cells": 256, "seed": 5}))
-        serial = EpochRunner.merge(runner.run(trace, epoch_packets=1500))
-        parallel = EpochRunner.merge(runner.run(trace, epoch_packets=1500, jobs=2))
-        assert parallel == serial

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traces.replay import EpochRunner, split_by_packets
+from repro.traces.replay import split_by_packets
 from repro.traces.sampling import sample_deterministic
 from repro.traces.trace import trace_from_keys
 
@@ -53,12 +53,16 @@ class TestSplitProperties:
     @settings(max_examples=40, deadline=None)
     @given(key_streams, st.integers(1, 50))
     def test_epoch_merge_equals_truth_for_exact_collector(self, keys, epoch):
-        from repro.sketches.exact import ExactCollector
+        from repro.stream import Pipeline
 
         trace = trace_from_keys(keys)
-        runner = EpochRunner(ExactCollector)
-        merged = EpochRunner.merge(runner.run(trace, epoch))
-        assert merged == trace.true_sizes()
+        pipeline = Pipeline(
+            source={"kind": "synthetic",
+                    "params": {"profile": "caida", "n_flows": 16}},
+            collector={"kind": "exact"},
+            rotation={"kind": "count", "params": {"epoch_packets": epoch}},
+        )
+        assert pipeline.run(trace=trace).records == trace.true_sizes()
 
 
 class TestSamplingProperties:

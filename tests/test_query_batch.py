@@ -17,9 +17,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.adaptive import AdaptiveHashFlow, EpochedHashFlow
+from repro.core.adaptive import AdaptiveHashFlow
 from repro.core.hashflow import HashFlow
-from repro.core.timeout import TimeoutHashFlow
 from repro.flow.batch import KeyBatch
 from repro.hashing.mixers import MASK64
 from repro.netwide.sharding import ShardedCollector
@@ -47,9 +46,7 @@ COLLECTOR_FACTORIES = {
     "cuckoo": lambda: CuckooFlowCache(n_cells=512, seed=3),
     "sampled": lambda: SampledNetFlow(every_n=3),
     "exact": ExactCollector,
-    "epoched": lambda: EpochedHashFlow(HashFlow(main_cells=256, seed=3), 500),
     "adaptive": lambda: AdaptiveHashFlow(main_cells=256, seed=3),
-    "timeout": lambda: TimeoutHashFlow(HashFlow(main_cells=256, seed=3)),
     "sharded": lambda: ShardedCollector(HashFlow(main_cells=128, seed=10), n_shards=3),
 }
 
@@ -185,21 +182,6 @@ class TestStandaloneSketchQueryBatch:
         probes = probe_keys(stream, seed=9)
         batched = cs.query_batch(probes)
         assert batched.tolist() == [cs.query(k) for k in probes]
-
-    def test_timeout_archive_gather(self):
-        """TimeoutHashFlow folds its export archive once per batch."""
-        from repro.flow.packet import Packet
-
-        c = TimeoutHashFlow(
-            HashFlow(main_cells=128, seed=2), inactive_timeout=1.0,
-            expiry_interval=64,
-        )
-        stream = make_stream(3_000, 200, seed=2)
-        for i, key in enumerate(stream):
-            c.process_packet(Packet(key=key, timestamp=i * 0.01, size=100))
-        assert c.exported, "no exports: the archive path is untested"
-        probes = probe_keys(stream, seed=2)
-        assert c.query_batch(probes).tolist() == [c.query(k) for k in probes]
 
 
 class TestGatherEstimates:

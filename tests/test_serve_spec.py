@@ -69,6 +69,12 @@ class TestValidation:
         with pytest.raises(SpecError):
             ServeSpec(pipeline={"source": {"kind": "udp"}})  # no collector
 
+    def test_rotation_that_stalls_the_worker_refused(self):
+        # int(0.5) == 0 would make the worker's feed loop spin forever.
+        stalling = {"kind": "count", "params": {"epoch_packets": 0.5}}
+        with pytest.raises(SpecError, match="epoch_packets"):
+            ServeSpec(pipeline=pipeline_dict(rotation=stalling))
+
 
 class TestSerialization:
     def test_json_round_trip(self):

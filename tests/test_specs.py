@@ -33,9 +33,8 @@ from repro.specs import (
 )
 from repro.specs.sizing import DEFAULT_MEMORY_BYTES, resolve_scale
 from repro.traces.profiles import CAIDA
-from repro.traces.replay import EpochRunner
 
-#: One small configuration per registered kind (wrappers nest specs).
+#: One small configuration per registered kind (sharded nests a spec).
 _HF = {"kind": "hashflow", "params": {"main_cells": 256, "seed": 3}}
 SPEC_MATRIX = {
     "hashflow": {"main_cells": 256, "seed": 3},
@@ -48,8 +47,6 @@ SPEC_MATRIX = {
     "sampled": {"every_n": 3, "seed": 3},
     "spacesaving": {"capacity": 128},
     "cuckoo": {"n_cells": 512, "seed": 3},
-    "epoched": {"inner": _HF, "epoch_packets": 500},
-    "timeout": {"inner": _HF, "inactive_timeout": 30.0},
     "sharded": {"collector": _HF, "n_shards": 3, "seed": 5},
 }
 
@@ -113,7 +110,7 @@ class TestCollectorSpec:
             CollectorSpec.from_json("not json")
 
     def test_file_round_trip(self, tmp_path):
-        spec = matrix_spec("epoched")
+        spec = matrix_spec("sharded")
         path = tmp_path / "collector.json"
         save_spec(spec, path)
         assert load_spec(path) == spec
@@ -289,13 +286,6 @@ class TestReseeding:
         spec = matrix_spec("spacesaving")
         assert spec.reseed(1) == spec
 
-    def test_reseed_recurses_into_wrappers(self):
-        spec = matrix_spec("epoched")
-        inner_before = spec.params["inner"]["params"]["seed"]
-        reseeded_spec = reseeded(spec, 5)
-        assert reseeded_spec.params["inner"]["params"]["seed"] != inner_before
-        assert reseeded_spec.params["epoch_packets"] == 500
-
     def test_reseed_of_seedful_wrapper_also_reseeds_nested(self):
         """A sharded spec deployed per switch must vary both its own
         shard-assignment seed and its shards' collector seeds."""
@@ -307,13 +297,9 @@ class TestReseeding:
             != b.params["collector"]["params"]["seed"]
         )
 
-    def test_build_seed_override_reaches_wrapped_collector(self):
-        collector = build(matrix_spec("epoched"), seed=9)
-        assert collector.inner.spec.params["seed"] == 9
-
 
 class TestOrchestrationWithoutLambdas:
-    """Deployment / sharding / epoch layers run from one prototype spec."""
+    """Deployment and sharding layers run from one prototype spec."""
 
     def test_network_deployment_from_spec_is_deterministic(self):
         trace = CAIDA.generate(n_flows=400, seed=11)
@@ -338,12 +324,6 @@ class TestOrchestrationWithoutLambdas:
         prototype = HashFlow(main_cells=64, seed=4)
         deployment = NetworkDeployment(router, prototype)
         assert deployment.spec == prototype.spec
-
-    def test_epoch_runner_accepts_spec_and_class(self):
-        trace = CAIDA.generate(n_flows=100, seed=13)
-        by_spec = EpochRunner(CollectorSpec("exact")).run(trace, 200)
-        by_class = EpochRunner(ExactCollector).run(trace, 200)
-        assert EpochRunner.merge(by_spec) == EpochRunner.merge(by_class)
 
     def test_registered_class_is_its_kind(self):
         assert as_spec(ExactCollector) == CollectorSpec("exact")

@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptive import EpochedHashFlow
 from repro.core.hashflow import HashFlow
-from repro.core.timeout import TimeoutHashFlow
 from repro.stream import (
     ArchiveSink,
     CardinalityTap,
@@ -22,8 +20,9 @@ from repro.stream import (
     build_source,
     merge_flow_records,
 )
-from repro.traces.profiles import CAIDA, CAMPUS
-from repro.traces.replay import split_by_time
+from repro.traces.profiles import CAIDA
+from repro.traces.replay import split_by_packets, split_by_time
+from test_collector_matrix import COLLECTOR_FACTORIES
 
 CAIDA_SOURCE = {
     "kind": "synthetic",
@@ -69,36 +68,71 @@ class TestAcceptance:
         assert result.packets > 0
 
 
+def archive_per_rotation(kind, rotation, trace):
+    """Run ``trace`` through a ``kind`` pipeline; ``{rotation: records}``."""
+    pipeline = Pipeline(
+        source=CAIDA_SOURCE,
+        collector=COLLECTOR_FACTORIES[kind](),
+        rotation=rotation,
+        sinks=[{"kind": "archive"}],
+    )
+    result = pipeline.run(trace=trace)
+    archived = {
+        index: merge_flow_records(records)
+        for index, records in pipeline.sinks[0].by_rotation.items()
+    }
+    return result, archived
+
+
+def fresh_per_epoch(kind, epochs):
+    """A fresh ``kind`` build per offline epoch; ``{epoch: records}``."""
+    fresh = {}
+    for index, epoch in enumerate(epochs):
+        collector = COLLECTOR_FACTORIES[kind]()
+        collector.process_all(epoch.key_batch())
+        if collector.records():
+            fresh[index] = collector.records()
+    return fresh
+
+
 class TestRotationParity:
-    """The legacy wrappers are thin adapters over the same policies."""
+    """Rotation policies against their offline references."""
 
-    def test_count_rotation_matches_epoched_hashflow(self):
-        trace = CAMPUS.generate(n_flows=1200, seed=3)
-        legacy = EpochedHashFlow(HashFlow(main_cells=1024, seed=4), 5000)
-        legacy.process_all(trace.key_batch())
-        pipeline = Pipeline(
-            source=CAIDA_SOURCE,
-            collector={"kind": "hashflow", "params": {"main_cells": 1024, "seed": 4}},
-            rotation={"kind": "count", "params": {"epoch_packets": 5000}},
-            sinks=[{"kind": "archive"}],
+    @pytest.mark.parametrize("kind", sorted(COLLECTOR_FACTORIES))
+    def test_count_rotation_matches_fresh_tables_per_epoch(self, kind):
+        # Each rotation's archive equals a fresh build fed only that
+        # split_by_packets epoch: reset() between epochs leaves nothing.
+        trace = CAIDA.generate(n_flows=1000, seed=3)
+        result, archived = archive_per_rotation(
+            kind, {"kind": "count", "params": {"epoch_packets": 700}}, trace
         )
-        result = pipeline.run(trace=trace)
-        assert result.records == legacy.records()
-        assert result.rotations == legacy.epochs_completed
+        fresh = fresh_per_epoch(kind, split_by_packets(trace, 700))
+        assert len(trace) % 700 and result.rotations == len(trace) // 700
+        assert archived == fresh
 
-    def test_timeout_rotation_matches_timeout_hashflow_exports(self):
+    @pytest.mark.parametrize("kind", sorted(COLLECTOR_FACTORIES))
+    def test_interval_rotation_matches_fresh_tables_per_window(self, kind):
+        # The interval twin: each window's archive equals a fresh build
+        # fed only that split_by_time window.  Windows of 200-290 flows
+        # contend for every matrix table, so leftover state would show.
+        trace = CAIDA.generate(n_flows=1000, seed=3, interleave="temporal")
+        windows = list(split_by_time(trace, 15.0))
+        result, archived = archive_per_rotation(
+            kind, {"kind": "interval", "params": {"window": 15.0}}, trace
+        )
+        assert result.rotations == len(windows) - 1 > 0
+        assert archived == fresh_per_epoch(kind, windows)
+
+    def test_per_packet_admission_matches_chunked_exports(self):
+        # chunk_size=1 admits and notes one packet at a time; batched
+        # chunks must reproduce its export stream record for record.
         trace = CAIDA.generate(n_flows=800, seed=9, interleave="temporal")
-        legacy = TimeoutHashFlow(
-            HashFlow(main_cells=1024, seed=7),
-            inactive_timeout=1.0, active_timeout=30.0, expiry_interval=256,
-        )
-        legacy.process_trace(trace)
-        legacy.flush()
-        pipeline = make_pipeline()
-        result = pipeline.run(trace=trace)
-        # The export streams are bit-identical, record for record.
-        assert pipeline.sinks[0].exported == legacy.exported
-        assert result.records == merge_flow_records(legacy.exported)
+        per_packet = make_pipeline(chunk_size=1)
+        chunked = make_pipeline()
+        per_packet.run(trace=trace)
+        result = chunked.run(trace=trace)
+        assert result.rotations > 0
+        assert chunked.sinks[0].exported == per_packet.sinks[0].exported
 
     def test_interval_rotation_matches_time_splitter(self):
         trace = CAIDA.generate(n_flows=600, seed=5, interleave="temporal")

@@ -16,6 +16,7 @@ from repro.specs import SpecError
 from repro.stream import (
     Pipeline,
     PipelineSpec,
+    build_rotation,
     load_pipeline_spec,
     run_pipelines,
     save_pipeline_spec,
@@ -51,8 +52,8 @@ SPEC_MATRIX = {
     ),
     "wrapped_collector": dict(
         source=_SOURCE,
-        collector={"kind": "epoched",
-                   "params": {"inner": _HF, "epoch_packets": 500}},
+        collector={"kind": "sharded",
+                   "params": {"collector": _HF, "n_shards": 2, "seed": 4}},
         sinks=({"kind": "cardinality"}, {"kind": "anomaly"}),
     ),
     "trace_arrays": dict(
@@ -61,6 +62,25 @@ SPEC_MATRIX = {
         collector=_HF,
         rotation={"kind": "count", "params": {"epoch_packets": 5}},
     ),
+}
+
+_NAN = float("nan")
+
+#: Rotation stages a spec must refuse at load.  Fractional counts
+#: truncate to 0 and stall the feed loop (``admit`` 0 while ``due``);
+#: NaN timeouts compare false everywhere and expire nothing; 2.5 and
+#: ``true`` were silently read as 2 and 1.
+BAD_ROTATIONS = {
+    "epoch_packets_0.5": ("count", {"epoch_packets": 0.5}),
+    "expiry_interval_0.5": ("timeout", {"expiry_interval": 0.5}),
+    "inactive_timeout_nan": ("timeout", {"inactive_timeout": _NAN}),
+    "active_timeout_nan": ("timeout", {"active_timeout": _NAN}),
+    "epoch_packets_2.5": ("count", {"epoch_packets": 2.5}),
+    "epoch_packets_true": ("count", {"epoch_packets": True}),
+    "window_nan": ("interval", {"window": _NAN}),
+    "window_inf": ("interval", {"window": float("inf")}),
+    "unknown_param": ("count", {"epoch_packets": 5, "epoch_secs": 1}),
+    "string_value": ("count", {"epoch_packets": "5"}),
 }
 
 
@@ -126,6 +146,34 @@ class TestValidation:
         with pytest.raises(SpecError, match="packet_rate"):
             PipelineSpec(source=_SOURCE, collector=_HF, packet_rate=0)
 
+    @pytest.mark.parametrize("case", sorted(BAD_ROTATIONS))
+    def test_rejects_bad_rotation_at_load(self, case):
+        kind, params = BAD_ROTATIONS[case]
+        with pytest.raises(SpecError, match="rotation|must be"):
+            PipelineSpec(
+                source=_SOURCE, collector=_HF,
+                rotation={"kind": kind, "params": params},
+            )
+
+    def test_build_rotation_rejects_unknown_param_as_spec_error(self):
+        with pytest.raises(SpecError, match="epoch_secs"):
+            build_rotation({"kind": "count", "params": {"epoch_secs": 1}})
+
+    def test_build_rotation_rejects_string_value(self):
+        with pytest.raises(ValueError, match="epoch_packets"):
+            build_rotation({"kind": "count", "params": {"epoch_packets": "5"}})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("packet_rate", _NAN), ("packet_rate", float("inf")),
+         ("chunk_size", 0.5), ("packet_bytes", 0.5)],
+    )
+    def test_rejects_scalars_that_stall_or_zero_the_feed(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            PipelineSpec(source=_SOURCE, collector=_HF, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            Pipeline(source=_SOURCE, collector=_HF, **{field: value})
+
     def test_unknown_kinds_fail_at_build(self):
         spec = PipelineSpec(
             source={"kind": "martian", "params": {}}, collector=_HF
@@ -153,8 +201,8 @@ class TestReseeding:
         spec = PipelineSpec(**SPEC_MATRIX["wrapped_collector"])
         reseeded = spec.reseed(7)
         assert (
-            reseeded.collector["params"]["inner"]["params"]["seed"]
-            != spec.collector["params"]["inner"]["params"]["seed"]
+            reseeded.collector["params"]["collector"]["params"]["seed"]
+            != spec.collector["params"]["collector"]["params"]["seed"]
         )
 
     def test_reseeded_clones_are_deterministic(self):

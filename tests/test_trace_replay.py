@@ -1,4 +1,4 @@
-"""Tests for repro.traces.replay."""
+"""Tests for repro.traces.replay, and count rotation over its epochs."""
 
 from __future__ import annotations
 
@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.hashflow import HashFlow
-from repro.specs import CollectorSpec
-from repro.traces.replay import (
-    EpochRunner,
-    split_by_packets,
-    split_by_time,
-)
+from repro.stream import Pipeline, merge_flow_records
+from repro.traces.replay import split_by_packets, split_by_time
 from repro.traces.trace import Trace, trace_from_keys
 
 
@@ -37,16 +33,18 @@ class TestSplitByPackets:
             list(split_by_packets(tiny_trace, 0))
 
 
-class TestSplitByTime:
-    def make_timed(self) -> Trace:
-        return Trace(
-            [1, 2],
-            np.array([0, 1, 0, 1, 0]),
-            timestamps=np.array([0.1, 0.5, 1.2, 1.9, 3.5]),
-        )
+def timed_trace() -> Trace:
+    """Five packets over 1 s windows [0, 1), [1, 2) and [3, 4)."""
+    return Trace(
+        [1, 2],
+        np.array([0, 1, 0, 1, 0]),
+        timestamps=np.array([0.1, 0.5, 1.2, 1.9, 3.5]),
+    )
 
+
+class TestSplitByTime:
     def test_windows(self):
-        epochs = list(split_by_time(self.make_timed(), 1.0))
+        epochs = list(split_by_time(timed_trace(), 1.0))
         assert [len(e) for e in epochs] == [2, 2, 1]
 
     def test_requires_timestamps(self, tiny_trace):
@@ -55,39 +53,45 @@ class TestSplitByTime:
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            list(split_by_time(self.make_timed(), 0.0))
+            list(split_by_time(timed_trace(), 0.0))
 
 
-class TestEpochRunner:
-    def test_per_epoch_reports(self, small_trace):
-        runner = EpochRunner(HashFlow(main_cells=4096, seed=1))
-        reports = runner.run(small_trace, epoch_packets=2000)
-        assert sum(r.packets for r in reports) == len(small_trace)
-        assert [r.index for r in reports] == list(range(len(reports)))
+def run_epochs(trace, epoch_packets, main_cells, seed):
+    """Count-rotate ``trace`` through a HashFlow pipeline."""
+    pipeline = Pipeline(
+        source={"kind": "synthetic", "params": {"profile": "caida", "n_flows": 16}},
+        collector={"kind": "hashflow",
+                   "params": {"main_cells": main_cells, "seed": seed}},
+        rotation={"kind": "count", "params": {"epoch_packets": epoch_packets}},
+        sinks=[{"kind": "archive"}],
+    )
+    return pipeline, pipeline.run(trace=trace)
 
-    def test_fresh_collector_per_epoch(self, small_trace, monkeypatch):
-        built = []
-        build = CollectorSpec.build
 
-        def recording_build(spec, *args, **kwargs):
-            collector = build(spec, *args, **kwargs)
-            built.append(collector)
-            return collector
+class TestCountRotationEpochs:
+    def test_one_rotation_per_epoch(self, small_trace):
+        pipeline, result = run_epochs(small_trace, 2000, 4096, seed=1)
+        epochs = -(-len(small_trace) // 2000)
+        assert result.packets == len(small_trace)
+        assert sorted(pipeline.sinks[0].by_rotation) == list(range(epochs))
 
-        monkeypatch.setattr(CollectorSpec, "build", recording_build)
-        runner = EpochRunner(HashFlow(main_cells=4096, seed=1))
-        reports = runner.run(small_trace, epoch_packets=2000)
-        assert len(built) == len(reports)
-        # Each epoch's collector saw only that epoch's packets.
-        assert [c.meter.packets for c in built] == [r.packets for r in reports]
+    def test_fresh_tables_per_epoch(self, small_trace):
+        # Each epoch's export equals a fresh collector fed only that
+        # epoch's packets: no state leaks across the reset.
+        pipeline, _ = run_epochs(small_trace, 2000, 4096, seed=1)
+        archived = pipeline.sinks[0].by_rotation
+        epochs = list(split_by_packets(small_trace, 2000))
+        assert len(archived) == len(epochs)
+        for index, epoch in enumerate(epochs):
+            fresh = HashFlow(main_cells=4096, seed=1)
+            fresh.process_all(epoch.key_batch())
+            assert merge_flow_records(archived[index]) == fresh.records()
 
     def test_merge_approximates_truth_when_roomy(self, small_trace):
-        runner = EpochRunner(HashFlow(main_cells=8192, seed=1))
-        reports = runner.run(small_trace, epoch_packets=1500)
-        merged = EpochRunner.merge(reports)
+        _, result = run_epochs(small_trace, 1500, 8192, seed=1)
         truth = small_trace.true_sizes()
         # With ample room every epoch records exactly, so sums match.
-        exact = sum(1 for k, v in merged.items() if truth.get(k) == v)
+        exact = sum(1 for k, v in result.records.items() if truth.get(k) == v)
         assert exact / len(truth) > 0.95
 
     def test_epoching_beats_single_table_under_pressure(self, small_trace):
@@ -97,8 +101,26 @@ class TestEpochRunner:
         single.process_all(small_trace.keys())
         single_coverage = len(single.records()) / small_trace.num_flows
 
-        runner = EpochRunner(HashFlow(main_cells=256, seed=2))
-        reports = runner.run(small_trace, epoch_packets=700)
-        merged = EpochRunner.merge(reports)
-        epoch_coverage = len(merged) / small_trace.num_flows
+        _, result = run_epochs(small_trace, 700, 256, seed=2)
+        epoch_coverage = len(result.records) / small_trace.num_flows
         assert epoch_coverage > single_coverage
+
+
+class TestIntervalRotationWindows:
+    def test_empty_windows_skipped_like_splitter(self):
+        # Window [2, 3) holds no packet: neither the splitter nor the
+        # interval rotation yields an empty epoch for it.
+        trace = timed_trace()
+        pipeline = Pipeline(
+            source={"kind": "synthetic", "params": {"profile": "caida", "n_flows": 16}},
+            collector={"kind": "exact", "params": {}},
+            rotation={"kind": "interval", "params": {"window": 1.0}},
+            sinks=[{"kind": "archive"}],
+        )
+        result = pipeline.run(trace=trace)
+        windows = list(split_by_time(trace, 1.0))
+        archived = pipeline.sinks[0].by_rotation
+        assert result.rotations == len(windows) - 1 == 2
+        assert [merge_flow_records(archived[i]) for i in sorted(archived)] == [
+            w.true_sizes() for w in windows
+        ]
