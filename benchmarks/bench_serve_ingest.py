@@ -17,7 +17,7 @@ meaningful rate needs at least 2 CPUs: on a single-core container the
 listener and worker time-slice, measuring the scheduler rather than
 the pipeline.  With fewer than 2 CPUs the timed run is *skipped with
 an explicit reason* and the headline records ``serve_pps = null`` plus
-that reason (the ``shard_skip_reason`` convention), instead of a
+that reason (the ``parallel_skip_reason`` convention), instead of a
 number a future PR might mistake for a regression.  Stream size
 follows ``REPRO_SCALE``.
 """

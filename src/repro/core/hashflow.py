@@ -190,42 +190,20 @@ class HashFlow(FlowCollector):
         """Run Algorithm 1 over a whole batch with precomputed hashes.
 
         Consumes the batch's 64-bit halves only (Python-int keys are
-        never rebuilt) through :meth:`ingest_planes`.  Packets are
-        applied strictly in arrival order and the cost meter is
-        settled once per batch, so records, query answers, promotions
-        and meter totals are bit-identical to the scalar path.  With
-        ``track_bytes=True`` the per-packet sizes come from
-        ``KeyBatch.sizes``; a size-less batch counts every packet at 0
-        bytes, exactly as ``process(key)`` would.
+        never rebuilt): the C kernel on the native tier, the Python
+        walk otherwise.  Packets are applied strictly in arrival order
+        and the cost meter is settled once per batch, so records, query
+        answers, promotions and meter totals are bit-identical to the
+        scalar path.  With ``track_bytes=True`` the per-packet sizes
+        come from ``KeyBatch.sizes``; a size-less batch counts every
+        packet at 0 bytes, exactly as ``process(key)`` would.
         """
         batch = KeyBatch.coerce(keys)
-        if len(batch):
-            self.ingest_planes(*batch.halves(), batch.sizes)
-
-    def ingest_planes(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        sizes: np.ndarray | None = None,
-    ) -> None:
-        """Ingest a batch given only its key halves.
-
-        The batched entry point of every tier: the C kernel on the
-        native tier, the Python walk otherwise — both bit-identical to
-        the scalar path (records, promotions, meters).  Shared-memory
-        shard-parallel workers (:mod:`repro.shm.ingest`) call it on
-        slices of a shared input segment.
-
-        Args:
-            lo: low 64 bits of every key (``np.uint64``).
-            hi: high bits of every key (``np.uint64``).
-            sizes: optional per-packet byte sizes; with
-                ``track_bytes=True`` a missing array counts every
-                packet at 0 bytes.
-        """
-        n = len(lo)
+        n = len(batch)
         if not n:
             return
+        lo, hi = batch.halves()
+        sizes = batch.sizes
         if not self.track_bytes:
             sizes = None
         elif sizes is None:
@@ -280,8 +258,8 @@ class HashFlow(FlowCollector):
         passes; the per-packet loop is then plain indexing, with the
         scalar probe/offer/promote control flow inlined.  Keys are
         compared as 64-bit halves: a stored key equals the packet's
-        iff both halves match.  The loop runs over Python-list planes
-        on the numpy tier and over numpy planes once they are shared.
+        iff both halves match.  The loop runs over the numpy tier's
+        Python-list planes.
 
         The meter is settled once: each main-stage probe costs one
         hash and one read; each ancillary offer two hashes and one

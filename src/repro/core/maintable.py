@@ -22,9 +22,8 @@ State is four flat *planes* (:mod:`repro.sketches.planes`): the
 and optional ``bytes``.  Planes are Python lists on the numpy tier —
 the batched walk in :class:`~repro.core.hashflow.HashFlow` indexes
 lists faster than numpy arrays (DESIGN §2) — and
-``np.uint64``/``np.int64`` arrays on the native tier or once
-:func:`repro.shm.planes.adopt_planes` maps them into shared memory.
-Every method here works on either.
+``np.uint64``/``np.int64`` arrays on the native tier.  Every method
+here works on either.
 
 Probe contract (Algorithm 1): a probe either increments an existing
 record, fills an empty bucket, or fails — reporting the *sentinel* (the

@@ -134,14 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to numpy; default: REPRO_KERNEL env or numpy)",
     )
     collect.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="shard-parallel ingest workers for sharded collectors "
-        "(default: REPRO_SHARD_JOBS env or serial; 0 = one per CPU); "
-        "results are bit-identical at any job count",
-    )
-    collect.add_argument(
         "--save-spec",
         metavar="FILE.json",
         default=None,
@@ -211,14 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="collector execution tier (native = compiled C kernels, "
         "bit-identical to numpy; default: REPRO_KERNEL env or numpy)",
-    )
-    stream.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="shard-parallel ingest workers for sharded collectors "
-        "(default: REPRO_SHARD_JOBS env or serial; 0 = one per CPU); "
-        "results are bit-identical at any job count",
     )
     stream.add_argument(
         "--save-spec",
@@ -691,7 +675,6 @@ def run_stream(args) -> int:
     from repro.stream import NetFlowV5Sink, Pipeline, load_pipeline_spec, save_pipeline_spec
 
     try:
-        _apply_shard_jobs(args.jobs)
         if args.spec:
             pipeline_spec = load_pipeline_spec(args.spec)
         else:
@@ -762,7 +745,6 @@ def run_stream(args) -> int:
             print(f"# netflow parse-back: {'OK' if ok else 'MISMATCH'}")
             if not ok:
                 return 1
-    getattr(pipeline.collector, "close", lambda: None)()
     return 0
 
 
@@ -967,26 +949,9 @@ def run_sweep(
         print(" | ".join(cells))
 
 
-def _apply_shard_jobs(jobs: int | None) -> None:
-    """Point ``REPRO_SHARD_JOBS`` at the CLI's ``--jobs`` value.
-
-    The env route (rather than a constructor override) reaches sharded
-    collectors nested anywhere in a spec file, and leaves the spec
-    itself portable — an env-resolved job count is deliberately not
-    recorded (the serial and parallel modes are bit-identical).
-    """
-    if jobs is not None:
-        import os
-
-        from repro.shm import SHARD_JOBS_ENV
-
-        os.environ[SHARD_JOBS_ENV] = str(jobs)
-
-
 def run_collect(args) -> int:
     """Build a collector (kind or spec file), replay a trace, report."""
     try:
-        _apply_shard_jobs(args.jobs)
         source = load_spec(args.spec) if args.spec else args.collector
         overrides = {"kernel": args.kernel} if args.kernel else {}
         collector = build(
@@ -1025,9 +990,6 @@ def run_collect(args) -> int:
     if args.save_spec:
         save_spec(collector.spec, args.save_spec)
         print(f"# spec saved to {args.save_spec}")
-    # Release any shard-parallel ingest pool/segments promptly (a
-    # no-op for ordinary collectors).
-    getattr(collector, "close", lambda: None)()
     return 0
 
 

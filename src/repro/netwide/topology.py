@@ -9,10 +9,19 @@ substrate for it.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.traces.trace import Trace
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+# networkx is imported only where a graph is built or routed: every
+# collector build imports this package through the ``sharded``
+# registration, and loading networkx there would slow every serve
+# worker's start.
 
 
 def fat_tree_core(k_edge: int = 4, k_core: int = 2) -> nx.Graph:
@@ -26,6 +35,8 @@ def fat_tree_core(k_edge: int = 4, k_core: int = 2) -> nx.Graph:
         A networkx graph whose nodes are switch names (``edge0``,
         ``core1``, ...).
     """
+    import networkx as nx
+
     if k_edge < 1 or k_core < 1:
         raise ValueError("k_edge and k_core must be >= 1")
     graph = nx.Graph()
@@ -41,6 +52,8 @@ def fat_tree_core(k_edge: int = 4, k_core: int = 2) -> nx.Graph:
 
 def linear_chain(length: int = 3) -> nx.Graph:
     """A chain of switches (``sw0 - sw1 - ... - sw{length-1}``)."""
+    import networkx as nx
+
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     graph = nx.path_graph(length)
@@ -83,6 +96,8 @@ class FlowRouter:
             return [src]
         cached = self._path_cache.get((src, dst))
         if cached is None:
+            import networkx as nx
+
             cached = nx.shortest_path(self.graph, src, dst)
             self._path_cache[(src, dst)] = cached
         return cached

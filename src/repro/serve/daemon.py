@@ -19,8 +19,12 @@ long-lived multi-process service:
 Determinism contract (tested): a daemon fed a finite trace as v5
 datagrams exports *bit-identical* records to the offline
 ``Pipeline.run`` over the same spec — exactly, in order, for one
-worker; as the same merged record set for several workers under
-interval rotation (whose absolute window grid is worker-independent).
+worker, whatever the collector and rotation; as the same merged record
+set for several workers under interval rotation (whose absolute window
+grid is worker-independent).  Several workers under timeout rotation
+sweep on different packets than offline (``expiry_interval`` counts
+each worker's own packets), so their export streams differ and only
+the merged records can match.
 
 Lifecycle: ``run`` returns after ``duration`` seconds, or after
 :meth:`ServeDaemon.request_stop` (the CLI wires SIGTERM/SIGINT to it).
@@ -50,12 +54,11 @@ from repro import faults as _faults
 from repro.export.netflow_v5 import decode_datagram
 from repro.faults import FaultPlan
 from repro.flow.batch import KeyBatch
-from repro.hashing.families import HashFunction
+from repro.netwide.sharding import ShardedCollector, owner_hash
 from repro.serve.ring import PacketRing
 from repro.serve.spec import ServeSpec
 from repro.serve.supervisor import Supervisor
-from repro.sketches.base import FlowCollector
-from repro.specs import CollectorSpec, build as build_collector
+from repro.specs import build as build_collector
 from repro.stream.pipeline import StreamFeeder
 from repro.stream.records import FlowRecord, merge_flow_records
 from repro.stream.rotation import build_rotation
@@ -85,87 +88,23 @@ def _mp_context():
         return mp.get_context("spawn")
 
 
-class _ShardSubset(FlowCollector):
-    """A worker's slice of a sharded collector: only its owned shards.
+class _WorkerShards(ShardedCollector):
+    """Worker ``w`` of ``W``'s slice of a sharded collector.
 
-    Worker ``w`` of ``W`` builds shard ``s`` iff ``s % W == w``, with
-    the same derived seed the full :class:`~repro.netwide.sharding.
-    ShardedCollector` would use (``spec.reseed(s)``) — so the union of
-    every worker's records is bit-identical to one process running the
-    full collector, at ``1/W`` of the table memory per process.  The
-    parent only routes a worker packets whose owner shard it holds.
+    It builds shard ``s`` iff ``s % W == w``, with the derived seed the
+    full collector would use, so the union of every worker's records is
+    bit-identical to one process running the full collector, at ``1/W``
+    of the table memory per process.  The parent only routes a worker
+    packets whose owner shard it holds.
     """
 
-    name = "ShardSubset"
-
     def __init__(self, params: Mapping[str, Any], worker: int, workers: int):
-        super().__init__()
-        shard_spec = CollectorSpec.from_dict(params["collector"])
-        self.n_shards = int(params["n_shards"])
-        self.seed = int(params.get("seed", 0))
-        self._shard_hash = HashFunction(self.seed ^ 0x5AAD)
-        self.shards = {
-            s: build_collector(shard_spec.reseed(s))
-            for s in range(self.n_shards)
-            if s % workers == worker
-        }
+        self.worker = worker
+        self.workers = workers
+        super().__init__(**params)
 
-    def shard_of(self, key: int) -> int:
-        return self._shard_hash.bucket(key, self.n_shards)
-
-    def process(self, key: int) -> None:
-        self.meter.packets += 1
-        self.meter.hashes += 1
-        self.shards[self.shard_of(key)].process(key)
-
-    def process_batch(self, keys) -> None:
-        batch = KeyBatch.coerce(keys)
-        n = len(batch)
-        if not n:
-            return
-        owners = self._shard_hash.buckets_batch(batch, self.n_shards)
-        self.meter.add(packets=n, hashes=n)
-        lo, hi = batch.halves()
-        sizes = batch.sizes
-        for s, shard in self.shards.items():
-            members = np.nonzero(owners == np.uint64(s))[0]
-            if not len(members):
-                continue
-            sub = KeyBatch(
-                None,
-                lo[members],
-                hi[members],
-                None if sizes is None else sizes[members],
-            )
-            shard.process_batch(sub)
-
-    def records(self) -> dict[int, int]:
-        merged: dict[int, int] = {}
-        for shard in self.shards.values():
-            merged.update(shard.records())
-        return merged
-
-    def query(self, key: int) -> int:
-        shard = self.shards.get(self.shard_of(key))
-        return 0 if shard is None else shard.query(key)
-
-    def evict(self, key: int) -> None:
-        shard = self.shards.get(self.shard_of(key))
-        if shard is not None:
-            shard.evict(key)
-
-    def shard_loads(self) -> dict[int, int]:
-        """Packets processed per owned shard (stats-line currency)."""
-        return {s: shard.meter.packets for s, shard in self.shards.items()}
-
-    def reset(self) -> None:
-        for shard in self.shards.values():
-            shard.reset()
-        self.meter.reset()
-
-    @property
-    def memory_bits(self) -> int:
-        return sum(shard.memory_bits for shard in self.shards.values())
+    def owned_shards(self) -> range:
+        return range(self.worker, self.n_shards, self.workers)
 
 
 def _worker_meters(feeder: StreamFeeder, collector) -> dict[str, Any]:
@@ -177,13 +116,8 @@ def _worker_meters(feeder: StreamFeeder, collector) -> dict[str, Any]:
         "hashes": collector.meter.hashes,
         "accesses": collector.meter.memory_accesses,
     }
-    shard_loads = getattr(collector, "shard_loads", None)
-    if shard_loads is not None:
-        loads = shard_loads()
-        if isinstance(loads, dict):
-            meters["shards"] = {str(s): n for s, n in loads.items()}
-        else:
-            meters["shards"] = {str(s): n for s, n in enumerate(loads)}
+    if isinstance(collector, ShardedCollector):
+        meters["shards"] = {str(s): n for s, n in collector.shard_loads().items()}
     return meters
 
 
@@ -213,7 +147,7 @@ def _worker_main(
     ring = PacketRing.attach(ring_name)
     spec = PipelineSpec.from_dict(pipeline)
     if workers > 1:
-        collector = _ShardSubset(spec.collector["params"], worker_index, workers)
+        collector = _WorkerShards(spec.collector["params"], worker_index, workers)
     else:
         collector = build_collector(spec.collector)
     rotation = build_rotation(spec.rotation)
@@ -430,7 +364,7 @@ class ServeDaemon:
         if workers > 1:
             params = pipeline.collector["params"]
             n_shards = int(params["n_shards"])
-            route_hash = HashFunction(int(params.get("seed", 0)) ^ 0x5AAD)
+            route_hash = owner_hash(int(params.get("seed", 0)))
 
         sinks = tuple(build_sink(s) for s in pipeline.sinks)
 
@@ -528,9 +462,9 @@ class ServeDaemon:
                     if workers == 1:
                         push(rings[0], lo, hi, sizes, timestamps)
                     else:
-                        owners = route_hash.values_batch(
-                            KeyBatch(None, lo, hi)
-                        ) % np.uint64(n_shards)
+                        owners = route_hash.buckets_batch(
+                            KeyBatch(None, lo, hi), n_shards
+                        )
                         homes = owners % np.uint64(workers)
                         for w in range(workers):
                             members = np.nonzero(homes == np.uint64(w))[0]

@@ -21,10 +21,9 @@ reads the head, copies the payload **out**, then stores the new tail.
 Each 8-byte counter is written by exactly one side and aligned, so
 loads/stores are single machine words; the publish ordering relies on
 total-store-order (x86) or the interpreter's sequencing of the
-separate buffer writes — the same assumption the shard-ingest planes
-make.  Neither side ever takes a lock in the data path; the only
-blocking is the *caller's* back-pressure policy looping on
-:meth:`try_push`.
+separate buffer writes.  Neither side ever takes a lock in the data
+path; the only blocking is the *caller's* back-pressure policy looping
+on :meth:`try_push`.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ process.  This module pins down one contract for the whole package:
   race a missing entry.)
 * **Unlink keeps mappings alive.**  ``unlink()`` removes the name (the
   ``/dev/shm`` entry — the thing that can leak) but deliberately does
-  not unmap: numpy views carved from the segment stay valid until the
-  process exits, which is what lets a collector stay queryable after
-  its parallel engine shuts down.  The mapping itself is freed by the
-  OS when the last process unmaps (at exit).
+  not unmap: numpy views carved from the segment (a ring's planes, a
+  shared trace's arrays) stay valid until the process exits.  The
+  mapping itself is freed by the OS when the last process unmaps (at
+  exit).
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ stages and count-min's rows all keep their state this way.  Planes are
 Python lists on the numpy tier, because the per-packet Python walks
 index lists faster than numpy arrays (DESIGN §2), and ``np.uint64`` /
 ``np.int64`` arrays on the native tier, where the C kernels mutate them
-in place, or once :func:`repro.shm.planes.adopt_planes` maps them into
-shared memory.  The helpers here work on either.
+in place.  The helpers here work on either.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ def new_plane(n: int, dtype, arrays: bool):
 
 
 def cleared(plane):
-    """``plane`` zeroed: an array in place (its memory may be shared
-    with other processes), a list by a fresh one (faster than a copy)."""
+    """``plane`` zeroed: an array in place, a list by a fresh one
+    (faster than a copy)."""
     if isinstance(plane, np.ndarray):
         plane.fill(0)
         return plane

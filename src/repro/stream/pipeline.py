@@ -95,6 +95,18 @@ class _MeasuredBytes:
         return default if value is None else value
 
 
+def _evicts(collector) -> bool:
+    """Whether timeout rotation can evict single flows from
+    ``collector``; a sharded collector evicts through its shards."""
+    # Imported here: processes that only read stores import this
+    # module but never build a collector or the netwide package.
+    from repro.netwide.sharding import ShardedCollector
+
+    if isinstance(collector, ShardedCollector):
+        return all(_evicts(shard) for shard in collector.shards.values())
+    return hasattr(collector, "evict")
+
+
 class StreamFeeder:
     """The admit → feed → note → rotate loop over a standing collector.
 
@@ -260,12 +272,12 @@ class Pipeline:
         else:
             self.collector = build_collector(collector)
         self.rotation = build_rotation(rotation)
-        if isinstance(self.rotation, TimeoutRotation) and not hasattr(
-            self.collector, "evict"
+        if isinstance(self.rotation, TimeoutRotation) and not _evicts(
+            self.collector
         ):
             raise ValueError(
                 f"timeout rotation needs per-flow eviction, but "
-                f"{type(self.collector).__name__} has no evict(); use a "
+                f"{type(self.collector).__name__} cannot evict(); use a "
                 "count/interval rotation or an evictable collector"
             )
         self.sinks = tuple(build_sink(s) for s in sinks)

@@ -1,12 +1,12 @@
 """Algorithm 1's invariants as properties of HashFlow's one batched walk.
 
 Each property runs over every kind of plane the update paths touch:
-Python-list planes (the numpy tier), numpy planes swapped in by
-:func:`repro.shm.planes.adopt_planes` (what a numpy-tier shard walks
-once its planes are shared; private arrays here, so hundreds of
-examples hold no shared-memory descriptors), and the native C kernel
-when a compiler is available — for both main-table variants, with and
-without byte tracking, and in every promotion mode.
+Python-list planes (the numpy tier) and the native C kernel's numpy
+planes when a compiler is available — for both main-table variants,
+with and without byte tracking, and in every promotion mode.  The same
+grid runs once more behind the shard router
+(:class:`~repro.netwide.sharding.ShardedCollector`), where each shard's
+walk sees only the owner-sliced halves and sizes of the batch.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from repro.core.hashflow import HashFlow
 from repro.flow.batch import KeyBatch
 from repro.native import native_available
-from repro.shm.planes import adopt_planes, plane_specs
+from repro.netwide.sharding import ShardedCollector
 
-PLANES = ["lists", "shared"] + (["native"] if native_available() else [])
+PLANES = ["lists"] + (["native"] if native_available() else [])
 PROMOTION_MODES = [
     {"promote": True, "clear_promoted": False},
     {"promote": True, "clear_promoted": True},
@@ -48,18 +48,28 @@ packets = st.lists(
 
 def collector(planes: str, **params) -> HashFlow:
     """A small, easily saturated HashFlow over the requested planes."""
-    c = HashFlow(
+    return HashFlow(
         main_cells=12,
         ancillary_cells=6,
         kernel="native" if planes == "native" else "numpy",
         **params,
     )
-    if planes == "shared":
-        adopt_planes(c, [np.zeros(n, dtype) for n, dtype in plane_specs(c)])
-    return c
 
 
-def feed(c: HashFlow, stream, scalar: bool) -> None:
+def sharded(planes: str, **params) -> ShardedCollector:
+    """Two HashFlow shards over the requested planes, behind the shard
+    router; each holds half of :func:`collector`'s cells, so each still
+    saturates on its half of the flows."""
+    shard = dict(
+        main_cells=6,
+        ancillary_cells=3,
+        kernel="native" if planes == "native" else "numpy",
+        **params,
+    )
+    return ShardedCollector({"kind": "hashflow", "params": shard}, n_shards=2, seed=5)
+
+
+def feed(c: HashFlow | ShardedCollector, stream, scalar: bool) -> None:
     if scalar:
         for key, size in stream:
             c.process(key, size)
@@ -68,7 +78,7 @@ def feed(c: HashFlow, stream, scalar: bool) -> None:
         c.process_batch(KeyBatch(keys, sizes=np.array([s for _, s in stream])))
 
 
-def meter(c: HashFlow) -> tuple[int, int, int, int]:
+def meter(c: HashFlow | ShardedCollector) -> tuple[int, int, int, int]:
     return (c.meter.packets, c.meter.hashes, c.meter.reads, c.meter.writes)
 
 
@@ -131,3 +141,50 @@ def test_streams_reach_promotion(planes):
     c = collector(planes)
     feed(c, stream, scalar=False)
     assert c.promotions > 0
+
+
+@pytest.mark.parametrize("planes", PLANES)
+@pytest.mark.parametrize("variant", ["pipelined", "multihash"])
+@pytest.mark.parametrize("track_bytes", [False, True])
+@pytest.mark.parametrize(
+    "mode", PROMOTION_MODES, ids=["literal", "clear", "ablation"]
+)
+class TestShardedRoute:
+    @settings(max_examples=15, deadline=None)
+    @given(packets)
+    def test_routed_walk_matches_scalar_routing(
+        self, planes, variant, track_bytes, mode, stream
+    ):
+        """Owner-sliced sub-batches leave every shard exactly as
+        per-packet routing does: tables, promotions, meters, bytes."""
+        params = dict(variant=variant, track_bytes=track_bytes, seed=7, **mode)
+        walked, scalar = sharded(planes, **params), sharded(planes, **params)
+        feed(walked, stream, scalar=False)
+        feed(scalar, stream, scalar=True)
+        assert walked.records() == scalar.records()
+        assert meter(walked) == meter(scalar)
+        for s, shard in walked.shards.items():
+            twin = scalar.shards[s]
+            assert shard.records() == twin.records()
+            assert shard.promotions == twin.promotions
+            assert meter(shard) == meter(twin)
+            # Only flows the router assigns to a shard reach it.
+            assert all(walked.shard_of(key) == s for key in shard.records())
+        probes = POOL + [1 << 103]
+        assert walked.query_batch(probes).tolist() == [
+            scalar.query(k) for k in probes
+        ]
+        if track_bytes:
+            assert walked.byte_records() == scalar.byte_records()
+            assert [walked.byte_query(k) for k in probes] == [
+                scalar.byte_query(k) for k in probes
+            ]
+
+
+@pytest.mark.parametrize("planes", PLANES)
+def test_sharded_streams_reach_promotion(planes):
+    """The sharded route's streams saturate and promote too."""
+    stream = [(POOL[i % 20], 64) for i in range(20)] + [(POOL[39], 64)] * 40
+    c = sharded(planes)
+    feed(c, stream, scalar=False)
+    assert sum(shard.promotions for shard in c.shards.values()) > 0

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.metrics import flow_set_coverage
 from repro.core.hashflow import HashFlow
 from repro.netwide.sharding import ShardedCollector
-from repro.specs import CollectorSpec
+from repro.specs import CollectorSpec, SpecError, build
 
 
 def make(n_shards: int, cells_per_shard: int) -> ShardedCollector:
@@ -23,7 +23,7 @@ class TestPartitioning:
         sharded = make(4, 512)
         sharded.process_all(small_trace.keys())
         seen: dict[int, int] = {}
-        for i, shard in enumerate(sharded.shards):
+        for i, shard in enumerate(sharded.shards.values()):
             for key in shard.records():
                 assert key not in seen, "flow appears in two shards"
                 seen[key] = i
@@ -36,7 +36,7 @@ class TestPartitioning:
     def test_load_roughly_balanced(self, small_trace):
         sharded = make(4, 2048)
         sharded.process_all(small_trace.keys())
-        loads = sharded.shard_loads()
+        loads = sharded.shard_loads().values()
         assert sum(loads) == len(small_trace)
         # Flow-hash balancing is per-flow, not per-packet; heavy flows
         # skew packets, so allow a wide band.
@@ -45,6 +45,21 @@ class TestPartitioning:
     def test_validation(self):
         with pytest.raises(ValueError):
             make(0, 64)
+
+    def test_spec_with_removed_jobs_field_refused(self):
+        # Specs saved while shard-parallel ingest existed carry "jobs";
+        # building one must fail loudly rather than drop the field.
+        spec = CollectorSpec(
+            "sharded",
+            {
+                "collector": {"kind": "hashflow", "params": {"main_cells": 64}},
+                "n_shards": 2,
+                "seed": 1,
+                "jobs": 2,
+            },
+        )
+        with pytest.raises(SpecError, match="jobs"):
+            build(spec)
 
 
 class TestCapacityScaling:
@@ -117,7 +132,7 @@ class TestBatchedUpdates:
         assert batched.shard_loads() == scalar.shard_loads()
         for field in ("packets", "hashes", "reads", "writes"):
             assert getattr(batched.meter, field) == getattr(scalar.meter, field)
-        for shard_a, shard_b in zip(scalar.shards, batched.shards):
+        for shard_a, shard_b in zip(scalar.shards.values(), batched.shards.values()):
             for field in ("packets", "hashes", "reads", "writes"):
                 assert getattr(shard_a.meter, field) == getattr(
                     shard_b.meter, field
@@ -161,10 +176,10 @@ class TestBatchedUpdates:
             scalar.meter.add(packets=1, hashes=1)
         batched.process_all(tiny_trace.key_batch(sizes=sizes))
         merged_scalar = {}
-        for shard in scalar.shards:
+        for shard in scalar.shards.values():
             merged_scalar.update(shard.byte_records())
         merged_batched = {}
-        for shard in batched.shards:
+        for shard in batched.shards.values():
             merged_batched.update(shard.byte_records())
         assert merged_batched == merged_scalar
         assert sum(merged_batched.values()) == int(sizes.sum())

@@ -13,6 +13,7 @@ millisecond SysUptime stamps reproduce the offline synthetic clock
 from __future__ import annotations
 
 import glob
+import json
 import multiprocessing as mp
 import os
 import signal
@@ -21,13 +22,19 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from repro.flow.batch import KeyBatch
+from repro.native import native_available
+from repro.netwide.sharding import ShardedCollector, owner_hash
 from repro.serve import ServeDaemon, ServeSpec, replay_trace
+from repro.serve.daemon import _WorkerShards
 from repro.stream.pipeline import Pipeline
 from repro.traces.profiles import CAIDA
 
 PACKET_RATE = 500.0
+KERNELS = ["numpy"] + (["native"] if native_available() else [])
 
 
 def shm_segments() -> set[str]:
@@ -118,11 +125,178 @@ class TestDeterminism:
         assert result.sinks["archive"]["flows"] == offline.sinks["archive"]["flows"]
         assert shm_segments() == before
 
+    def test_single_worker_sharded_timeout_is_bit_identical_to_offline(
+        self, trace
+    ):
+        # A sharded collector evicts through its owner shard, so timeout
+        # rotation runs live exactly as offline.  (Several workers would
+        # sweep on their own packet counts, so only one is asserted.)
+        shard = {"kind": "hashflow", "params": {"main_cells": 2048, "seed": 3}}
+        pipeline = serve_spec(workers=1).pipeline_spec.with_stages(
+            collector={
+                "kind": "sharded",
+                "params": {"collector": shard, "n_shards": 2, "seed": 3},
+            },
+            rotation={
+                "kind": "timeout",
+                "params": {
+                    "inactive_timeout": 0.05,
+                    "active_timeout": 60.0,
+                    "expiry_interval": 64,
+                },
+            },
+        )
+        spec = ServeSpec(
+            pipeline=pipeline.to_dict(), ring_slots=4096, stats_interval=30.0
+        )
+        result, _ = run_replayed(spec, trace)
+        offline = offline_result(spec, trace)
+        assert offline.rotations > 1
+        assert result.records == offline.records
+        assert result.exported == offline.exported
+        assert result.rotations == offline.rotations
+        assert result.sinks == offline.sinks
+
     def test_worker_packet_accounting_closes(self, trace):
         spec = serve_spec(workers=2)
         result, sent = run_replayed(spec, trace)
         fed = sum(m["packets"] for m in result.meters.values())
         assert fed + result.drops == result.packets == sent
+
+
+def sharded_params(kernel: str = "numpy", track_bytes: bool = False) -> dict:
+    """Four shards too small for the test trace's 300 flows, so the
+    shards saturate and promote."""
+    shard = {"main_cells": 64, "seed": 3, "kernel": kernel}
+    if track_bytes:
+        shard["track_bytes"] = True
+    return {
+        "collector": {"kind": "hashflow", "params": shard},
+        "n_shards": 4,
+        "seed": 9,
+    }
+
+
+class TestShardRoute:
+    """Worker ``w`` of ``W`` builds shards ``s % W == w`` of the one
+    sharded collector, and the listener hands it exactly their flows."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_slices_build_every_shard_once_with_its_offline_seed(self, workers):
+        params = sharded_params()
+        full = ShardedCollector(**params)
+        slices = [_WorkerShards(params, w, workers) for w in range(workers)]
+        owned = sorted(s for piece in slices for s in piece.shards)
+        assert owned == list(range(params["n_shards"]))
+        for piece in slices:
+            for s, shard in piece.shards.items():
+                assert shard.spec == full.shards[s].spec
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_routed_slices_reproduce_the_full_collector(
+        self, trace, kernel, workers
+    ):
+        params = sharded_params(kernel, track_bytes=True)
+        sizes = np.random.default_rng(7).integers(40, 1500, size=len(trace))
+        batch = trace.key_batch(sizes=sizes.astype(np.int64))
+        full = ShardedCollector(**params)
+        full.process_batch(batch)
+        assert sum(shard.promotions for shard in full.shards.values()) > 0
+
+        # The listener's routing: owner shard first, then its worker.
+        lo, hi = batch.halves()
+        owners = owner_hash(params["seed"]).buckets_batch(
+            KeyBatch(None, lo, hi), params["n_shards"]
+        )
+        homes = owners % np.uint64(workers)
+        slices = []
+        for w in range(workers):
+            piece = _WorkerShards(params, w, workers)
+            members = np.nonzero(homes == np.uint64(w))[0]
+            piece.process_batch(
+                KeyBatch(None, lo[members], hi[members], batch.sizes[members])
+            )
+            slices.append(piece)
+
+        records: dict[int, int] = {}
+        byte_records: dict[int, int] = {}
+        for piece in slices:
+            records.update(piece.records())
+            byte_records.update(piece.byte_records())
+            for s, shard in piece.shards.items():
+                twin = full.shards[s]
+                assert shard.promotions == twin.promotions
+                assert (
+                    shard.meter.packets,
+                    shard.meter.hashes,
+                    shard.meter.reads,
+                    shard.meter.writes,
+                ) == (
+                    twin.meter.packets,
+                    twin.meter.hashes,
+                    twin.meter.reads,
+                    twin.meter.writes,
+                )
+        assert records == full.records()
+        assert byte_records == full.byte_records()
+        assert sum(piece.meter.packets for piece in slices) == len(batch)
+        probe = list(records)[:200] + [(1 << 100) + i for i in range(20)]
+        home = [full.shard_of(key) % workers for key in probe]
+        assert [slices[w].query(key) for w, key in zip(home, probe)] == (
+            full.query_batch(probe).tolist()
+        )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("track_bytes", [False, True])
+    def test_live_workers_match_offline_sharded_collector(
+        self, trace, tmp_path, kernel, workers, track_bytes
+    ):
+        # Three workers over four shards give worker 0 two shards and
+        # the others one: an uneven slice.
+        before = shm_segments()
+
+        def with_rows(spec: ServeSpec, path) -> ServeSpec:
+            pipeline = spec.pipeline_spec.with_stages(
+                collector={
+                    "kind": "sharded",
+                    "params": sharded_params(kernel, track_bytes),
+                },
+                sinks=[
+                    {"kind": "archive"},
+                    {"kind": "jsonl", "params": {"path": str(path)}},
+                ],
+            )
+            return ServeSpec(
+                pipeline=pipeline.to_dict(),
+                workers=workers,
+                ring_slots=4096,
+                stats_interval=30.0,
+            )
+
+        def rows(path) -> list[tuple]:
+            lines = path.read_text().splitlines()
+            fields = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
+            return sorted(
+                (*(row[f] for f in fields), row["packets"], row["octets"])
+                for row in map(json.loads, lines)
+            )
+
+        live_rows, offline_rows = tmp_path / "live.jsonl", tmp_path / "offline.jsonl"
+        result, sent = run_replayed(with_rows(serve_spec(workers), live_rows), trace)
+        offline = offline_result(with_rows(serve_spec(workers), offline_rows), trace)
+        assert result.packets == sent == len(trace)
+        assert result.drops == 0
+        assert result.records == offline.records
+        assert result.exported == offline.exported
+        assert result.sinks["archive"] == offline.sinks["archive"]
+        # Measured bytes reach the export exactly when shards count them.
+        assert {octets is None for *_, octets in rows(offline_rows)} == {
+            not track_bytes
+        }
+        assert rows(live_rows) == rows(offline_rows)
+        assert shm_segments() == before
 
 
 class TestBackpressure:
@@ -247,3 +421,27 @@ class TestLifecycle:
         sender.join(timeout=10.0)
         assert result.datagrams == 5
         assert result.packets == 0
+
+
+class TestWorkerStartup:
+    def test_building_a_collector_leaves_networkx_unloaded(self):
+        # Every worker builds its collector through the registry, which
+        # imports repro.netwide for the sharded kind; only graph-building
+        # code may pay for networkx.
+        code = (
+            "import sys\n"
+            "import repro.serve\n"
+            "from repro.specs import build\n"
+            "build({'kind': 'hashflow', 'params': {'main_cells': 64}})\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

@@ -188,6 +188,17 @@ class TestPipelineMechanics:
                 rotation=TIMEOUT,
             )
 
+    def test_timeout_rotation_requires_evictable_shards(self):
+        # A sharded collector evicts through its shards; HashPipe cannot.
+        shard = {"kind": "hashpipe", "params": {"cells_per_stage": 64}}
+        with pytest.raises(ValueError, match="evict"):
+            Pipeline(
+                source=CAIDA_SOURCE,
+                collector={"kind": "sharded",
+                           "params": {"collector": shard, "n_shards": 2}},
+                rotation=TIMEOUT,
+            )
+
     def test_interval_rotation_needs_timestamps_or_clock(self):
         policy = IntervalRotation(1.0)
         with pytest.raises(ValueError, match="timestamps"):
@@ -312,6 +323,29 @@ class TestByteTracking:
         measured = [r for r in pipeline.sinks[0].exported if r.octets is not None]
         assert measured
         assert all(r.octets % 123 == 0 for r in measured)
+
+    @pytest.mark.parametrize(
+        "rotation",
+        [{"kind": "interval", "params": {"window": 0.5}}, TIMEOUT],
+        ids=["interval", "timeout"],
+    )
+    def test_sharded_collector_forwards_measured_octets(self, rotation):
+        # Shards roomy enough to hold every flow count every byte.
+        shard = {"kind": "hashflow",
+                 "params": {"main_cells": 4096, "track_bytes": True}}
+        pipeline = Pipeline(
+            source={"kind": "synthetic",
+                    "params": {"profile": "caida", "n_flows": 500, "seed": 0}},
+            collector={"kind": "sharded",
+                       "params": {"collector": shard, "n_shards": 2}},
+            rotation=rotation,
+            sinks=[{"kind": "archive"}],
+            packet_bytes=700,
+        )
+        pipeline.run()
+        exported = pipeline.sinks[0].exported
+        assert exported
+        assert all(r.octets == r.packets * 700 for r in exported)
 
     def test_estimate_fallback_without_tracking(self):
         pipeline = Pipeline(
