@@ -7,27 +7,14 @@ from repro.analysis.anomaly import (
     fanin_by_destination,
     fanout_by_source,
 )
-from repro.analysis.cardinality import CardinalityResult, evaluate_cardinality
-from repro.analysis.distribution import (
-    DistributionSummary,
-    histogram_distance,
-    size_histogram,
-    weighted_mean_error,
-)
 from repro.analysis.heavy_hitters import (
     HeavyHitterResult,
     evaluate_heavy_hitters,
     threshold_sweep,
 )
-from repro.analysis.significance import (
-    SweepStats,
-    difference_is_significant,
-    seed_sweep,
-    summarize,
-)
+from repro.analysis.significance import SweepStats, summarize
 from repro.analysis.metrics import (
     average_relative_error,
-    f1_score,
     flow_set_coverage,
     precision_recall_f1,
     relative_error,
@@ -44,25 +31,16 @@ from repro.analysis.model import (
 )
 
 __all__ = [
-    "CardinalityResult",
-    "DistributionSummary",
     "EwmaDetector",
     "HeavyHitterResult",
     "SweepStats",
     "average_relative_error",
     "detect_flood_victims",
     "detect_scanners",
-    "difference_is_significant",
     "fanin_by_destination",
     "fanout_by_source",
-    "histogram_distance",
-    "seed_sweep",
-    "size_histogram",
     "summarize",
-    "weighted_mean_error",
-    "evaluate_cardinality",
     "evaluate_heavy_hitters",
-    "f1_score",
     "flow_set_coverage",
     "multihash_empty_probs",
     "multihash_utilization",

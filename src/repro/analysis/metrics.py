@@ -177,8 +177,3 @@ def precision_recall_f1(reported, true_set) -> tuple[float, float, float]:
         return precision, recall, 0.0
     f1 = 2 * precision * recall / (precision + recall)
     return precision, recall, f1
-
-
-def f1_score(reported, true_set) -> float:
-    """F1 score only (paper's heavy-hitter detection metric)."""
-    return precision_recall_f1(reported, true_set)[2]

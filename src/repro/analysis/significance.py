@@ -1,17 +1,15 @@
 """Multi-seed experiment statistics.
 
 Single-seed experiment results can mislead on noisy metrics;
-:func:`seed_sweep` repeats a measurement across seeds and reports mean,
+:func:`summarize` reduces one metric's per-seed values to mean,
 standard deviation and a normal-approximation confidence interval, so
 comparisons like "HashFlow's ARE is lower than ElasticSketch's" can be
-made with error bars (used by the statistical tests and available for
-paper-scale runs).
+made with error bars (the CLI's ``sweep`` command prints them).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 _Z_95 = 1.959963984540054
@@ -66,32 +64,3 @@ def summarize(values: list[float]) -> SweepStats:
         ci_high=mean + half,
     )
 
-
-def seed_sweep(
-    measure: Callable[[int], float], seeds: list[int]
-) -> SweepStats:
-    """Run ``measure(seed)`` for every seed and summarize.
-
-    Args:
-        measure: maps a seed to a scalar metric (e.g. a closure running
-            one experiment trial).
-        seeds: the seeds to evaluate.
-    """
-    return summarize([measure(seed) for seed in seeds])
-
-
-def difference_is_significant(a: SweepStats, b: SweepStats) -> bool:
-    """Whether two sweeps' means differ significantly (Welch-style
-    normal approximation at 95%).
-
-    With single-seed sweeps this degenerates to inequality of the two
-    values — callers should use multiple seeds for a real answer.
-    """
-    if a.n == 1 and b.n == 1:
-        return a.mean != b.mean
-    se = math.sqrt(
-        (a.std**2 / max(a.n, 1)) + (b.std**2 / max(b.n, 1))
-    )
-    if se == 0.0:
-        return a.mean != b.mean
-    return abs(a.mean - b.mean) / se > _Z_95

@@ -1,4 +1,8 @@
-"""Record export: NetFlow v5 datagrams and CSV/JSON text formats."""
+"""Record export: the NetFlow v5 wire codec.
+
+The CSV and JSON-lines record formats are written by
+:class:`repro.stream.sinks.TextSink`.
+"""
 
 from repro.export.netflow_v5 import (
     HEADER_BYTES,
@@ -8,19 +12,12 @@ from repro.export.netflow_v5 import (
     NetFlowV5Exporter,
     NetFlowV5Record,
     encode_header,
-    encode_record,
     parse_datagram,
     parse_datagram_partial,
     parse_stream,
     parse_stream_records,
     split_datagram,
     split_stream,
-)
-from repro.export.text import (
-    records_from_csv,
-    records_from_jsonl,
-    records_to_csv,
-    records_to_jsonl,
 )
 
 __all__ = [
@@ -31,15 +28,10 @@ __all__ = [
     "NetFlowV5Exporter",
     "NetFlowV5Record",
     "encode_header",
-    "encode_record",
     "parse_datagram",
     "parse_datagram_partial",
     "parse_stream",
     "parse_stream_records",
     "split_datagram",
     "split_stream",
-    "records_from_csv",
-    "records_from_jsonl",
-    "records_to_csv",
-    "records_to_jsonl",
 ]

@@ -354,27 +354,6 @@ class NetFlowV5Exporter:
         )
 
 
-def encode_record(
-    key: int,
-    packets: int,
-    octets: int,
-    first_ms: int = 0,
-    last_ms: int | None = None,
-) -> bytes:
-    """Pack one 48-byte v5 record from a packed flow key.
-
-    The 5-tuple comes from the key, counters and SysUptime timing from
-    the arguments, everything else (AS numbers, interfaces, masks) zero.
-
-    Raises:
-        ValueError: if ``key`` is negative or wider than 104 bits.
-    """
-    lo, hi = _split_flow_keys([key])
-    if last_ms is None:
-        last_ms = first_ms
-    return encode_records(lo, hi, packets, octets, first_ms, last_ms).tobytes()
-
-
 def encode_datagrams(
     lo: np.ndarray,
     hi: np.ndarray,

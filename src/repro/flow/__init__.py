@@ -14,7 +14,6 @@ from repro.flow.packet import DEFAULT_PACKET_BYTES, Packet
 from repro.flow.stats import (
     TraceStats,
     cdf_at,
-    flow_sizes,
     heavy_hitters,
     size_cdf,
     top_fraction_share,
@@ -31,7 +30,6 @@ __all__ = [
     "iter_key_chunks",
     "TraceStats",
     "cdf_at",
-    "flow_sizes",
     "format_ip",
     "heavy_hitters",
     "pack_key",

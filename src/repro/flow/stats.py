@@ -9,21 +9,7 @@ contribute more than 85% of the packets" in the campus trace).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
-
-
-def flow_sizes(keys: Iterable[int]) -> dict[int, int]:
-    """Count packets per flow from a stream of packed flow keys.
-
-    Args:
-        keys: iterable of packed flow identifiers, one per packet.
-
-    Returns:
-        Mapping from flow key to its packet count (the ground-truth flow
-        records an exact NetFlow would produce).
-    """
-    return dict(Counter(keys))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,4 +1,4 @@
-"""Hashing substrate: seeded mixers, hash families, digests, tabulation.
+"""Hashing substrate: seeded mixers, hash families and digests.
 
 This package provides the independent uniform hash functions that every
 measurement algorithm in :mod:`repro` is built on, replacing the CRC
@@ -18,7 +18,6 @@ from repro.hashing.mixers import (
     splitmix64,
     splitmix64_batch,
 )
-from repro.hashing.tabulation import TabulationFamily, TabulationHash
 
 __all__ = [
     "MASK64",
@@ -26,8 +25,6 @@ __all__ = [
     "DigestFunction",
     "HashFamily",
     "HashFunction",
-    "TabulationFamily",
-    "TabulationHash",
     "derive_seeds",
     "mix128",
     "mix128_batch",

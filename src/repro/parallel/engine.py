@@ -95,8 +95,8 @@ def materialize_refs(
     seen: set[tuple] = set()
     for cell in cells:
         ref = cell.workload
-        if ref.path is not None or ref.shm is not None:
-            # Already on disk / already in shared memory.
+        if ref.shm is not None:
+            # Already in shared memory.
             continue
         key = ref.base_key()
         if key in seen:

@@ -3,9 +3,9 @@
 This is the code that runs *inside* a sweep worker (or inline, for
 serial plans).  It owns two caches that make multi-cell plans cheap:
 
-* a per-process **trace cache** — base traces are loaded from the
-  engine's on-disk array store (mmap) or generated from their profile,
-  once per process;
+* a per-process **trace cache** — base traces are attached from the
+  engine's shared-memory segments, loaded from its on-disk array store
+  (mmap), or generated from their profile, once per process;
 * a per-process **workload cache** — the materialized
   :class:`~repro.experiments.runner.Workload` (packet ``KeyBatch``,
   truth vectors) is shared by every cell that names the same
@@ -46,7 +46,7 @@ COLLECTOR_METRICS = frozenset(
 )
 
 #: Metrics evaluated against the workload (or a deployment) directly.
-PLAN_METRICS = frozenset({"stats", "netwide_redundant", "pipeline"})
+PLAN_METRICS = frozenset({"stats", "netwide_redundant"})
 
 _ZERO_METER = {"packets": 0, "hashes": 0, "reads": 0, "writes": 0}
 
@@ -54,8 +54,8 @@ _ZERO_METER = {"packets": 0, "hashes": 0, "reads": 0, "writes": 0}
 class CellWorkload:
     """A materialized workload with lazily-built evaluation vectors.
 
-    Cells that only need the raw trace (Table I statistics, pipeline
-    runs) never pay for the full
+    Cells that only need the raw trace (Table I statistics, netwide
+    deployments) never pay for the full
     :class:`~repro.experiments.runner.Workload` construction (packet
     key list, 64-bit halves, truth vectors); cells that do share one
     instance per process.
@@ -122,7 +122,7 @@ class WorkloadStore:
             cache.popitem(last=False)
 
     def base_trace(self, ref: WorkloadRef) -> "Trace":
-        """The ref's base trace (before subsetting/slicing), cached."""
+        """The ref's base trace (before subsetting), cached."""
         key = ref.base_key()
         trace = self._traces.get(key)
         if trace is not None:
@@ -132,8 +132,6 @@ class WorkloadStore:
             from repro.shm import attach_trace
 
             trace = attach_trace(ref.shm)
-        elif ref.path is not None:
-            trace = load_trace_arrays(ref.path)
         else:
             trace = None
             if self.trace_root is not None:
@@ -164,9 +162,7 @@ class WorkloadStore:
         cw = self._workloads.get(ref)
         if cw is None:
             trace = self.base_trace(ref)
-            if ref.start is not None:
-                trace = trace.slice_packets(ref.start, min(ref.stop, len(trace)))
-            elif ref.n_flows is not None and ref.generated_flows > ref.n_flows:
+            if ref.n_flows is not None and ref.generated_flows > ref.n_flows:
                 # Trial subsetting applies to shm-backed refs too: the
                 # engine's shared-trace rewrite carries the original
                 # n_flows/base_flows/seed so this subset is exactly the
@@ -285,17 +281,6 @@ def evaluate_cell(cell: SweepCell, store: WorkloadStore, index: int = 0) -> Cell
             base["mean_flow_size"] = stats.mean_flow_size
         elif metric == "netwide_redundant":
             base.update(_eval_netwide_redundant(cell, cw))
-        elif metric == "pipeline":
-            # The cell's params carry a whole PipelineSpec; the pipeline
-            # runs over the store-materialized workload, which is the
-            # exact trace its source would generate (the spec's
-            # workload_ref mirrors the source), so serial and parallel
-            # runs stay bit-identical.
-            from repro.stream.pipeline import Pipeline
-            from repro.stream.spec import PipelineSpec
-
-            spec = PipelineSpec.from_dict(cell.params["pipeline"])
-            base.update(Pipeline.from_spec(spec).run(trace=cw.trace).summary())
         else:
             raise ValueError(f"unknown sweep metric {metric!r}")
 

@@ -12,11 +12,9 @@ that the assembled results are byte-for-byte the same either way.
 
 Workloads are deliberately *not* shipped as pickled traces: a
 :class:`WorkloadRef` names either a calibrated profile (regenerated or
-mmap-loaded from the trace cache), a saved trace-array directory
-(:func:`repro.traces.io.save_trace_arrays`), optionally restricted to a
-packet slice (the epoch-replay case), or a shared-memory trace segment
-(:func:`repro.shm.share_trace` — the zero-copy path for traces that are
-expensive or impossible to regenerate, e.g. netwide vantage streams).
+mmap-loaded from the trace cache) or a shared-memory trace segment
+(:func:`repro.shm.share_trace`), in which the engine parks each
+profile's base trace once for its workers to attach zero-copy.
 """
 
 from __future__ import annotations
@@ -32,33 +30,26 @@ from repro.specs import CollectorSpec
 class WorkloadRef:
     """A lightweight, process-portable workload description.
 
-    Exactly one of ``profile`` / ``path`` / ``shm`` must be set:
+    Exactly one of ``profile`` / ``shm`` must be set:
 
     * ``profile`` — a calibrated trace profile name
       (:data:`repro.traces.profiles.PROFILES`); the trace is generated
       at ``max(base_flows, n_flows)`` flows and subset to ``n_flows``,
       matching :func:`repro.experiments.runner.make_workload` exactly.
-    * ``path`` — a trace-array directory written by
-      :func:`repro.traces.io.save_trace_arrays`, mmap-loaded by
-      workers.  ``start``/``stop`` optionally restrict the workload to
-      a packet slice (epoch replay); slicing matches
-      :func:`repro.traces.replay` epoch construction exactly.
     * ``shm`` — a :class:`repro.shm.SharedTraceRef` (as a plain tuple,
       keeping the dataclass hashable): the trace already sits in a
       named shared-memory segment owned by the coordinating process,
       and workers attach zero-copy.  The segment must outlive the run.
 
     Attributes:
-        profile: trace profile name, or None for file/shm-backed refs.
-        n_flows: flows in the trial (profile refs only).
+        profile: trace profile name, or None for shm-backed refs.
+        n_flows: flows in the trial (required for profile refs;
+            shm-backed refs carry their profile ref's value).
         seed: generation seed (the subset seed is ``seed + 1``, as in
             ``make_workload``).
         base_flows: optional larger base-trace size to subset from.
         force_max: pin the largest flow to the profile's Table I max
             (Table I regeneration at paper scale).
-        path: saved trace-array directory (file-backed refs only).
-        start: first packet of the slice (file-backed refs only).
-        stop: one past the last packet of the slice.
         shm: shared-trace descriptor tuple (shm-backed refs only).
     """
 
@@ -67,20 +58,13 @@ class WorkloadRef:
     seed: int = 0
     base_flows: int | None = None
     force_max: bool = False
-    path: str | None = None
-    start: int | None = None
-    stop: int | None = None
     shm: tuple | None = None
 
     def __post_init__(self):
-        backings = sum(
-            x is not None for x in (self.profile, self.path, self.shm)
-        )
-        if backings != 1:
+        if (self.profile is None) == (self.shm is None):
             raise ValueError(
-                "exactly one of profile/path/shm must be set, got "
-                f"profile={self.profile!r} path={self.path!r} "
-                f"shm={self.shm!r}"
+                "exactly one of profile/shm must be set, got "
+                f"profile={self.profile!r} shm={self.shm!r}"
             )
         if self.shm is not None:
             # Normalize to a plain tuple so the frozen dataclass stays
@@ -88,13 +72,6 @@ class WorkloadRef:
             object.__setattr__(self, "shm", tuple(self.shm))
         if self.profile is not None and self.n_flows is None:
             raise ValueError("profile workload refs require n_flows")
-        if (self.start is None) != (self.stop is None):
-            raise ValueError("start and stop must be provided together")
-        if self.path is None and self.start is not None:
-            raise ValueError(
-                "start/stop packet slicing requires a file-backed ref; "
-                "profile refs select their trial via n_flows/base_flows"
-            )
 
     @property
     def generated_flows(self) -> int:
@@ -107,13 +84,11 @@ class WorkloadRef:
         """Identity of the *base trace* this ref materializes from.
 
         Refs that differ only in their trial subset (``n_flows`` below
-        a shared ``base_flows``) or packet slice share a base key, so
-        the trace is generated/saved exactly once per plan.
+        a shared ``base_flows``) share a base key, so the trace is
+        generated/saved exactly once per plan.
         """
         if self.shm is not None:
             return ("shm", self.shm[0])  # the segment name
-        if self.path is not None:
-            return ("path", self.path)
         return ("profile", self.profile, self.generated_flows, self.seed,
                 self.force_max)
 
@@ -127,8 +102,6 @@ class WorkloadRef:
         of silently breaking the serial==parallel bit-identity
         contract.
         """
-        if self.path is not None:
-            raise ValueError("file-backed refs are already on disk")
         if self.shm is not None:
             raise ValueError(
                 "shm-backed refs live in shared memory, not the trace cache"

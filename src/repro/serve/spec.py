@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.serve.ring import DEFAULT_RING_SLOTS
-from repro.specs import SpecError
+from repro.specs import SpecError, build
+from repro.stream.pipeline import check_rotation
+from repro.stream.rotation import build_rotation
 from repro.stream.spec import PipelineSpec
 
 #: Allowed back-pressure policies at the ring door (DESIGN §10).
@@ -97,6 +99,14 @@ class ServeSpec:
                 "(offline sources run via Pipeline.run)"
             )
         object.__setattr__(self, "pipeline", pipeline.to_dict())
+        # Build once here what every worker builds, so a collector or
+        # pairing the workers cannot build or drive fails at load,
+        # before a daemon binds or spawns (the spec is frozen: one
+        # check covers every daemon and respawn built from it).
+        try:
+            check_rotation(build(pipeline.collector), build_rotation(pipeline.rotation))
+        except ValueError as exc:
+            raise SpecError(f"invalid serve spec: {exc}") from exc
         workers = int(self.workers)
         if workers < 1:
             raise SpecError(f"workers must be >= 1, got {workers}")

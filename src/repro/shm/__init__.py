@@ -4,8 +4,7 @@
   registry, atexit + crash-safe unlink, ``/dev/shm`` leak checks; the
   serve daemon's packet rings (:mod:`repro.serve.ring`) sit on them;
 * :mod:`repro.shm.batch` — whole traces shared by segment name (the
-  zero-copy dispatch path for sweep cells and netwide/pcap pipeline
-  sources).
+  zero-copy dispatch path for parallel sweep cells).
 """
 
 from repro.shm.batch import SharedTraceRef, attach_trace, share_trace

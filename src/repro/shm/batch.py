@@ -1,14 +1,11 @@
 """Shared-memory traces: ship a packet stream to workers by name.
 
-The parallel engine's existing currency for workloads is the
-:class:`~repro.parallel.plan.WorkloadRef` — a descriptor workers
-*regenerate or mmap from disk*.  Sources that are expensive to derive
-(a netwide vantage stream routes every packet over a fabric) or not
-data-describable at all (pcap) had no parallel path.  This module adds
-one: the parent materializes the trace once, copies its per-flow key
-halves and per-packet flow-order array into a single owned segment,
-and workers attach by name — one shared copy instead of per-worker
-deserialization or regeneration.
+A parallel sweep (:func:`repro.parallel.engine.run_plan`) hands its
+workers each distinct base trace this way: the parent copies the
+trace's per-flow key halves and per-packet flow-order array into a
+single owned segment (:func:`repro.parallel.engine.share_plan_traces`),
+and workers attach by name — one shared copy instead of a per-worker
+load from the disk cache.
 
 The round trip is exact: a trace is (flow_keys, order, timestamps?,
 name), flow keys are rebuilt from their 64-bit halves (bijective), and

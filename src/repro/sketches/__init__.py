@@ -3,14 +3,12 @@
 from repro.sketches.base import CostMeter, FlowCollector
 from repro.sketches.bloom import BloomFilter
 from repro.sketches.countmin import CountMinSketch
-from repro.sketches.countsketch import CountSketch
 from repro.sketches.cuckoo import CuckooFlowCache
 from repro.sketches.elastic import ElasticSketch
 from repro.sketches.exact import ExactCollector
 from repro.sketches.flowradar import FlowRadar
 from repro.sketches.hashpipe import HashPipe
-from repro.sketches.hyperloglog import HyperLogLog
-from repro.sketches.linear_counting import LinearCounter, linear_counting_estimate
+from repro.sketches.linear_counting import linear_counting_estimate
 from repro.sketches.sampled import SampledNetFlow
 from repro.sketches.spacesaving import SpaceSaving
 
@@ -18,15 +16,12 @@ __all__ = [
     "BloomFilter",
     "CostMeter",
     "CountMinSketch",
-    "CountSketch",
     "CuckooFlowCache",
     "ElasticSketch",
     "ExactCollector",
     "FlowCollector",
     "FlowRadar",
     "HashPipe",
-    "HyperLogLog",
-    "LinearCounter",
     "SampledNetFlow",
     "SpaceSaving",
     "linear_counting_estimate",

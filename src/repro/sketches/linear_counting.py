@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from repro.hashing.families import HashFunction
-
 
 def linear_counting_estimate(n_cells: int, n_empty: int) -> float:
     """Estimate distinct items from cell occupancy.
@@ -36,46 +34,3 @@ def linear_counting_estimate(n_cells: int, n_empty: int) -> float:
         return math.inf
     return -n_cells * math.log(n_empty / n_cells)
 
-
-class LinearCounter:
-    """A standalone linear-counting bitmap.
-
-    Hashes each key to one bit of an ``n_cells``-wide bitmap; cardinality
-    is recovered with :func:`linear_counting_estimate`.  Usable as a
-    lightweight distinct counter on its own.
-    """
-
-    def __init__(self, n_cells: int, seed: int = 0):
-        if n_cells <= 0:
-            raise ValueError(f"n_cells must be positive, got {n_cells}")
-        self.n_cells = n_cells
-        self._hash = HashFunction(seed)
-        self._bits = bytearray((n_cells + 7) // 8)
-        self._occupied = 0
-
-    def add(self, key: int) -> None:
-        """Record one key."""
-        i = self._hash.bucket(key, self.n_cells)
-        byte, mask = i >> 3, 1 << (i & 7)
-        if not self._bits[byte] & mask:
-            self._bits[byte] |= mask
-            self._occupied += 1
-
-    @property
-    def occupied(self) -> int:
-        """Number of occupied cells."""
-        return self._occupied
-
-    def estimate(self) -> float:
-        """Current cardinality estimate."""
-        return linear_counting_estimate(self.n_cells, self.n_cells - self._occupied)
-
-    def reset(self) -> None:
-        """Clear the bitmap."""
-        self._bits = bytearray((self.n_cells + 7) // 8)
-        self._occupied = 0
-
-    @property
-    def memory_bits(self) -> int:
-        """Bitmap footprint."""
-        return self.n_cells

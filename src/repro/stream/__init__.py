@@ -24,12 +24,7 @@ Quickstart::
     twin = spec.build()              # bit-identical reconstruction
 """
 
-from repro.stream.pipeline import (
-    Pipeline,
-    PipelineResult,
-    StreamFeeder,
-    run_pipelines,
-)
+from repro.stream.pipeline import Pipeline, PipelineResult, StreamFeeder
 from repro.stream.durable import (
     ArchiveError,
     ArchiveView,
@@ -113,6 +108,5 @@ __all__ = [
     "load_pipeline_spec",
     "merge_flow_records",
     "read_archive",
-    "run_pipelines",
     "save_pipeline_spec",
 ]

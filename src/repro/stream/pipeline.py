@@ -11,10 +11,7 @@ exported and freed, and every export fans out to the configured
 :class:`~repro.stream.sinks.Sink`\\ s.
 
 The whole composition is described by a frozen
-:class:`~repro.stream.spec.PipelineSpec`; :func:`run_pipelines`
-dispatches a list of such specs through the :mod:`repro.parallel` sweep
-engine (serial results are bit-identical to ``REPRO_JOBS=N`` results,
-the engine's standing contract).
+:class:`~repro.stream.spec.PipelineSpec`.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ class PipelineResult:
     sinks: dict[str, dict]
 
     def summary(self) -> dict[str, Any]:
-        """One flat result row (the parallel-cell currency)."""
+        """One flat result row."""
         return {
             "packets": self.packets,
             "rotations": self.rotations,
@@ -105,6 +102,26 @@ def _evicts(collector) -> bool:
     if isinstance(collector, ShardedCollector):
         return all(_evicts(shard) for shard in collector.shards.values())
     return hasattr(collector, "evict")
+
+
+def check_rotation(collector, rotation) -> None:
+    """Refuse a rotation policy that ``collector`` cannot drive.
+
+    The one construction check of a (collector, rotation) pairing:
+    :class:`Pipeline` runs it when built, and
+    :class:`~repro.serve.spec.ServeSpec` when loaded, before a daemon
+    binds or starts a worker.
+
+    Raises:
+        ValueError: for a timeout rotation over a collector without
+            per-flow eviction (``evict``).
+    """
+    if isinstance(rotation, TimeoutRotation) and not _evicts(collector):
+        raise ValueError(
+            f"timeout rotation needs per-flow eviction, but "
+            f"{type(collector).__name__} cannot evict(); use a "
+            "count/interval rotation or an evictable collector"
+        )
 
 
 class StreamFeeder:
@@ -272,14 +289,7 @@ class Pipeline:
         else:
             self.collector = build_collector(collector)
         self.rotation = build_rotation(rotation)
-        if isinstance(self.rotation, TimeoutRotation) and not _evicts(
-            self.collector
-        ):
-            raise ValueError(
-                f"timeout rotation needs per-flow eviction, but "
-                f"{type(self.collector).__name__} cannot evict(); use a "
-                "count/interval rotation or an evictable collector"
-            )
+        check_rotation(self.collector, self.rotation)
         self.sinks = tuple(build_sink(s) for s in sinks)
         self.chunk_size = positive_count("chunk_size", chunk_size)
         self.packet_rate = positive_finite("packet_rate", packet_rate)
@@ -331,11 +341,7 @@ class Pipeline:
 
         Args:
             trace: optional pre-materialized trace to run over instead
-                of ``source.trace()`` — the parallel-dispatch path,
-                where the sweep engine materializes the source's
-                :class:`~repro.parallel.plan.WorkloadRef` through its
-                trace cache (an exact round trip, so results are
-                bit-identical to a local run).
+                of ``source.trace()``.
 
         Returns:
             A :class:`PipelineResult`; all resident records are drained
@@ -401,74 +407,3 @@ class Pipeline:
             sinks=summaries,
         )
 
-
-def run_pipelines(
-    specs: Sequence[PipelineSpec | Mapping[str, Any]],
-    jobs: int | None = None,
-) -> list[dict]:
-    """Run pipelines as :mod:`repro.parallel` sweep cells.
-
-    A spec whose source is parallel-dispatchable (exposes a
-    :class:`~repro.parallel.plan.WorkloadRef`) is materialized by the
-    engine once per distinct base trace.  Sources the engine cannot
-    rebuild from data (pcap files, derived netwide vantage streams) are
-    materialized **here, once**, parked in a shared-memory segment
-    (:func:`repro.shm.share_trace`), and dispatched as shm-backed refs
-    that workers attach zero-copy — one shared copy per distinct source,
-    instead of per-worker regeneration or a hard error.  Workers rebuild
-    each pipeline from its spec — serial (``jobs=1``) and parallel
-    results are bit-identical.
-
-    Args:
-        specs: pipeline specs (or their dicts), in output order.
-        jobs: worker processes (default: ``REPRO_JOBS`` env, else
-            serial).
-
-    Returns:
-        One :meth:`PipelineResult.summary` row per spec, in input order.
-    """
-    import json
-
-    from repro.parallel import SweepCell, run_plan
-    from repro.parallel.plan import WorkloadRef
-    from repro.stream.sources import build_source
-
-    pipeline_specs = [
-        s if isinstance(s, PipelineSpec) else PipelineSpec.from_dict(s)
-        for s in specs
-    ]
-    cells = []
-    shared: dict[str, WorkloadRef] = {}
-    segments = []
-    try:
-        for index, spec in enumerate(pipeline_specs):
-            ref = spec.workload_ref()
-            if ref is None:
-                # Dedupe by the source's canonical spec JSON: identical
-                # sources (e.g. one netwide stream fed to several
-                # collectors) are materialized and shared exactly once.
-                source_key = json.dumps(dict(spec.source), sort_keys=True)
-                ref = shared.get(source_key)
-                if ref is None:
-                    from repro.shm import share_trace
-
-                    trace = build_source(spec.source).trace()
-                    shm_ref, segment = share_trace(
-                        trace, label=f"pipe{index}"
-                    )
-                    segments.append(segment)
-                    ref = WorkloadRef(shm=tuple(shm_ref))
-                    shared[source_key] = ref
-            cells.append(
-                SweepCell(
-                    workload=ref,
-                    metrics=("pipeline",),
-                    params={"pipeline": spec.to_dict()},
-                    label=index,
-                )
-            )
-        results = run_plan(cells, jobs=jobs)
-    finally:
-        for segment in segments:
-            segment.unlink()
-    return [dict(result.rows[0]) for result in results]

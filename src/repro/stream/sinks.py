@@ -210,9 +210,8 @@ class NetFlowV5Sink(Sink):
 class TextSink(Sink):
     """Write exported records as JSON lines or CSV rows.
 
-    One line per exported record with the 5-tuple broken out (the
-    per-rotation sibling of :mod:`repro.export.text`'s whole-run
-    dumps), annotated with the rotation index and export reason.
+    One line per exported record with the 5-tuple broken out,
+    annotated with the rotation index and export reason.
 
     With ``path`` the whole run's output is written once at
     :meth:`close`, atomically (write-then-rename + fsync + bounded

@@ -5,13 +5,6 @@ A :class:`Source` materializes a :class:`~repro.traces.trace.Trace`
 chunks) and is described by JSON-native ``{"kind": ..., "params": ...}``
 data, so a :class:`~repro.stream.spec.PipelineSpec` can name its
 traffic the same way it names its collector.
-
-Sources that correspond exactly to a
-:class:`~repro.parallel.plan.WorkloadRef` (synthetic profiles, saved
-trace-array directories) also expose that ref, which is what lets a
-pipeline be dispatched as a :mod:`repro.parallel` cell: the worker
-materializes the ref through the engine's trace cache and the pipeline
-runs over it bit-identically to a local run.
 """
 
 from __future__ import annotations
@@ -41,13 +34,6 @@ class Source(ABC):
     def trace(self) -> Trace:
         """Materialize the packet stream."""
 
-    def workload_ref(self):
-        """The equivalent :class:`~repro.parallel.plan.WorkloadRef`,
-        or None for sources the sweep engine cannot rebuild from data
-        (pcap files outside the trace cache, derived netwide streams).
-        """
-        return None
-
 
 class SyntheticSource(Source):
     """A calibrated synthetic trace profile (Table I traces).
@@ -57,8 +43,7 @@ class SyntheticSource(Source):
         n_flows: flows to generate.
         seed: generation seed.
         interleave: packet interleaving mode (``"uniform"`` /
-            ``"temporal"``); only uniform sources are parallel-
-            dispatchable (the :class:`WorkloadRef` vocabulary).
+            ``"temporal"``).
         force_max: pin the largest flow to the profile's Table I max.
     """
 
@@ -105,18 +90,6 @@ class SyntheticSource(Source):
             force_max=self.force_max,
         )
 
-    def workload_ref(self):
-        if self.interleave != "uniform":
-            return None
-        from repro.parallel.plan import WorkloadRef
-
-        return WorkloadRef(
-            profile=self.profile,
-            n_flows=self.n_flows,
-            seed=self.seed,
-            force_max=self.force_max,
-        )
-
 
 class TraceArraySource(Source):
     """A saved trace-array directory, optionally a packet slice of it.
@@ -147,11 +120,6 @@ class TraceArraySource(Source):
         if self.start is not None:
             return trace.slice_packets(self.start, min(self.stop, len(trace)))
         return trace
-
-    def workload_ref(self):
-        from repro.parallel.plan import WorkloadRef
-
-        return WorkloadRef(path=self.path, start=self.start, stop=self.stop)
 
 
 class PcapSource(Source):

@@ -5,9 +5,8 @@ A :class:`PipelineSpec` is the whole-pipeline analogue of
 value naming every stage of a streaming pipeline — Source → Collector →
 RotationPolicy → Sinks — plus the batching parameters.  Because it is
 pure data, a pipeline can be written to a config file, shipped to a
-worker process and rebuilt bit-identically, reseeded deterministically
-for multi-instance deployments, and dispatched as a
-:mod:`repro.parallel` sweep cell.
+worker process and rebuilt bit-identically, and reseeded
+deterministically for multi-instance deployments.
 
 The collector stage nests a plain :class:`CollectorSpec` dict (the
 currency of :mod:`repro.specs`); source, rotation, and sink stages use
@@ -200,13 +199,6 @@ class PipelineSpec:
         from repro.stream.pipeline import Pipeline
 
         return Pipeline.from_spec(self)
-
-    def workload_ref(self):
-        """The source's :class:`~repro.parallel.plan.WorkloadRef`, or
-        None when this pipeline cannot be dispatched as a sweep cell."""
-        from repro.stream.sources import build_source
-
-        return build_source(self.source).workload_ref()
 
 
 def load_pipeline_spec(path) -> PipelineSpec:

@@ -13,7 +13,6 @@ from repro.switchsim.pipeline import (
     Stage,
 )
 from repro.switchsim.programs import (
-    RegisterHashFlowFullStage,
     RegisterHashFlowStage,
     measurement_switch,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "ParserStage",
     "Pipeline",
     "RegisterArray",
-    "RegisterHashFlowFullStage",
     "RegisterHashFlowStage",
     "SoftwareSwitch",
     "SwitchRunReport",

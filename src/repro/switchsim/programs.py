@@ -111,105 +111,3 @@ class RegisterHashFlowStage(Stage):
             for h, l, c in zip(hi, lo, counts)
             if c > 0
         }
-
-
-class RegisterHashFlowFullStage(Stage):
-    """The *complete* HashFlow — Algorithm 1 with ancillary table and
-    record promotion — expressed purely over register arrays.
-
-    Uses the same hash-family construction as
-    :class:`repro.core.hashflow.HashFlow` with ``variant="multihash"``,
-    so for identical ``(n_cells, depth, seed)`` the register program and
-    the object-level collector produce *identical* table states — the
-    equivalence the tests verify.  This substantiates the paper's claim
-    that HashFlow fits a P4 dataplane: fixed probe budget, no pointers,
-    every state touch a register access.
-    """
-
-    name = "hashflow_full_registers"
-
-    def __init__(
-        self,
-        n_cells: int,
-        depth: int = 3,
-        seed: int = 0,
-        digest_bits: int = 8,
-        counter_bits: int = 8,
-    ):
-        if n_cells <= 0:
-            raise ValueError(f"n_cells must be positive, got {n_cells}")
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        self.meter = CostMeter()
-        self.n_cells = n_cells
-        self.depth = depth
-        self.digest_mask = (1 << digest_bits) - 1
-        self.counter_max = (1 << counter_bits) - 1
-        self._hashes = HashFamily(depth, master_seed=seed)
-        aux = HashFamily(2, master_seed=seed ^ 0xA5C1_11A7)
-        self._g1 = aux[0]
-        self._digest_hash = aux[1]
-        self.key_hi = RegisterArray("m_key_hi", n_cells, 64, self.meter)
-        self.key_lo = RegisterArray("m_key_lo", n_cells, 64, self.meter)
-        self.count = RegisterArray("m_count", n_cells, 32, self.meter)
-        self.a_digest = RegisterArray("a_digest", n_cells, digest_bits, self.meter)
-        self.a_count = RegisterArray("a_count", n_cells, counter_bits, self.meter)
-        self.promotions = 0
-
-    def apply(self, ctx) -> None:
-        self.update(ctx.packet.key)
-
-    def update(self, key: int) -> None:
-        """Algorithm 1, lines 1-24, over registers."""
-        self.meter.packets += 1
-        hi = key >> 64
-        lo = key & 0xFFFFFFFFFFFFFFFF
-        min_count = -1
-        pos = -1
-        # Collision resolution over the main-table registers.
-        for h in self._hashes:
-            idx = h.bucket(key, self.n_cells)
-            self.meter.hashes += 1
-            current = self.count.read(idx)
-            if current == 0:
-                self.key_hi.write(idx, hi)
-                self.key_lo.write(idx, lo)
-                self.count.write(idx, 1)
-                return
-            if self.key_hi.read(idx) == hi and self.key_lo.read(idx) == lo:
-                self.count.write(idx, current + 1)
-                return
-            if min_count < 0 or current < min_count:
-                min_count = current
-                pos = idx
-        # Ancillary table with digest keys.
-        a_idx = self._g1.bucket(key, self.n_cells)
-        digest = self._digest_hash(key) & self.digest_mask
-        self.meter.hashes += 2
-        a_count = self.a_count.read(a_idx)
-        if a_count == 0 or self.a_digest.read(a_idx) != digest:
-            self.a_digest.write(a_idx, digest)
-            self.a_count.write(a_idx, 1)
-            return
-        if a_count < min_count:
-            if a_count < self.counter_max:
-                self.a_count.write(a_idx, a_count + 1)
-            else:
-                self.a_count.write(a_idx, a_count)  # saturating write
-            return
-        # Record promotion into the sentinel bucket.
-        self.key_hi.write(pos, hi)
-        self.key_lo.write(pos, lo)
-        self.count.write(pos, a_count + 1)
-        self.promotions += 1
-
-    def records(self) -> dict[int, int]:
-        """Control-plane readout of the main-table registers."""
-        hi = self.key_hi.snapshot()
-        lo = self.key_lo.snapshot()
-        counts = self.count.snapshot()
-        return {
-            (h << 64) | l: c
-            for h, l, c in zip(hi, lo, counts)
-            if c > 0
-        }

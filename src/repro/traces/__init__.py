@@ -1,6 +1,5 @@
 """Trace substrate: synthetic generation, containers, sampling, I/O."""
 
-from repro.traces.io import load_trace, save_trace
 from repro.traces.mixer import (
     inject_elephants,
     merge_traces,
@@ -18,11 +17,7 @@ from repro.traces.profiles import (
     TraceProfile,
     get_profile,
 )
-from repro.traces.sampling import (
-    sample_deterministic,
-    sample_probabilistic,
-    thin_flow_sizes,
-)
+from repro.traces.sampling import sample_deterministic
 from repro.traces.synthetic import (
     SizeModel,
     interleave_temporal,
@@ -47,20 +42,16 @@ __all__ = [
     "inject_elephants",
     "interleave_temporal",
     "interleave_uniform",
-    "load_trace",
     "merge_traces",
     "port_scan",
     "read_pcap",
     "sample_deterministic",
-    "sample_probabilistic",
     "sample_truncated_pareto",
-    "save_trace",
     "solve_tail_weight",
     "split_by_packets",
     "split_by_time",
     "syn_flood",
     "synthesize",
-    "thin_flow_sizes",
     "trace_from_keys",
     "truncated_pareto_mean",
     "write_pcap",

@@ -1,10 +1,8 @@
 """Packet sampling, as in Sampled NetFlow (paper Section I).
 
-Two samplers over traces are provided — deterministic 1-in-N and uniform
-probabilistic — plus a flow-level binomial thinning helper that models
-how sampling reshapes a flow-size distribution (the paper's ISP2 trace
-is a 1:5000-sampled access link capture; after such thinning more than
-99% of surviving flows have fewer than 5 packets).
+Deterministic 1-in-N sampling over traces: the paper's ISP2 trace is a
+1:5000-sampled access link capture, after which more than 99% of
+surviving flows have fewer than 5 packets.
 """
 
 from __future__ import annotations
@@ -35,15 +33,6 @@ def sample_deterministic(trace: Trace, every_n: int, offset: int = 0) -> Trace:
     return _apply_mask(trace, mask, f"{trace.name}~1:{every_n}")
 
 
-def sample_probabilistic(trace: Trace, probability: float, seed: int = 0) -> Trace:
-    """Keep each packet independently with the given probability."""
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {probability}")
-    rng = np.random.default_rng(seed)
-    mask = rng.random(len(trace)) < probability
-    return _apply_mask(trace, mask, f"{trace.name}~p={probability:g}")
-
-
 def _apply_mask(trace: Trace, mask: np.ndarray, name: str) -> Trace:
     """Build the sub-trace of packets where ``mask`` is True."""
     order = trace.order[mask]
@@ -54,25 +43,3 @@ def _apply_mask(trace: Trace, mask: np.ndarray, name: str) -> Trace:
     ts = None if trace.timestamps is None else trace.timestamps[mask]
     return Trace(keys, remap[order], ts, name=name)
 
-
-def thin_flow_sizes(
-    sizes: np.ndarray, probability: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Binomially thin flow sizes: the flow-level effect of packet sampling.
-
-    A flow of ``s`` packets survives 1-in-``1/p`` sampling with
-    ``Binomial(s, p)`` observed packets.  Flows thinned to zero are
-    removed from the result.
-
-    Args:
-        sizes: original per-flow packet counts.
-        probability: per-packet survival probability.
-        rng: numpy random generator.
-
-    Returns:
-        Array of surviving (>= 1) sampled flow sizes.
-    """
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {probability}")
-    thinned = rng.binomial(np.asarray(sizes, dtype=np.int64), probability)
-    return thinned[thinned > 0]

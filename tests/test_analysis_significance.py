@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.significance import (
-    SweepStats,
-    difference_is_significant,
-    seed_sweep,
-    summarize,
-)
+from repro.analysis.significance import summarize
 
 
 class TestSummarize:
@@ -31,57 +26,3 @@ class TestSummarize:
 
     def test_n(self):
         assert summarize([1, 2, 3, 4]).n == 4
-
-
-class TestSeedSweep:
-    def test_calls_measure_per_seed(self):
-        calls = []
-
-        def measure(seed):
-            calls.append(seed)
-            return float(seed)
-
-        stats = seed_sweep(measure, [1, 2, 3])
-        assert calls == [1, 2, 3]
-        assert stats.mean == 2.0
-
-    def test_deterministic_metric_has_zero_std(self):
-        stats = seed_sweep(lambda seed: 5.0, [1, 2, 3, 4])
-        assert stats.std == 0.0
-
-    def test_real_experiment_sweep(self):
-        """HashFlow FSC across seeds: low variance, tight CI."""
-        from repro.analysis.metrics import flow_set_coverage
-        from repro.core.hashflow import HashFlow
-        from repro.experiments.runner import make_workload
-        from repro.traces.profiles import CAIDA
-
-        def measure(seed: int) -> float:
-            workload = make_workload(CAIDA, 1500, seed=seed)
-            hf = HashFlow(main_cells=1000, seed=seed)
-            workload.feed(hf)
-            return flow_set_coverage(hf.records(), workload.true_sizes)
-
-        stats = seed_sweep(measure, [0, 1, 2])
-        assert 0.4 < stats.mean < 0.9
-        assert stats.std < 0.05  # the metric is stable across seeds
-
-
-class TestSignificance:
-    def test_clearly_different(self):
-        a = summarize([1.0, 1.1, 0.9, 1.0])
-        b = summarize([5.0, 5.1, 4.9, 5.0])
-        assert difference_is_significant(a, b)
-
-    def test_clearly_same(self):
-        a = summarize([1.0, 1.2, 0.8, 1.1, 0.9])
-        b = summarize([1.05, 1.15, 0.85, 1.0, 0.95])
-        assert not difference_is_significant(a, b)
-
-    def test_single_seed_degenerates_to_inequality(self):
-        assert difference_is_significant(summarize([1.0]), summarize([2.0]))
-        assert not difference_is_significant(summarize([1.0]), summarize([1.0]))
-
-    def test_zero_variance_equal_means(self):
-        a = SweepStats(values=(2.0, 2.0), mean=2.0, std=0.0, ci_low=2.0, ci_high=2.0)
-        assert not difference_is_significant(a, a)

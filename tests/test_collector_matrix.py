@@ -137,3 +137,152 @@ def test_reset_equals_fresh_build(kind):
     assert meter_tuple(used.meter) == meter_tuple(fresh.meter)
     probes = list(dict.fromkeys(CONTENDED)) + churn[:256] + [1 << 100]
     assert used.query_batch(probes).tolist() == fresh.query_batch(probes).tolist()
+
+
+#: Keys at the top of the 104-bit flow-ID range, each sent 3 times,
+#: interleaved: 40 flows, far fewer than any matrix table holds.
+WIDEST_FLOWS = [(1 << 104) - 1 - k for k in range(40)]
+LIGHT_LOAD = WIDEST_FLOWS * 3
+#: A flagged ElasticSketch heavy-part flow adds its light-part count to
+#: the point query, so the query may exceed the reported record.
+QUERY_ABOVE_RECORD = {"elastic"}
+#: Flow caches without a fixed table: their memory grows with the flows
+#: they hold.
+UNBOUNDED_MEMORY = {"exact", "sampled"}
+#: A cheaper stream than ``CONTENDED`` that still holds more flows than
+#: the HashFlow, HashPipe, ElasticSketch and SpaceSaving tables keep.
+#: ``CONTENDED`` also overflows the cuckoo cache and FlowRadar's decode,
+#: and each feed of it costs the cuckoo kick loop about a second.
+BUSY = skewed_stream(1_500, 400, seed=11)
+
+
+def probes_for(stream: list[int]) -> list[int]:
+    """Every flow of ``stream`` plus keys it never carries."""
+    return list(dict.fromkeys(stream)) + [1 << 100, (1 << 104) - 1, 12_345]
+
+
+def state(collector, probes: list[int]) -> tuple:
+    """Everything a caller can observe: records, meters, point answers."""
+    return (
+        collector.records(),
+        meter_tuple(collector.meter),
+        collector.query_batch(probes).tolist(),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(COLLECTOR_FACTORIES))
+class TestUpdateContract:
+    """The update path: batched, chunked and scalar feeds agree."""
+
+    def test_process_all_counts_every_packet(self, kind):
+        collector = COLLECTOR_FACTORIES[kind]()
+        assert collector.process_all(BUSY) == len(BUSY)
+        assert collector.meter.packets == len(BUSY)
+
+    def test_batched_update_equals_scalar_process(self, kind):
+        """``process_batch`` overrides are bit-identical to ``process``:
+        same records, same query answers, same meter totals."""
+        scalar = COLLECTOR_FACTORIES[kind]()
+        for key in CONTENDED:
+            scalar.process(key)
+        batched = COLLECTOR_FACTORIES[kind]()
+        batched.process_all(CONTENDED)
+        probes = probes_for(CONTENDED)
+        assert state(batched, probes) == state(scalar, probes)
+
+    def test_chunk_boundaries_do_not_change_state(self, kind):
+        """A batch walk carries no state across chunk boundaries that
+        the scalar walk would not."""
+        probes = probes_for(BUSY)
+        states = []
+        for chunk_size in (1, 97, len(BUSY)):
+            collector = COLLECTOR_FACTORIES[kind]()
+            collector.process_all(BUSY, chunk_size=chunk_size)
+            states.append(state(collector, probes))
+        assert states[0] == states[1] == states[2]
+
+    def test_empty_stream_reports_nothing(self, kind):
+        collector = COLLECTOR_FACTORIES[kind]()
+        assert collector.process_all([]) == 0
+        assert collector.records() == {}
+        assert collector.heavy_hitters(0) == {}
+        assert collector.estimate_cardinality() == 0
+        assert meter_tuple(collector.meter) == (0, 0, 0, 0)
+
+    def test_lone_flow_counted_exactly(self, kind):
+        key = (1 << 103) | 77
+        collector = COLLECTOR_FACTORIES[kind]()
+        collector.process_all([key] * 500)
+        assert collector.records() == {key: 500}
+        assert collector.query(key) == 500
+        assert collector.heavy_hitters(499) == {key: 500}
+
+    def test_light_load_reports_every_flow_exactly(self, kind):
+        """With room to spare, every full-record collector reports each
+        flow with its true count, up to the widest 104-bit key.  Packet
+        sampling reports the sampled flows, scaled by its period."""
+        collector = COLLECTOR_FACTORIES[kind]()
+        collector.process_all(LIGHT_LOAD)
+        records = collector.records()
+        if kind == "sampled":
+            assert records and set(records) <= set(WIDEST_FLOWS)
+            assert all(v % collector.every_n == 0 for v in records.values())
+        else:
+            assert records == {key: 3 for key in WIDEST_FLOWS}
+
+
+@pytest.mark.parametrize("kind", sorted(COLLECTOR_FACTORIES))
+class TestReportContract:
+    """The report path: records, queries, memory and clones."""
+
+    def test_records_agree_with_point_queries(self, kind):
+        collector = COLLECTOR_FACTORIES[kind]()
+        collector.process_all(CONTENDED)
+        records = collector.records()
+        answers = collector.query_batch(list(records)).tolist()
+        for (key, count), answer in zip(records.items(), answers):
+            if kind in QUERY_ABOVE_RECORD:
+                assert answer >= count
+            else:
+                assert answer == count
+
+    def test_queries_leave_state_unchanged(self, kind):
+        """Point queries are control-plane reads: no record, meter or
+        later answer moves."""
+        collector = COLLECTOR_FACTORIES[kind]()
+        collector.process_all(BUSY)
+        probes = probes_for(BUSY)
+        before = state(collector, probes)
+        for key in probes:
+            collector.query(key)
+        collector.heavy_hitters(1)
+        collector.estimate_cardinality()
+        assert state(collector, probes) == before
+
+    def test_memory_is_fixed_by_configuration(self, kind):
+        """A table's footprint is set when it is built; only the
+        unbounded flow caches grow, and ``reset()`` shrinks them back."""
+        collector = COLLECTOR_FACTORIES[kind]()
+        fresh = collector.memory_bits
+        collector.process_all(BUSY)
+        if kind in UNBOUNDED_MEMORY:
+            assert collector.memory_bits > fresh
+        else:
+            assert collector.memory_bits == fresh
+        collector.reset()
+        assert collector.memory_bits == fresh
+
+    def test_clone_of_used_collector_starts_empty(self, kind):
+        """``clone()`` copies the configuration, never the tables."""
+        used = COLLECTOR_FACTORIES[kind]()
+        used.process_all(BUSY)
+        before = used.records()
+        clone = used.clone()
+        assert clone.records() == {}
+        assert meter_tuple(clone.meter) == (0, 0, 0, 0)
+        assert used.records() == before
+        fresh = COLLECTOR_FACTORIES[kind]()
+        clone.process_all(LIGHT_LOAD)
+        fresh.process_all(LIGHT_LOAD)
+        probes = probes_for(LIGHT_LOAD)
+        assert state(clone, probes) == state(fresh, probes)

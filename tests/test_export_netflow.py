@@ -25,7 +25,7 @@ from repro.export.netflow_v5 import (
     decode_datagram,
     encode_datagrams,
     encode_header,
-    encode_record,
+    encode_records,
     parse_datagram,
     parse_datagram_partial,
     parse_stream,
@@ -34,7 +34,7 @@ from repro.export.netflow_v5 import (
     split_stream,
 )
 from repro.flow.key import pack_key, unpack_key
-from repro.hashing.mixers import keys_from_halves
+from repro.hashing.mixers import MASK64, keys_from_halves
 
 
 def sample_records(n: int) -> dict[int, int]:
@@ -42,6 +42,13 @@ def sample_records(n: int) -> dict[int, int]:
         pack_key(0x0A000000 + i, 0x0B000000 + i, 1000 + i, 80, 6): i + 1
         for i in range(n)
     }
+
+
+def record_bytes(key, packets, octets, first_ms=0, last_ms=0) -> bytes:
+    """One 48-byte v5 record for a packed flow key."""
+    return encode_records(
+        [key & MASK64], [key >> 64], packets, octets, first_ms, last_ms
+    ).tobytes()
 
 
 def sample_keys(n: int, seed: int = 0) -> list[int]:
@@ -540,8 +547,8 @@ class TestLiveDecode:
 
     def test_aggregated_record_expands_to_packets(self):
         key = pack_key(0x0A000001, 0x0B000002, 1234, 80, 6)
-        datagram = encode_header(1) + encode_record(
-            key, packets=5, octets=500, first_ms=250
+        datagram = encode_header(1) + record_bytes(
+            key, packets=5, octets=500, first_ms=250, last_ms=250
         )
         lo, hi, sizes, ts = decode_datagram(datagram)
         assert len(lo) == 5
@@ -556,9 +563,9 @@ class TestLiveDecode:
         b = pack_key(0x0A000003, 0x0B000004, 4321, 443, 17)
         datagram = (
             encode_header(3)
-            + encode_record(a, packets=3, octets=100)
-            + encode_record(b, packets=1, octets=7)
-            + encode_record(a, packets=4, octets=6)
+            + record_bytes(a, packets=3, octets=100)
+            + record_bytes(b, packets=1, octets=7)
+            + record_bytes(a, packets=4, octets=6)
         )
         lo, hi, sizes, _ = decode_datagram(datagram)
         assert keys_from_halves(lo, hi) == [a] * 3 + [b] + [a] * 4
@@ -576,10 +583,10 @@ class TestLiveDecode:
         assert len(lo) == 2
 
 
-class TestEncodeRecordScalar:
-    def test_encode_record_round_trips_key(self):
+class TestEncodeRecords:
+    def test_one_record_round_trips_key(self):
         key = pack_key(0xC0A80001, 0x08080808, 443, 51515, 17)
-        datagram = encode_header(1, sys_uptime_ms=9) + encode_record(
+        datagram = encode_header(1, sys_uptime_ms=9) + record_bytes(
             key, packets=3, octets=180, first_ms=10, last_ms=20
         )
         header, records = parse_datagram(datagram)
@@ -661,8 +668,8 @@ class TestGoldenBytes:
         )
         assert datagrams == [GOLDEN]
 
-    def test_encode_record_writes_golden_record(self):
-        assert encode_record(KEY, PACKETS, OCTETS, FIRST, LAST) == GOLDEN_RECORD
+    def test_encode_records_writes_golden_record(self):
+        assert record_bytes(KEY, PACKETS, OCTETS, FIRST, LAST) == GOLDEN_RECORD
 
     def test_replay_encoder_writes_golden_datagram(self):
         datagrams = encode_datagrams(
@@ -711,7 +718,7 @@ class TestGoldenBytes:
 #: Every encode path, fed one flow key.
 ENCODERS = {
     "exporter": lambda key: NetFlowV5Exporter().export({key: 1}),
-    "encode_record": lambda key: encode_record(key, 1, 40),
+    "encode_records": lambda key: [encode_header(1) + record_bytes(key, 1, 40)],
     "replay": lambda key: encode_datagrams(
         np.array([key & ((1 << 64) - 1)], dtype=np.uint64),
         np.array([key >> 64]),
@@ -738,6 +745,4 @@ class TestKeyRange:
     def test_widest_key_encodes(self, path):
         key = (1 << 104) - 1
         encoded = ENCODERS[path](key)
-        if path == "encode_record":
-            encoded = [encode_header(1) + encoded]
         assert parse_datagram(encoded[0])[1][0].key == key

@@ -9,19 +9,10 @@ from hypothesis import strategies as st
 from repro.flow.stats import (
     TraceStats,
     cdf_at,
-    flow_sizes,
     heavy_hitters,
     size_cdf,
     top_fraction_share,
 )
-
-
-class TestFlowSizes:
-    def test_counts(self):
-        assert flow_sizes([1, 2, 1, 1, 3, 2]) == {1: 3, 2: 2, 3: 1}
-
-    def test_empty(self):
-        assert flow_sizes([]) == {}
 
 
 class TestTraceStats:

@@ -1,4 +1,4 @@
-"""Tests for repro.analysis.heavy_hitters and repro.analysis.cardinality."""
+"""Tests for repro.analysis.heavy_hitters."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.analysis.cardinality import evaluate_cardinality
 from repro.analysis.heavy_hitters import evaluate_heavy_hitters, threshold_sweep
 from repro.sketches.exact import ExactCollector
 
@@ -118,20 +117,3 @@ class TestThresholdSweepMatchesPerThresholdEvaluation:
             evaluate_heavy_hitters(collector, truth, t) for t in thresholds
         ]
         assert swept == individual
-
-
-class TestEvaluateCardinality:
-    def test_exact(self):
-        c = exact_for({1: 1, 2: 1, 3: 1})
-        result = evaluate_cardinality(c, 3)
-        assert result.estimated == 3.0
-        assert result.re == 0.0
-
-    def test_relative_error_value(self):
-        c = exact_for({1: 1, 2: 1})
-        result = evaluate_cardinality(c, 4)
-        assert result.re == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            evaluate_cardinality(exact_for({}), 0)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketches.linear_counting import LinearCounter, linear_counting_estimate
+from repro.hashing.families import HashFunction
+from repro.sketches.linear_counting import linear_counting_estimate
 
 
 class TestEstimateFunction:
@@ -35,42 +37,32 @@ class TestEstimateFunction:
         assert linear_counting_estimate(m, e2) >= linear_counting_estimate(m, e1)
 
 
-class TestLinearCounter:
-    def test_empty(self):
-        lc = LinearCounter(1000)
-        assert lc.estimate() == 0.0
-        assert lc.occupied == 0
+def hashed_occupancy(keys, n_cells: int, seed: int) -> int:
+    """Empty cells left after hashing ``keys`` into an ``n_cells`` bitmap."""
+    occupied = np.zeros(n_cells, dtype=bool)
+    occupied[HashFunction(seed).buckets_batch(list(keys), n_cells)] = True
+    return n_cells - int(occupied.sum())
+
+
+class TestEstimateAccuracy:
+    """The estimator over bitmaps filled by the repository's own hash."""
+
+    @pytest.mark.parametrize(
+        "n_cells,n_items,seed,rel",
+        [
+            (10_000, 5_000, 3, 0.05),  # moderate load
+            (2_000, 6_000, 5, 0.15),  # past m cells: usable while load < ln m
+        ],
+        ids=["moderate-load", "beyond-capacity"],
+    )
+    def test_recovers_distinct_count(self, n_cells, n_items, seed, rel):
+        empty = hashed_occupancy(range(n_items), n_cells, seed)
+        estimate = linear_counting_estimate(n_cells, empty)
+        assert estimate == pytest.approx(n_items, rel=rel)
 
     def test_duplicates_do_not_move_estimate(self):
-        lc = LinearCounter(1000, seed=2)
-        for _ in range(50):
-            lc.add(7)
-        assert lc.occupied == 1
-
-    def test_accuracy_at_moderate_load(self):
-        lc = LinearCounter(10_000, seed=3)
-        n = 5000
-        for k in range(n):
-            lc.add(k)
-        assert lc.estimate() == pytest.approx(n, rel=0.05)
-
-    def test_accuracy_beyond_capacity(self):
-        """Linear counting stays usable past m cells (load < ln m)."""
-        lc = LinearCounter(2000, seed=5)
-        n = 6000
-        for k in range(n):
-            lc.add(k)
-        assert lc.estimate() == pytest.approx(n, rel=0.15)
-
-    def test_reset(self):
-        lc = LinearCounter(100)
-        lc.add(1)
-        lc.reset()
-        assert lc.occupied == 0
-
-    def test_memory_bits_is_cells(self):
-        assert LinearCounter(512).memory_bits == 512
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinearCounter(0)
+        once = hashed_occupancy(range(500), 1_000, seed=2)
+        repeated = hashed_occupancy(list(range(500)) * 50, 1_000, seed=2)
+        assert repeated == once
+        lone = hashed_occupancy([7] * 50, 1_000, seed=2)
+        assert linear_counting_estimate(1_000, lone) == pytest.approx(1.0, rel=0.01)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.metrics import (
     average_relative_error,
-    f1_score,
     flow_set_coverage,
     precision_recall_f1,
     relative_error,
@@ -204,9 +203,6 @@ class TestPrecisionRecallF1:
 
     def test_both_empty(self):
         assert precision_recall_f1([], []) == (1.0, 1.0, 1.0)
-
-    def test_f1_score_wrapper(self):
-        assert f1_score([1, 2], [1, 2]) == 1.0
 
     @given(st.sets(st.integers(0, 40)), st.sets(st.integers(0, 40)))
     def test_f1_bounded_property(self, reported, truth):

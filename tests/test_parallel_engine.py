@@ -73,23 +73,14 @@ class TestResolveJobs:
 
 class TestWorkloadRef:
     def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError, match="profile/path"):
+        with pytest.raises(ValueError, match="profile/shm"):
             WorkloadRef()
-        with pytest.raises(ValueError, match="profile/path"):
-            WorkloadRef(profile="caida", n_flows=10, path="/tmp/x")
+        with pytest.raises(ValueError, match="profile/shm"):
+            WorkloadRef(profile="caida", n_flows=10, shm=("x", 1, 1, False, "t"))
 
     def test_profile_refs_require_n_flows(self):
         with pytest.raises(ValueError, match="n_flows"):
             WorkloadRef(profile="caida")
-
-    def test_slice_bounds_come_together(self):
-        with pytest.raises(ValueError, match="start and stop"):
-            WorkloadRef(path="/tmp/x", start=3)
-
-    def test_profile_refs_reject_packet_slices(self):
-        """start/stop would silently bypass n_flows subsetting."""
-        with pytest.raises(ValueError, match="file-backed"):
-            WorkloadRef(profile="caida", n_flows=100, start=0, stop=500)
 
     def test_base_key_shared_across_subsets(self):
         a = WorkloadRef(profile="caida", n_flows=100, seed=2, base_flows=1000)
@@ -256,22 +247,3 @@ class TestParallelExecution:
         monkeypatch.setenv("REPRO_JOBS", "1")
         serial = run_plan(cells)
         assert [r.rows for r in env_run] == [r.rows for r in serial]
-
-
-class TestFileBackedRefs:
-    def test_packet_slice_matches_epoch_slice(self, tmp_path, small_trace):
-        from repro.traces.io import save_trace_arrays
-        from repro.traces.replay import split_by_packets
-
-        saved = save_trace_arrays(small_trace, tmp_path / "t")
-        epochs = list(split_by_packets(small_trace, 1000))
-        store = WorkloadStore()
-        for i, epoch in enumerate(epochs):
-            ref = WorkloadRef(
-                path=str(saved),
-                start=i * 1000,
-                stop=min((i + 1) * 1000, len(small_trace)),
-            )
-            cw = store.get(ref)
-            assert cw.trace.flow_keys == epoch.flow_keys
-            assert np.array_equal(cw.trace.order, epoch.order)

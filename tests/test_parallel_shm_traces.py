@@ -144,28 +144,3 @@ class TestPlanIdentity:
         assert [r.meter for r in shm] == [r.meter for r in serial]
         # The plan's trace segments were unlinked on the way out.
         assert shm_segments() == before
-
-
-class TestPipelineDispatch:
-    def test_netwide_pipeline_serial_equals_parallel(self):
-        """The previously-undispatchable netwide source round-trips
-        through a shared trace segment, bit-identically."""
-        from repro.stream.pipeline import Pipeline, run_pipelines
-        from repro.stream.spec import PipelineSpec
-
-        before = shm_segments()
-        spec = PipelineSpec(
-            source={
-                "kind": "netwide",
-                "params": {"profile": "caida", "n_flows": 600, "seed": 3},
-            },
-            collector={"kind": "hashflow", "params": {"main_cells": 512}},
-            rotation={"kind": "count", "params": {"epoch_packets": 1500}},
-            sinks=({"kind": "netflow_v5", "params": {}},),
-        )
-        direct = Pipeline.from_spec(spec).run().summary()
-        serial = run_pipelines([spec], jobs=1)
-        parallel = run_pipelines([spec], jobs=2)
-        assert serial == [direct]
-        assert parallel == [direct]
-        assert shm_segments() == before, "leaked shared-trace segments"

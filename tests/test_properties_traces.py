@@ -87,12 +87,12 @@ class TestSamplingProperties:
 class TestPersistenceProperties:
     @settings(max_examples=20, deadline=None)
     @given(keys=key_streams)
-    def test_npz_roundtrip(self, tmp_path_factory, keys):
-        from repro.traces.io import load_trace, save_trace
+    def test_trace_arrays_roundtrip(self, tmp_path_factory, keys):
+        from repro.traces.io import load_trace_arrays, save_trace_arrays
 
         trace = trace_from_keys(keys)
-        path = tmp_path_factory.mktemp("prop") / "t.npz"
-        save_trace(trace, path)
-        back = load_trace(path)
+        path = save_trace_arrays(trace, tmp_path_factory.mktemp("prop") / "t")
+        back = load_trace_arrays(path)
         assert back.flow_keys == trace.flow_keys
         assert np.array_equal(back.order, trace.order)
+        assert back.timestamps is None

@@ -5,9 +5,9 @@ contract (see ``tests/test_batch_engine.py``): for every collector,
 ``query_batch(keys)[i]`` must equal ``query(keys[i])`` exactly — for
 resident flows, evicted flows and never-seen flows alike — and the
 batched read path must never touch the cost meter.  The matrix below
-covers every ``FlowCollector`` subclass plus the standalone sketches
-(count-min, count sketch), the HashFlow sub-tables, and the
-network-wide collectors.
+covers every ``FlowCollector`` subclass plus the standalone count-min
+sketch, the HashFlow sub-tables, and the sharded network-wide
+collector.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.hashing.mixers import MASK64
 from repro.netwide.sharding import ShardedCollector
 from repro.sketches.base import gather_estimates
 from repro.sketches.countmin import CountMinSketch
-from repro.sketches.countsketch import CountSketch
 from repro.sketches.cuckoo import CuckooFlowCache
 from repro.sketches.elastic import ElasticSketch
 from repro.sketches.exact import ExactCollector
@@ -171,18 +170,6 @@ class TestStandaloneSketchQueryBatch:
         assert cms.query_batch(probes).tolist() == [cms.query(k) for k in probes]
         assert cms.query_batch([]).tolist() == []
 
-    @pytest.mark.parametrize("depth", [1, 3, 4])
-    def test_countsketch_median_truncation(self, depth):
-        """Even depths exercise the fractional-median int() truncation;
-        signed estimates exercise truncation toward zero."""
-        stream = make_stream(6_000, 300, seed=9)
-        cs = CountSketch(width=64, depth=depth, seed=9)
-        for k in stream:
-            cs.add(k)
-        probes = probe_keys(stream, seed=9)
-        batched = cs.query_batch(probes)
-        assert batched.tolist() == [cs.query(k) for k in probes]
-
 
 class TestGatherEstimates:
     def test_gather_and_scale(self):
@@ -196,26 +183,6 @@ class TestGatherEstimates:
 
     def test_empty(self):
         assert gather_estimates({}, []).tolist() == []
-
-
-class TestCentralCollectorQueryBatch:
-    def test_max_merge_gather(self):
-        from repro.export.netflow_v5 import NetFlowV5Exporter
-        from repro.netwide.collector import CentralCollector
-
-        central = CentralCollector()
-        exports = {
-            "s1": {11: 5, 22: 9},
-            "s2": {11: 7, 33: 2},
-        }
-        for name, records in exports.items():
-            for datagram in NetFlowV5Exporter().export(records):
-                central.ingest(name, datagram)
-        probes = [11, 22, 33, 44]
-        assert central.query_batch(probes).tolist() == [
-            central.query(k) for k in probes
-        ]
-        assert central.query_batch(probes).tolist() == [7, 9, 2, 0]
 
 
 class TestWorkloadTruthCache:

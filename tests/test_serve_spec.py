@@ -76,6 +76,45 @@ class TestValidation:
             ServeSpec(pipeline=pipeline_dict(rotation=stalling))
 
 
+class TestRefusedBeforeBinding:
+    """A spec its workers cannot build or drive fails at load, in the
+    parent, instead of as one dead worker per process."""
+
+    TIMEOUT = {
+        "kind": "timeout",
+        "params": {"inactive_timeout": 0.05, "active_timeout": 60.0},
+    }
+
+    def test_timeout_rotation_needs_an_evicting_collector(self):
+        pipeline = pipeline_dict(
+            collector={"kind": "hashpipe", "params": {"cells_per_stage": 256}},
+            rotation=self.TIMEOUT,
+        )
+        with pytest.raises(SpecError, match="evict"):
+            ServeSpec(pipeline=pipeline)
+
+    def test_collector_the_workers_cannot_build_refused(self):
+        collector = sharded_collector(2)
+        collector["params"]["jobs"] = 2
+        with pytest.raises(SpecError, match="jobs"):
+            ServeSpec(pipeline=pipeline_dict(collector=collector), workers=2)
+
+    def test_cli_exits_2_without_binding(self, monkeypatch, capsys):
+        from repro.experiments.cli import main
+        from repro.serve import ServeDaemon
+
+        def started(*_args, **_kwargs):
+            raise AssertionError("serve bound its socket or started workers")
+
+        monkeypatch.setattr(ServeDaemon, "bind", started)
+        monkeypatch.setattr(ServeDaemon, "run", started)
+        argv = ["serve", "--collector", "hashpipe",
+                "--rotate", "timeout:0.05,60", "--listen", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot build serve daemon" in err and "evict" in err
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         spec = ServeSpec(

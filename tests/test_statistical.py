@@ -15,7 +15,6 @@ from scipy import stats
 
 from repro.analysis.model import pipelined_utilization, simulate_pipelined_utilization
 from repro.hashing.families import HashFamily, HashFunction
-from repro.hashing.tabulation import TabulationHash
 from repro.traces.synthetic import sample_truncated_pareto
 
 
@@ -30,15 +29,6 @@ class TestHashUniformity:
             counts[h.bucket(key, buckets)] += 1
         _, p = stats.chisquare(counts)
         assert p > 1e-4, f"seed {seed}: p={p}"
-
-    def test_chi_square_tabulation(self):
-        h = TabulationHash(key_bits=104, seed=3)
-        buckets = 32
-        counts = np.zeros(buckets)
-        for key in range(32_000):
-            counts[h.bucket(key, buckets)] += 1
-        _, p = stats.chisquare(counts)
-        assert p > 1e-4
 
     def test_pairwise_agreement_binomial(self):
         """Agreement rate of two family members ~ Binomial(n, 1/m)."""

@@ -395,7 +395,6 @@ class TestSources:
         write_pcap(tiny_trace, path)
         source = build_source({"kind": "pcap", "params": {"path": str(path)}})
         assert source.trace().true_sizes() == tiny_trace.true_sizes()
-        assert source.workload_ref() is None
 
     def test_netwide_source_amplifies_by_path_length(self, tiny_trace):
         source = build_source(
@@ -407,7 +406,6 @@ class TestSources:
         trace = source.trace()
         # Every packet appears once per switch on its flow's path.
         assert len(trace) >= len(base)
-        assert source.workload_ref() is None
 
     def test_netwide_pipeline_runs(self):
         pipeline = Pipeline(

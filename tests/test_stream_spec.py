@@ -1,24 +1,20 @@
-"""Tests for PipelineSpec: JSON round trip, reseeding, parallel dispatch.
+"""Tests for PipelineSpec: JSON round trip, validation, reseeding.
 
 Mirrors the ``tests/test_specs.py`` contract one level up: a pipeline
 built from a JSON ``PipelineSpec`` — including a file round trip and a
-deterministic reseed — reproduces bit-identical results, and pipelines
-dispatched as ``repro.parallel`` cells return rows bit-identical to a
-serial run.
+deterministic reseed — reproduces bit-identical results.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.parallel.plan import WorkloadRef
 from repro.specs import SpecError
 from repro.stream import (
     Pipeline,
     PipelineSpec,
     build_rotation,
     load_pipeline_spec,
-    run_pipelines,
     save_pipeline_spec,
 )
 
@@ -224,65 +220,3 @@ class TestRebuildDeterminism:
         first = Pipeline.from_spec(spec).run()
         second = Pipeline.from_spec(PipelineSpec.from_json(spec.to_json())).run()
         assert first.summary() == second.summary()
-
-
-class TestParallelDispatch:
-    def make_specs(self):
-        return [
-            PipelineSpec(
-                source={"kind": "synthetic",
-                        "params": {"profile": profile, "n_flows": 300,
-                                   "seed": seed}},
-                collector=_HF,
-                rotation={"kind": "timeout",
-                          "params": {"inactive_timeout": 0.005,
-                                     "expiry_interval": 128}},
-                sinks=({"kind": "netflow_v5"}, {"kind": "archive"}),
-            )
-            for profile, seed in (("caida", 1), ("campus", 2), ("caida", 3))
-        ]
-
-    def test_workload_ref_mirrors_source(self):
-        spec = self.make_specs()[0]
-        assert spec.workload_ref() == WorkloadRef(
-            profile="caida", n_flows=300, seed=1
-        )
-
-    def test_run_over_ref_trace_matches_source_trace(self):
-        # The parallel path runs the pipeline over the engine's
-        # materialized workload; it must equal a source-driven run.
-        spec = self.make_specs()[0]
-        from repro.parallel.evaluate import WorkloadStore
-
-        cw = WorkloadStore().get(spec.workload_ref())
-        by_ref = Pipeline.from_spec(spec).run(trace=cw.trace)
-        by_source = Pipeline.from_spec(spec).run()
-        assert by_ref.summary() == by_source.summary()
-
-    def test_serial_rows_match_direct_runs(self):
-        specs = self.make_specs()
-        rows = run_pipelines(specs, jobs=1)
-        for spec, row in zip(specs, rows):
-            assert row == Pipeline.from_spec(spec).run().summary()
-
-    def test_serial_equals_two_workers(self, tmp_path, monkeypatch):
-        # The satellite contract: pipelines dispatched as parallel
-        # cells are bit-identical to the serial rows (REPRO_JOBS=2).
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
-        specs = self.make_specs()
-        serial = run_pipelines(specs, jobs=1)
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        parallel = run_pipelines(specs)
-        assert parallel == serial
-
-    def test_non_refable_source_dispatches_via_shared_trace(self):
-        # Sources without a portable workload ref (netwide, pcap) are
-        # materialized once and shared through a /dev/shm segment
-        # (repro.shm) instead of being rejected.
-        spec = PipelineSpec(
-            source={"kind": "netwide",
-                    "params": {"profile": "caida", "n_flows": 100}},
-            collector=_HF,
-        )
-        direct = Pipeline.from_spec(spec).run().summary()
-        assert run_pipelines([spec], jobs=1) == [direct]

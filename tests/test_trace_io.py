@@ -1,4 +1,4 @@
-"""Tests for repro.traces.io (npz + trace-array persistence)."""
+"""Tests for repro.traces.io (trace-array persistence)."""
 
 from __future__ import annotations
 
@@ -7,61 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.flow.batch import KeyBatch
-from repro.traces.io import (
-    load_key_batch,
-    load_trace,
-    load_trace_arrays,
-    save_key_batch,
-    save_trace,
-    save_trace_arrays,
-)
-from repro.traces.trace import Trace
-
-
-class TestSaveLoad:
-    def test_roundtrip_exact(self, small_trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        save_trace(small_trace, path)
-        back = load_trace(path)
-        assert back.name == small_trace.name
-        assert back.flow_keys == small_trace.flow_keys
-        assert np.array_equal(back.order, small_trace.order)
-        assert back.true_sizes() == small_trace.true_sizes()
-
-    def test_roundtrip_with_timestamps(self, tmp_path):
-        t = Trace(
-            [1 << 100, 42],
-            np.array([0, 1, 1]),
-            timestamps=np.array([0.5, 0.75, 1.0]),
-            name="ts",
-        )
-        path = tmp_path / "ts.npz"
-        save_trace(t, path)
-        back = load_trace(path)
-        assert np.allclose(back.timestamps, t.timestamps)
-
-    def test_104_bit_keys_preserved(self, tmp_path):
-        """Keys above 64 bits must survive the hi/lo split."""
-        big = (1 << 103) | 0xDEADBEEF
-        t = Trace([big], np.array([0, 0]))
-        path = tmp_path / "big.npz"
-        save_trace(t, path)
-        assert load_trace(path).flow_keys == [big]
-
-    def test_no_timestamps_loads_as_none(self, tiny_trace, tmp_path):
-        path = tmp_path / "t.npz"
-        save_trace(tiny_trace, path)
-        assert load_trace(path).timestamps is None
-
-    def test_bad_version_rejected(self, tiny_trace, tmp_path):
-        path = tmp_path / "t.npz"
-        save_trace(tiny_trace, path)
-        data = dict(np.load(path, allow_pickle=False))
-        data["version"] = np.array([999])
-        np.savez_compressed(path, **data)
-        with pytest.raises(ValueError, match="version"):
-            load_trace(path)
+from repro.traces.io import load_trace_arrays, save_trace_arrays
+from repro.traces.trace import Trace, trace_from_keys
 
 
 class TestTraceArrays:
@@ -91,6 +38,13 @@ class TestTraceArrays:
         assert back.flow_keys == [big, 42]
         assert np.allclose(back.timestamps, t.timestamps)
 
+    def test_empty_untimed_trace_roundtrips(self, tmp_path):
+        """A window with no traffic still caches and loads."""
+        back = load_trace_arrays(save_trace_arrays(trace_from_keys([]), tmp_path / "t"))
+        assert back.flow_keys == []
+        assert len(back) == 0
+        assert back.timestamps is None
+
     def test_mmap_mode_gives_same_arrays(self, small_trace, tmp_path):
         path = save_trace_arrays(small_trace, tmp_path / "t")
         mapped = load_trace_arrays(path, mmap=True)
@@ -107,6 +61,26 @@ class TestTraceArrays:
         save_trace_arrays(small_trace, path)  # racing producer, ignored
         assert load_trace_arrays(path).flow_keys == tiny_trace.flow_keys
 
+    def test_save_leaves_only_the_destination(self, tiny_trace, tmp_path):
+        """Arrays are staged in a scratch directory renamed into place."""
+        path = save_trace_arrays(tiny_trace, tmp_path / "t")
+        save_trace_arrays(tiny_trace, path)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_save_leaves_nothing(self, tiny_trace, tmp_path, monkeypatch):
+        """A writer that dies mid-save leaves no partial directory for a
+        reader to load or for the next producer to trip over."""
+        def disk_full(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "save", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            save_trace_arrays(tiny_trace, tmp_path / "t")
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        path = save_trace_arrays(tiny_trace, tmp_path / "t")
+        assert load_trace_arrays(path).flow_keys == tiny_trace.flow_keys
+
     def test_missing_and_bad_version_rejected(self, tiny_trace, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_trace_arrays(tmp_path / "nope")
@@ -116,31 +90,3 @@ class TestTraceArrays:
         (path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ValueError, match="version"):
             load_trace_arrays(path)
-
-
-class TestKeyBatchPersistence:
-    def test_roundtrip_with_sizes(self, tmp_path):
-        keys = [(1 << 100) | 7, 42, 42, (1 << 90) + 1]
-        batch = KeyBatch(keys, sizes=np.array([100, 200, 300, 64]))
-        path = tmp_path / "batch.npz"
-        save_key_batch(batch, path)
-        back = load_key_batch(path)
-        assert back.keys == keys
-        assert np.array_equal(back.sizes, batch.sizes)
-        lo, hi = back.halves()
-        ref_lo, ref_hi = batch.halves()
-        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
-
-    def test_roundtrip_without_sizes(self, tmp_path):
-        batch = KeyBatch([1, 2, 3])
-        path = tmp_path / "batch.npz"
-        save_key_batch(batch, path)
-        assert load_key_batch(path).sizes is None
-
-    def test_suffixless_path_roundtrips(self, tmp_path, tiny_trace):
-        """np.savez appends .npz on save; load must accept the same
-        suffix-less argument the saver was given."""
-        save_key_batch(KeyBatch([5, 6]), tmp_path / "b")
-        assert load_key_batch(tmp_path / "b").keys == [5, 6]
-        save_trace(tiny_trace, tmp_path / "t")
-        assert load_trace(tmp_path / "t").flow_keys == tiny_trace.flow_keys

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.traces.sampling import (
-    sample_deterministic,
-    sample_probabilistic,
-    thin_flow_sizes,
-)
+from repro.traces.sampling import sample_deterministic
 from repro.traces.trace import trace_from_keys
 
 
@@ -43,57 +38,3 @@ class TestDeterministicSampling:
     def test_validation(self, bad_n, bad_off, small_trace):
         with pytest.raises(ValueError):
             sample_deterministic(small_trace, bad_n, offset=bad_off)
-
-
-class TestProbabilisticSampling:
-    def test_probability_bounds(self, small_trace):
-        with pytest.raises(ValueError):
-            sample_probabilistic(small_trace, 1.5)
-
-    def test_extremes(self, small_trace):
-        assert len(sample_probabilistic(small_trace, 0.0)) == 0
-        assert len(sample_probabilistic(small_trace, 1.0)) == len(small_trace)
-
-    def test_rate_roughly_matches(self, small_trace):
-        sampled = sample_probabilistic(small_trace, 0.25, seed=3)
-        rate = len(sampled) / len(small_trace)
-        assert 0.2 < rate < 0.3
-
-    def test_deterministic_given_seed(self, small_trace):
-        a = sample_probabilistic(small_trace, 0.3, seed=9)
-        b = sample_probabilistic(small_trace, 0.3, seed=9)
-        assert a.key_list() == b.key_list()
-
-
-class TestThinFlowSizes:
-    def test_zero_probability_kills_everything(self, rng):
-        assert len(thin_flow_sizes(np.array([5, 10, 100]), 0.0, rng)) == 0
-
-    def test_unit_probability_preserves(self, rng):
-        sizes = np.array([5, 10, 100])
-        thinned = thin_flow_sizes(sizes, 1.0, rng)
-        assert sorted(thinned.tolist()) == [5, 10, 100]
-
-    def test_survivors_positive(self, rng):
-        thinned = thin_flow_sizes(np.full(10_000, 3), 0.1, rng)
-        assert (thinned > 0).all()
-
-    def test_mean_thinning(self, rng):
-        """E[thinned packets] = p * E[original packets]."""
-        sizes = np.full(50_000, 100)
-        thinned = thin_flow_sizes(sizes, 0.1, rng)
-        assert thinned.sum() == pytest.approx(0.1 * sizes.sum(), rel=0.05)
-
-    def test_isp2_like_shape(self, rng):
-        """1:5000-sampling a heavy-tailed population leaves mostly 1-4 pkt
-        flows — the shape the paper describes for ISP2."""
-        from repro.traces.synthetic import sample_truncated_pareto
-
-        original = sample_truncated_pareto(1.5, 1000, 10_000_000, 30_000, rng)
-        thinned = thin_flow_sizes(original, 1 / 5000.0, rng)
-        assert len(thinned) > 100
-        assert np.mean(thinned < 5) > 0.8
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            thin_flow_sizes(np.array([1]), -0.1, rng)
