@@ -390,6 +390,11 @@ class HashFlow(FlowCollector):
         """Accurate records: the main table's resident flows."""
         return self.main.records()
 
+    def record_columns(self):
+        """The main table's resident flows as columns, gathered from its
+        planes (:meth:`MainTable.record_columns`)."""
+        return self.main.record_columns()
+
     def query(self, key: int) -> int:
         """Main-table count, else the ancillary summarized count, else 0."""
         if self._native is not None:

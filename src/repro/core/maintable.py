@@ -38,8 +38,8 @@ import numpy as np
 from repro.flow.batch import KeyBatch
 from repro.flow.key import FLOW_KEY_BITS
 from repro.hashing.families import HashFamily
-from repro.hashing.mixers import MASK64, keys_from_halves, mix128, mix128_batch
-from repro.sketches.base import CostMeter
+from repro.hashing.mixers import MASK64, mix128, mix128_batch
+from repro.sketches.base import CostMeter, column_records
 from repro.sketches.planes import cleared, new_plane, occupied
 
 _COUNTER_BITS = 32
@@ -283,22 +283,26 @@ class MainTable:
                     break
         return out
 
-    def _resident(self, plane) -> tuple[list[int], list[int]]:
-        """Keys and ``plane`` values of every occupied cell.
+    def record_columns(self):
+        """Every occupied cell as columns ``(lo, hi, packets, octets)``.
 
-        Cells come in ascending flat index (stage-major) order, so
-        report dicts iterate identically on every tier.
+        Cells come in ascending flat index (stage-major) order on every
+        tier; ``octets`` is the ``bytes`` plane's cells, or None
+        without byte tracking.  Probes never evict, so each resident
+        flow holds one cell.
         """
         counts = self.counts
-        keys = keys_from_halves(
+        return (
             occupied(self.k_lo, counts, np.uint64),
             occupied(self.k_hi, counts, np.uint64),
+            occupied(counts, counts, np.int64),
+            None if self.bytes is None else occupied(self.bytes, counts, np.int64),
         )
-        return keys, occupied(plane, counts, np.int64).tolist()
 
     def records(self) -> dict[int, int]:
         """All resident records."""
-        return dict(zip(*self._resident(self.counts)))
+        lo, hi, packets, _ = self.record_columns()
+        return column_records(lo, hi, packets)
 
     def byte_records(self) -> dict[int, int]:
         """Per-flow byte counts of all resident records.
@@ -307,7 +311,8 @@ class MainTable:
             RuntimeError: if byte tracking is disabled.
         """
         self._require_bytes()
-        return dict(zip(*self._resident(self.bytes)))
+        lo, hi, _, octets = self.record_columns()
+        return column_records(lo, hi, octets)
 
     def occupancy(self) -> int:
         """Number of occupied buckets."""

@@ -33,14 +33,15 @@ indices are left zero, as software exporters commonly do.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.flow.key import FLOW_KEY_BITS, FLOW_KEY_MASK
+from repro.flow.key import FLOW_KEY_BITS
 from repro.flow.packet import DEFAULT_PACKET_BYTES
-from repro.hashing.mixers import keys_from_halves, split_keys
+from repro.hashing.mixers import keys_from_halves
+from repro.stream.records import UNMEASURED, merge_rows
 
 NETFLOW_V5_VERSION = 5
 MAX_RECORDS_PER_DATAGRAM = 30
@@ -121,15 +122,6 @@ def encode_header(
         engine_id,
         sampling_interval,
     )
-
-
-def _split_flow_keys(keys: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Python-int flow keys -> ``uint64`` halves, rejecting non-5-tuples."""
-    if keys and (min(keys) < 0 or max(keys) > FLOW_KEY_MASK):
-        raise ValueError(
-            f"key out of range for 104-bit flow ID: {min(keys)}..{max(keys)}"
-        )
-    return split_keys(keys)
 
 
 def encode_records(lo, hi, packets, octets, first_ms, last_ms) -> np.ndarray:
@@ -247,111 +239,65 @@ class NetFlowV5Exporter:
 
     def export(
         self,
-        records: dict[int, int],
+        records,
         sys_uptime_ms: int = 0,
         unix_secs: int = 0,
-        octets: Mapping[int, int] | None = None,
-        times_ms: Mapping[int, tuple[int, int]] | None = None,
     ) -> list[bytes]:
-        """Pack records into one or more v5 datagrams, in flow-key order.
+        """Pack a record batch into v5 datagrams, in flow-key order.
+
+        ``records`` is a :class:`~repro.stream.records.RecordBatch`.
+        Rows of one key merge first (:func:`~repro.stream.records.merge_rows`):
+        packet and byte counts sum, timing spans the earliest first and
+        latest last seen.  ``dOctets`` is the merged measured count; a
+        flow with *any* unmeasured row falls back to the whole-flow
+        estimate (packets × ``mean_packet_bytes``), since a partial
+        measured sum would under-report.  ``first``/``last`` are the
+        flow's timing in SysUptime milliseconds (seconds × 1000,
+        rounded; a row with only one of the two uses it for both; a
+        measured 0.0 counts), falling back to ``sys_uptime_ms`` for a
+        flow no row times.
 
         Args:
-            records: ``{packed flow key: packet count}``.
+            records: the records to export.
             sys_uptime_ms: exporter uptime for the header (and the
                 ``first``/``last`` fallback).
             unix_secs: export wall-clock time for the header.
-            octets: optional measured ``{flow key: byte count}``; a
-                present key overrides the mean-packet-size estimate
-                (measured beats estimated), missing keys fall back.
-            times_ms: optional ``{flow key: (first_ms, last_ms)}``
-                SysUptime flow timing; missing keys fall back to
-                ``sys_uptime_ms`` for both fields.
 
         Returns:
             Encoded datagrams, each carrying at most 30 records.
 
         Raises:
-            ValueError: if a key is negative or wider than 104 bits.
+            ValueError: if a key is wider than 104 bits.
         """
-        keys = sorted(records)
-        lo, hi = _split_flow_keys(keys)
-        packets = [records[key] for key in keys]
-        measured, mean = octets or {}, self.mean_packet_bytes
-        byte_counts = [measured.get(key, n * mean) for key, n in zip(keys, packets)]
-        timing, uptime = times_ms or {}, (sys_uptime_ms, sys_uptime_ms)
-        spans = np.array([timing.get(key, uptime) for key in keys], dtype=np.int64)
-        first, last = spans.reshape(-1, 2).T
+        first = last = None
+        if records.timed:
+            first, last = records.first_seen, records.last_seen
+            first, last = (
+                np.round(np.where(np.isnan(first), last, first) * 1000.0),
+                np.round(np.where(np.isnan(last), first, last) * 1000.0),
+            )
+        lo, hi, packets, octets, first, last = merge_rows(
+            records.lo, records.hi, records.packets, records.octets,
+            first_seen=first, last_seen=last,
+        )
+        octets = np.where(
+            octets == UNMEASURED, packets * self.mean_packet_bytes, octets
+        )
+        if first is None:
+            first = last = np.full(len(lo), sys_uptime_ms, dtype=np.int64)
+        else:
+            first = np.where(np.isnan(first), sys_uptime_ms, first).astype(np.int64)
+            last = np.where(np.isnan(last), sys_uptime_ms, last).astype(np.int64)
         datagrams = _datagrams(
-            encode_records(lo, hi, packets, byte_counts, first, last),
-            np.full(len(keys), sys_uptime_ms, dtype=np.int64),
+            encode_records(lo, hi, packets, octets, first, last),
+            np.full(len(lo), sys_uptime_ms, dtype=np.int64),
             unix_secs,
             self.flow_sequence,
             self.engine_id,
             self.sampling_interval,
         )
-        self.flow_sequence += len(keys)
+        self.flow_sequence += len(lo)
         return datagrams
-
-    def export_flows(
-        self,
-        flows: Iterable,
-        sys_uptime_ms: int = 0,
-        unix_secs: int = 0,
-    ) -> list[bytes]:
-        """Export flow-record objects, carrying their bytes and timing.
-
-        Accepts any iterable of records exposing ``key`` / ``packets``
-        and optionally ``octets`` / ``first_seen`` / ``last_seen`` —
-        :class:`~repro.stream.records.FlowRecord` qualifies.  Measured octets
-        take precedence over the mean-packet-size estimate; first/last
-        seen timestamps (seconds; None means untracked, a measured
-        0.0 counts) are converted to SysUptime milliseconds for the v5
-        ``first``/``last`` fields.  Duplicate keys within one call
-        merge: packet and byte counts sum, timing spans (min first,
-        max last).  A flow with *any* unmeasured segment falls back to
-        the whole-flow estimate — a partial measured sum would
-        under-report dOctets.
-
-        Args:
-            flows: the records to export.
-            sys_uptime_ms: header uptime (and timing fallback for
-                records without timestamps).
-            unix_secs: export wall-clock time for the header.
-
-        Returns:
-            Encoded datagrams, each carrying at most 30 records.
-        """
-        records: dict[int, int] = {}
-        octets: dict[int, int] = {}
-        unmeasured: set[int] = set()
-        times_ms: dict[int, tuple[int, int]] = {}
-        for flow in flows:
-            key = flow.key
-            records[key] = records.get(key, 0) + flow.packets
-            measured = getattr(flow, "octets", None)
-            if measured is None:
-                unmeasured.add(key)
-            else:
-                octets[key] = octets.get(key, 0) + int(measured)
-            first = getattr(flow, "first_seen", None)
-            last = getattr(flow, "last_seen", None)
-            if first is not None or last is not None:
-                first_ms = int(round((first if first is not None else last) * 1000.0))
-                last_ms = int(round((last if last is not None else first) * 1000.0))
-                if key in times_ms:
-                    prev_first, prev_last = times_ms[key]
-                    first_ms = min(first_ms, prev_first)
-                    last_ms = max(last_ms, prev_last)
-                times_ms[key] = (first_ms, last_ms)
-        for key in unmeasured:
-            octets.pop(key, None)
-        return self.export(
-            records,
-            sys_uptime_ms=sys_uptime_ms,
-            unix_secs=unix_secs,
-            octets=octets or None,
-            times_ms=times_ms or None,
-        )
 
 
 def encode_datagrams(
@@ -581,20 +527,13 @@ def parse_stream_records(datagrams: Iterator[bytes]) -> list[NetFlowV5Record]:
     lo, hi, fields = decode_records(
         b"".join(_split_strict(datagram)[1] for datagram in datagrams)
     )
-    if not len(lo):
-        return []
-    order = np.lexsort((lo, hi))
-    lo, hi, fields = lo[order], hi[order], fields[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
+    lo, hi, packets, octets, first, last = merge_rows(
+        lo,
+        hi,
+        fields["packets"].astype(np.int64),
+        fields["octets"].astype(np.int64),
+        first_seen=fields["first_ms"].astype(np.int64),
+        last_seen=fields["last_ms"].astype(np.int64),
     )
-    return _to_records(
-        lo[starts],
-        hi[starts],
-        {
-            "packets": np.add.reduceat(fields["packets"].astype(np.int64), starts),
-            "octets": np.add.reduceat(fields["octets"].astype(np.int64), starts),
-            "first_ms": np.minimum.reduceat(fields["first_ms"], starts),
-            "last_ms": np.maximum.reduceat(fields["last_ms"], starts),
-        },
-    )
+    columns = {"packets": packets, "octets": octets, "first_ms": first, "last_ms": last}
+    return _to_records(lo, hi, columns)

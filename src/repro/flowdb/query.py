@@ -15,6 +15,12 @@ and CI assertions.  :func:`execute` resolves it against a store:
    genuinely disjoint vantages;
 3. the operation runs as a vectorized scan of the merged summary.
 
+A lookup answers one key, so it skips the merges: it reads each
+selected window's leaf once — its hit is both the window's series
+point and a share of the vantage total — and plans parent nodes only
+for windows whose leaf was tiered away; the shares then fold by the
+same rules for that one key.
+
 Every answer carries its provenance: which windows per vantage it
 covered and which of those were degraded (a fault made their content
 incomplete, PR 9) — a number computed over a tainted window says so
@@ -27,9 +33,12 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.flowdb.store import FlowStore, StoreError
-from repro.flowdb.summary import UNMEASURED, FlowSummary, merge_summaries
+from repro.flowdb.summary import UNMEASURED, merge_summaries
 from repro.specs import SpecError
+from repro.stream.records import merge_rows
 
 #: Query operations :func:`execute` understands.
 OPS = ("topk", "lookup", "cardinality")
@@ -159,20 +168,78 @@ def _flow_text(key: int) -> str:
     return f"{format_ip(src_ip)}:{src_port}-{format_ip(dst_ip)}:{dst_port}/{proto}"
 
 
+def _fold(hits: list[tuple[int, int]], mode: str) -> tuple[int, int] | None:
+    """One key's ``(packets, octets)`` shares folded by the one column
+    merge (``mode`` ``sum``/``max``, an :data:`UNMEASURED` share
+    poisoning the octets); None without shares."""
+    if not hits:
+        return None
+    packets, octets = np.array(hits, dtype=np.int64).T
+    one_key = np.zeros(len(hits), dtype=np.uint64)
+    _, _, packets, octets, _, _ = merge_rows(one_key, one_key, packets, octets, mode)
+    return int(packets[0]), int(octets[0])
+
+
+def _lookup(store: FlowStore, vantage: str, windows: list[int], key: int):
+    """One vantage's share of a lookup, reading each selected leaf once.
+
+    A leaf's hit is its window's series point and a share of the
+    vantage total.  When leaves were tiered away, the windows are
+    planned as :func:`execute` plans them, and each planned parent
+    holding a missing leaf's window answers for its whole span (its
+    present leaves still give the series); a parent whose leaves are
+    all present is not read.
+
+    Returns:
+        ``(hit, series, degraded, read)``: the vantage's folded
+        ``(packets, octets)`` or None, the per-window series, the
+        degraded windows of every node read, and ``(level, start)`` of
+        every node read.
+    """
+    present = [w for w in windows if store.has_node(vantage, 0, w)]
+    planned = []
+    if len(present) < len(windows):
+        have = set(present)
+        planned = [
+            ref
+            for ref in store.plan(vantage, windows)
+            if not have.issuperset(ref.windows)
+        ]
+    spanned = {w for ref in planned for w in ref.windows}
+    shares, series, degraded = [], [], set()
+    for window in present:
+        leaf = store.load_node(vantage, 0, window)
+        degraded.update(leaf.degraded_windows)
+        hit = leaf.lookup(key)
+        if hit is not None:
+            series.append({"window": window, "packets": hit[0]})
+            if window not in spanned:
+                shares.append(hit)
+    for ref in planned:
+        node = store.load_node(vantage, ref.level, ref.start)
+        degraded.update(node.degraded_windows)
+        hit = node.lookup(key)
+        if hit is not None:
+            shares.append(hit)
+    read = [(0, w) for w in present] + [(ref.level, ref.start) for ref in planned]
+    return _fold(shares, "sum"), series, degraded, read
+
+
 def execute(store: FlowStore, spec: QuerySpec) -> dict[str, Any]:
     """Run one query against a store; returns a JSON-native result.
 
     Every result dict carries ``op``, ``merge``, ``vantages`` (name →
-    ``{"windows": [...], "degraded_windows": [...], "nodes": N}``) and
-    ``degraded`` (True when any covered window was tainted).  Per-op
-    payload:
+    ``{"windows": [...], "degraded_windows": [...], "nodes": N,
+    "levels": [...]}``, where ``nodes``/``levels`` count the store
+    nodes the query read) and ``degraded`` (True when any covered
+    window was tainted).  Per-op payload:
 
     * ``topk`` — ``results``: ``[{"key", "flow", "packets"}, ...]``,
       descending packets, ties broken by ascending key (the exact
       ground-truth order tests replay offline).
     * ``lookup`` — total ``packets``/``octets`` for the key, the
       per-vantage split, and a per-window ``series`` drill-down for
-      every selected window still answerable at leaf grain.
+      every selected window whose leaf is still stored.
     * ``cardinality`` — distinct flow count of the merged summary.
 
     Raises:
@@ -187,38 +254,38 @@ def execute(store: FlowStore, spec: QuerySpec) -> dict[str, Any]:
             f"unknown vantages {unknown}; store holds {store.vantages()}"
         )
 
-    per_vantage: dict[str, FlowSummary] = {}
+    per_vantage: dict[str, Any] = {}
     provenance: dict[str, Any] = {}
     for vantage in vantages:
         windows = _select_windows(store, vantage, spec)
-        refs = store.plan(vantage, windows)
-        summary = merge_summaries(
-            [store.load_node(vantage, ref.level, ref.start) for ref in refs],
-            mode="sum",
-        )
-        per_vantage[vantage] = summary
+        if spec.op == "lookup":
+            per_vantage[vantage] = _lookup(store, vantage, windows, spec.key)
+            _, _, degraded, read = per_vantage[vantage]
+        else:
+            refs = store.plan(vantage, windows)
+            per_vantage[vantage] = merge_summaries(
+                [store.load_node(vantage, ref.level, ref.start) for ref in refs],
+                mode="sum",
+            )
+            degraded = per_vantage[vantage].degraded_windows
+            read = [(ref.level, ref.start) for ref in refs]
         provenance[vantage] = {
             "windows": windows,
-            "degraded_windows": sorted(summary.degraded_windows),
-            "nodes": len(refs),
-            "levels": sorted({ref.level for ref in refs}),
+            "degraded_windows": sorted(degraded),
+            "nodes": len(read),
+            "levels": sorted({level for level, _ in read}),
         }
 
-    merged = merge_summaries(list(per_vantage.values()), mode=spec.merge)
     result: dict[str, Any] = {
         "op": spec.op,
         "merge": spec.merge,
         "vantages": provenance,
-        "degraded": merged.degraded,
+        "degraded": any(p["degraded_windows"] for p in provenance.values()),
     }
-
-    if spec.op == "topk":
-        result["results"] = [
-            {"key": key, "flow": _flow_text(key), "packets": packets}
-            for key, packets in merged.top_k(spec.k)
-        ]
-    elif spec.op == "lookup":
-        hit = merged.lookup(spec.key)
+    if spec.op == "lookup":
+        hit = _fold(
+            [hit for hit, *_ in per_vantage.values() if hit is not None], spec.merge
+        )
         result["key"] = spec.key
         result["flow"] = _flow_text(spec.key)
         result["found"] = hit is not None
@@ -226,22 +293,18 @@ def execute(store: FlowStore, spec: QuerySpec) -> dict[str, Any]:
         result["octets"] = (
             hit[1] if hit is not None and hit[1] != UNMEASURED else None
         )
-        result["by_vantage"] = {}
-        for vantage in vantages:
-            vhit = per_vantage[vantage].lookup(spec.key)
-            series = []
-            for window in provenance[vantage]["windows"]:
-                try:
-                    leaf = store.load_node(vantage, 0, window)
-                except StoreError:
-                    continue  # leaf tiered away; totals still exact above
-                whit = leaf.lookup(spec.key)
-                if whit is not None:
-                    series.append({"window": window, "packets": whit[0]})
-            result["by_vantage"][vantage] = {
-                "packets": vhit[0] if vhit else 0,
-                "series": series,
-            }
+        result["by_vantage"] = {
+            vantage: {"packets": hit[0] if hit else 0, "series": series}
+            for vantage, (hit, series, _, _) in per_vantage.items()
+        }
+        return result
+
+    merged = merge_summaries(list(per_vantage.values()), mode=spec.merge)
+    if spec.op == "topk":
+        result["results"] = [
+            {"key": key, "flow": _flow_text(key), "packets": packets}
+            for key, packets in merged.top_k(spec.k)
+        ]
     else:  # cardinality
         result["flows"] = merged.cardinality()
         result["by_vantage"] = {

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.stream.records import FlowRecord
-from repro.stream.sinks import Sink
+from repro.stream.records import RecordBatch
+from repro.stream.sinks import Sink, keep_rotation
 
 
 class FlowStoreSink(Sink):
@@ -39,16 +39,15 @@ class FlowStoreSink(Sink):
         self.root = str(root)
         self.vantage = str(vantage)
         self.merge = bool(merge)
-        self.by_rotation: dict[int, list[FlowRecord]] = {}
+        self.by_rotation: dict[int, RecordBatch] = {}
         self.windows: list[int] = []
         self._closed = False
 
     def spec_params(self) -> dict[str, Any]:
         return {"root": self.root, "vantage": self.vantage, "merge": self.merge}
 
-    def emit(self, records: list[FlowRecord], rotation: int, now: float) -> None:
-        if records:
-            self.by_rotation.setdefault(int(rotation), []).extend(records)
+    def emit(self, records: RecordBatch, rotation: int, now: float) -> None:
+        keep_rotation(self.by_rotation, records, rotation)
 
     def close(self) -> None:
         if self._closed:

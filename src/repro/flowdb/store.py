@@ -285,6 +285,10 @@ class FlowStore:
                 windows.update(ref.windows)
         return sorted(windows)
 
+    def has_node(self, vantage: str, level: int, start: int) -> bool:
+        """Whether the node's file exists (a tiered-away leaf does not)."""
+        return self._node_path(vantage, level, start).is_file()
+
     def load_node(self, vantage: str, level: int, start: int) -> FlowSummary:
         """Read one node's summary arrays."""
         summary, _ = _decode_node(self._node_path(vantage, level, start))
@@ -321,21 +325,24 @@ class FlowStore:
     def ingest_rotations(
         self,
         vantage: str,
-        by_rotation: Mapping[int, Iterable[Any]],
+        by_rotation: Mapping[int, Any],
         degraded: Iterable[int] = (),
         append: bool = False,
     ) -> list[int]:
-        """Ingest per-rotation record lists as leaf windows.
+        """Ingest per-rotation record batches as leaf windows.
 
         The handoff from the streaming side: ``by_rotation`` is exactly
         the shape of :attr:`~repro.stream.sinks.ArchiveSink.by_rotation`
         (rotation index → that window's exported records), ``degraded``
-        the sink's flagged rotations.
+        the sink's flagged rotations.  Each window's summary is built
+        from the batch's columns by the one column merge.
 
         Args:
             vantage: which vantage observed these rotations.
-            by_rotation: rotation index → iterable of record objects
-                (``key``/``packets``/``octets``).
+            by_rotation: rotation index →
+                :class:`~repro.stream.records.RecordBatch` (or an
+                iterable of record objects with
+                ``key``/``packets``/``octets``).
             degraded: rotation indices whose content is incomplete.
             append: shift incoming rotation indices past the vantage's
                 existing windows (for successive runs into one store);

@@ -28,11 +28,8 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.hashing.mixers import MASK64
-
-#: Octet-count sentinel: this summary never measured byte counts for
-#: the flow.  Propagates through merges (any −1 in a group → −1).
-UNMEASURED = -1
+from repro.hashing.mixers import MASK64, split_keys
+from repro.stream.records import UNMEASURED, RecordBatch, merge_rows
 
 
 def _empty_u64() -> np.ndarray:
@@ -101,8 +98,7 @@ class FlowSummary:
         """Build from a ``{key: packets}`` dict (and optional octets)."""
         keys = sorted(counts)
         n = len(keys)
-        lo = np.fromiter((k & MASK64 for k in keys), np.uint64, count=n)
-        hi = np.fromiter((k >> 64 for k in keys), np.uint64, count=n)
+        lo, hi = split_keys(keys)
         pkts = np.fromiter((counts[k] for k in keys), np.int64, count=n)
         if octets is None:
             octs = np.full(n, UNMEASURED, dtype=np.int64)
@@ -114,26 +110,22 @@ class FlowSummary:
 
     @classmethod
     def from_records(
-        cls, records: Iterable[Any], degraded_windows: Iterable[int] = ()
+        cls, records: Any, degraded_windows: Iterable[int] = ()
     ) -> "FlowSummary":
-        """Build from record objects exposing ``key``/``packets``/``octets``.
+        """Build from a :class:`~repro.stream.records.RecordBatch` (or
+        record objects exposing ``key``/``packets``/``octets``, e.g.
+        :class:`~repro.export.netflow_v5.NetFlowV5Record`).
 
-        Accepts :class:`~repro.stream.records.FlowRecord` and
-        :class:`~repro.export.netflow_v5.NetFlowV5Record` alike.
-        Duplicate keys sum (several exports of one flow in a window);
-        a missing/None octet count marks the flow :data:`UNMEASURED`.
+        Duplicate keys sum (several exports of one flow in a window)
+        through the one column merge, where an :data:`UNMEASURED` row
+        marks the whole flow unmeasured.
         """
-        counts: dict[int, int] = {}
-        octets: dict[int, int] = {}
-        for record in records:
-            key = int(record.key)
-            counts[key] = counts.get(key, 0) + int(record.packets)
-            measured = getattr(record, "octets", None)
-            if measured is None or octets.get(key, 0) == UNMEASURED:
-                octets[key] = UNMEASURED
-            else:
-                octets[key] = octets.get(key, 0) + int(measured)
-        return cls.from_counts(counts, octets, degraded_windows)
+        batch = RecordBatch.coerce(records)
+        lo, hi, packets, octets, _, _ = merge_rows(
+            batch.lo, batch.hi, batch.packets, batch.octets
+        )
+        degraded = tuple(sorted(set(map(int, degraded_windows))))
+        return cls(lo, hi, packets, octets, degraded)
 
     # -- scalar views (tests, text output) ----------------------------
 
@@ -216,10 +208,11 @@ def merge_summaries(
             duplicate sightings — the two semantics of
             :mod:`repro.netwide.merge`, vectorized.
 
-    Packet counts group by flow key via one lexsort + ``reduceat``;
-    octets follow the same grouping but any :data:`UNMEASURED`
-    participant poisons its group.  Degraded-window provenance is the
-    union of the inputs'.
+    Packet counts group by flow key through the one column merge
+    (:func:`~repro.stream.records.merge_rows`: one lexsort +
+    ``reduceat``); octets follow the same grouping but any
+    :data:`UNMEASURED` participant poisons its group.  Degraded-window
+    provenance is the union of the inputs'.
     """
     if mode not in ("sum", "max"):
         raise ValueError(f"unknown merge mode {mode!r}; use 'sum' or 'max'")
@@ -235,30 +228,11 @@ def merge_summaries(
         return FlowSummary(
             only.lo, only.hi, only.packets, only.octets, tuple(sorted(degraded))
         )
-    lo = np.concatenate([s.lo for s in nonempty])
-    hi = np.concatenate([s.hi for s in nonempty])
-    packets = np.concatenate([s.packets for s in nonempty])
-    octets = np.concatenate([s.octets for s in nonempty])
-    order = np.lexsort((lo, hi))
-    lo, hi, packets, octets = lo[order], hi[order], packets[order], octets[order]
-    boundary = np.empty(len(lo), dtype=bool)
-    boundary[0] = True
-    np.logical_or(lo[1:] != lo[:-1], hi[1:] != hi[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    if mode == "sum":
-        merged_packets = np.add.reduceat(packets, starts)
-        merged_octets = np.add.reduceat(octets, starts)
-    else:
-        merged_packets = np.maximum.reduceat(packets, starts)
-        merged_octets = np.maximum.reduceat(octets, starts)
-    # Any unmeasured participant poisons its group's octet count: the
-    # group minimum is UNMEASURED exactly when one member is.
-    poisoned = np.minimum.reduceat(octets, starts) == UNMEASURED
-    merged_octets[poisoned] = UNMEASURED
-    return FlowSummary(
-        lo[starts],
-        hi[starts],
-        merged_packets,
-        merged_octets,
-        tuple(sorted(degraded)),
+    lo, hi, packets, octets, _, _ = merge_rows(
+        np.concatenate([s.lo for s in nonempty]),
+        np.concatenate([s.hi for s in nonempty]),
+        np.concatenate([s.packets for s in nonempty]),
+        np.concatenate([s.octets for s in nonempty]),
+        mode,
     )
+    return FlowSummary(lo, hi, packets, octets, tuple(sorted(degraded)))

@@ -12,8 +12,6 @@ from repro.hashing.mixers import (
     derive_seeds,
     mix128,
     mix128_batch,
-    murmur64,
-    murmur64_batch,
     split_keys,
     splitmix64,
     splitmix64_batch,
@@ -28,8 +26,6 @@ __all__ = [
     "derive_seeds",
     "mix128",
     "mix128_batch",
-    "murmur64",
-    "murmur64_batch",
     "split_keys",
     "splitmix64",
     "splitmix64_batch",

@@ -3,10 +3,10 @@
 The measurement algorithms in this package (HashFlow, HashPipe,
 ElasticSketch, FlowRadar, ...) only require families of *independent,
 uniform* hash functions over flow identifiers.  On P4 hardware these are
-CRC polynomials with different seeds; here we use well-studied 64-bit
-finalizers (splitmix64 and the murmur3 variant) applied to the key XORed
-and multiplied with per-function seed material.  They are deterministic,
-seedable, fast in pure Python, and pass the avalanche sanity checks in
+CRC polynomials with different seeds; here we use the well-studied
+splitmix64 finalizer applied to the key XORed and multiplied with
+per-function seed material.  It is deterministic, seedable, fast in
+pure Python, and passes the avalanche sanity checks in
 ``tests/test_hashing_mixers.py``.
 
 All arithmetic is performed modulo 2**64, mirroring unsigned 64-bit
@@ -31,22 +31,15 @@ _SM64_GAMMA = 0x9E3779B97F4A7C15
 _SM64_M1 = 0xBF58476D1CE4E5B9
 _SM64_M2 = 0x94D049BB133111EB
 
-# Constants from the murmur3 64-bit finalizer.
-_MM3_M1 = 0xFF51AFD7ED558CCD
-_MM3_M2 = 0xC4CEB9FE1A85EC53
-
 # The same constants as np.uint64, prebuilt so the batch mixers do no
 # per-call conversions.
 _U64_GAMMA = np.uint64(_SM64_GAMMA)
 _U64_SM_M1 = np.uint64(_SM64_M1)
 _U64_SM_M2 = np.uint64(_SM64_M2)
-_U64_MM_M1 = np.uint64(_MM3_M1)
-_U64_MM_M2 = np.uint64(_MM3_M2)
 _U64_ZERO = np.uint64(0)
 _SHIFT_27 = np.uint64(27)
 _SHIFT_30 = np.uint64(30)
 _SHIFT_31 = np.uint64(31)
-_SHIFT_33 = np.uint64(33)
 
 
 def splitmix64(x: int) -> int:
@@ -66,21 +59,6 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _SM64_M1) & MASK64
     x = ((x ^ (x >> 27)) * _SM64_M2) & MASK64
     return x ^ (x >> 31)
-
-
-def murmur64(x: int) -> int:
-    """Finalize ``x`` with the murmur3 64-bit finalizer (fmix64).
-
-    Args:
-        x: non-negative integer; masked to 64 bits.
-
-    Returns:
-        A uniformly mixed 64-bit integer.
-    """
-    x &= MASK64
-    x = ((x ^ (x >> 33)) * _MM3_M1) & MASK64
-    x = ((x ^ (x >> 33)) * _MM3_M2) & MASK64
-    return x ^ (x >> 33)
 
 
 def mix128(key: int, seed: int) -> int:
@@ -124,14 +102,6 @@ def splitmix64_batch(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> _SHIFT_30)) * _U64_SM_M1
     x = (x ^ (x >> _SHIFT_27)) * _U64_SM_M2
     return x ^ (x >> _SHIFT_31)
-
-
-def murmur64_batch(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`murmur64` over a ``np.uint64`` array."""
-    x = np.asarray(x, dtype=np.uint64)
-    x = (x ^ (x >> _SHIFT_33)) * _U64_MM_M1
-    x = (x ^ (x >> _SHIFT_33)) * _U64_MM_M2
-    return x ^ (x >> _SHIFT_33)
 
 
 def mix128_batch(lo: np.ndarray, hi: np.ndarray, seed: int) -> np.ndarray:
@@ -186,6 +156,24 @@ def keys_from_halves(lo: np.ndarray, hi: np.ndarray) -> list[int]:
     The inverse of :func:`split_keys`.
     """
     return [(h << 64) | l for l, h in zip(lo.tolist(), hi.tolist())]
+
+
+def key_groups(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows of key halves by packed flow key.
+
+    Returns:
+        ``(order, starts)``: ``order`` sorts the rows ascending by
+        packed key (``np.lexsort((lo, hi))``, stable, so the rows of one
+        key keep their relative order), and ``starts`` holds the sorted
+        position of each distinct key's first row: the offsets
+        ``np.ufunc.reduceat`` folds a group at.
+    """
+    order = np.lexsort((lo, hi))
+    lo, hi = lo[order], hi[order]
+    boundary = np.empty(len(lo), dtype=bool)
+    boundary[:1] = True
+    np.logical_or(lo[1:] != lo[:-1], hi[1:] != hi[:-1], out=boundary[1:])
+    return order, np.flatnonzero(boundary)
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:

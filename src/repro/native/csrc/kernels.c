@@ -34,21 +34,11 @@ static const uint64_t SM64_GAMMA = 0x9E3779B97F4A7C15ULL;
 static const uint64_t SM64_M1 = 0xBF58476D1CE4E5B9ULL;
 static const uint64_t SM64_M2 = 0x94D049BB133111EBULL;
 
-/* Constants from the murmur3 64-bit finalizer. */
-static const uint64_t MM3_M1 = 0xFF51AFD7ED558CCDULL;
-static const uint64_t MM3_M2 = 0xC4CEB9FE1A85EC53ULL;
-
 static inline uint64_t splitmix64(uint64_t x) {
     x += SM64_GAMMA;
     x = (x ^ (x >> 30)) * SM64_M1;
     x = (x ^ (x >> 27)) * SM64_M2;
     return x ^ (x >> 31);
-}
-
-static inline uint64_t murmur64(uint64_t x) {
-    x = (x ^ (x >> 33)) * MM3_M1;
-    x = (x ^ (x >> 33)) * MM3_M2;
-    return x ^ (x >> 33);
 }
 
 /* mix128: keys are packed 104-bit flow IDs split into 64-bit halves.
@@ -65,12 +55,6 @@ static inline uint64_t mix128(uint64_t lo, uint64_t hi, uint64_t seed) {
 EXPORT void repro_splitmix64_batch(const uint64_t *x, uint64_t *out, int64_t n) {
     for (int64_t i = 0; i < n; i++) {
         out[i] = splitmix64(x[i]);
-    }
-}
-
-EXPORT void repro_murmur64_batch(const uint64_t *x, uint64_t *out, int64_t n) {
-    for (int64_t i = 0; i < n; i++) {
-        out[i] = murmur64(x[i]);
     }
 }
 

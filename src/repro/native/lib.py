@@ -75,8 +75,6 @@ class NativeKernels:
 
         lib.repro_splitmix64_batch.argtypes = (_U64P, _U64P, c_int64)
         lib.repro_splitmix64_batch.restype = None
-        lib.repro_murmur64_batch.argtypes = (_U64P, _U64P, c_int64)
-        lib.repro_murmur64_batch.restype = None
         lib.repro_mix128_batch.argtypes = (_U64P, _U64P, c_uint64, _U64P, c_int64)
         lib.repro_mix128_batch.restype = None
         lib.repro_bucket_matrix.argtypes = (
@@ -138,12 +136,6 @@ class NativeKernels:
         x = _u64(x)
         out = np.empty(len(x), dtype=np.uint64)
         self._lib.repro_splitmix64_batch(_p(x, _U64P), _p(out, _U64P), len(x))
-        return out
-
-    def murmur64_batch(self, x) -> np.ndarray:
-        x = _u64(x)
-        out = np.empty(len(x), dtype=np.uint64)
-        self._lib.repro_murmur64_batch(_p(x, _U64P), _p(out, _U64P), len(x))
         return out
 
     def mix128_batch(self, lo, hi, seed: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.flow.batch import KeyBatch
 from repro.hashing.families import HashFunction
-from repro.sketches.base import FlowCollector
+from repro.sketches.base import FlowCollector, column_records
 from repro.specs import CollectorSpec, as_spec, build, register
 
 
@@ -147,20 +147,32 @@ class ShardedCollector(FlowCollector):
                 )
             )
 
+    def record_columns(self):
+        """The shards' record columns concatenated in shard order (flow
+        spaces are disjoint, so no key repeats); octets when the shards
+        track bytes."""
+        lo, hi, packets, octets = zip(
+            *(shard.record_columns() for shard in self.shards.values())
+        )
+        return (
+            np.concatenate(lo),
+            np.concatenate(hi),
+            np.concatenate(packets),
+            np.concatenate(octets) if self.track_bytes else None,
+        )
+
     def records(self) -> dict[int, int]:
         """Union of the shards' records (disjoint by construction)."""
-        merged: dict[int, int] = {}
-        for shard in self.shards.values():
-            merged.update(shard.records())
-        return merged
+        lo, hi, packets, _ = self.record_columns()
+        return column_records(lo, hi, packets)
 
     def byte_records(self) -> dict[int, int]:
         """Union of the shards' per-flow byte counts (shards must track
         bytes, e.g. ``HashFlow(track_bytes=True)``)."""
-        merged: dict[int, int] = {}
-        for shard in self.shards.values():
-            merged.update(shard.byte_records())
-        return merged
+        lo, hi, _, octets = self.record_columns()
+        if octets is None:
+            raise RuntimeError("byte tracking is disabled for these shards")
+        return column_records(lo, hi, octets)
 
     def query(self, key: int) -> int:
         """Query the owner shard only."""

@@ -14,7 +14,9 @@ long-lived multi-process service:
 * each **worker** process pops batches from its ring and drives the
   exact offline loop — a :class:`~repro.stream.pipeline.StreamFeeder`
   over the spec's collector and rotation policy — sending every export
-  back over a pipe for the parent to fan out to the sinks.
+  back over a pipe, as one columnar
+  :class:`~repro.stream.records.RecordBatch`, for the parent to fan out
+  to the sinks.
 
 Determinism contract (tested): a daemon fed a finite trace as v5
 datagrams exports *bit-identical* records to the offline
@@ -46,6 +48,7 @@ import socket
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -60,9 +63,9 @@ from repro.serve.spec import ServeSpec
 from repro.serve.supervisor import Supervisor
 from repro.specs import build as build_collector
 from repro.stream.pipeline import StreamFeeder
-from repro.stream.records import FlowRecord, merge_flow_records
+from repro.stream.records import RecordBatch, merge_flow_records
 from repro.stream.rotation import build_rotation
-from repro.stream.sinks import build_sink
+from repro.stream.sinks import build_sink, keep_rotation
 from repro.stream.spec import PipelineSpec
 
 #: Receive-buffer request for the listen socket: the kernel-side slack
@@ -134,7 +137,9 @@ def _worker_main(
     """Worker process: pop the ring, drive the offline feed loop.
 
     Messages to the parent: ``("export", worker, rotation_index, now,
-    records)`` for every rotation (the parent emits them to the sinks),
+    records)`` for every rotation, ``records`` one
+    :class:`~repro.stream.records.RecordBatch` (a few flat arrays to
+    pickle; the parent emits it to the sinks),
     ``("stats", worker, meters)`` every ``stats_interval`` seconds, and
     a final ``("done", worker, meters)`` after the end-of-stream drain.
 
@@ -202,7 +207,7 @@ class ServeResult:
         drops: packets shed at full rings (``drop`` back-pressure).
         rotations: rotation sweeps across workers (final drain excluded).
         exported: flow records emitted to the sinks.
-        records: merged ``{key: packets}`` across every export.
+        batches: every export, one batch per global rotation index.
         sinks: summaries per sink, keyed like
             :class:`~repro.stream.pipeline.PipelineResult`.
         meters: final per-worker meters (as the workers reported them;
@@ -217,9 +222,6 @@ class ServeResult:
         recv_errors: UDP receive errors by errno name.
         degraded: global rotation indices whose content a worker loss
             made incomplete (also flagged in sink metadata).
-        rotation_records: merged ``{key: packets}`` per global
-            rotation index (supervision tests compare the non-degraded
-            ones against an offline run).
     """
 
     packets: int
@@ -227,7 +229,7 @@ class ServeResult:
     drops: int
     rotations: int
     exported: int
-    records: dict[int, int]
+    batches: dict[int, RecordBatch]
     sinks: dict[str, dict]
     meters: dict[int, dict]
     elapsed: float
@@ -236,7 +238,21 @@ class ServeResult:
     restarts: list = field(default_factory=list)
     recv_errors: dict = field(default_factory=dict)
     degraded: list = field(default_factory=list)
-    rotation_records: dict = field(default_factory=dict)
+
+    @cached_property
+    def records(self) -> dict[int, int]:
+        """Merged ``{key: packets}`` across every export."""
+        return merge_flow_records(RecordBatch.concat(self.batches.values()))
+
+    @cached_property
+    def rotation_records(self) -> dict[int, dict[int, int]]:
+        """Merged ``{key: packets}`` per global rotation index
+        (supervision tests compare the non-degraded ones against an
+        offline run)."""
+        return {
+            rotation: merge_flow_records(batch)
+            for rotation, batch in sorted(self.batches.items())
+        }
 
     @property
     def accounting_exact(self) -> bool:
@@ -372,19 +388,18 @@ class ServeDaemon:
         packets = 0
         datagrams = 0
         export_events = 0
-        exported_all: list[FlowRecord] = []
-        rotation_records: dict[int, list[FlowRecord]] = {}
+        exported = 0
+        batches: dict[int, RecordBatch] = {}
         recv_errors: dict[str, int] = {}
         sinks_settled = False
         start = time.monotonic()
 
         def on_export(worker, rotation, now, records) -> None:
-            nonlocal export_events
+            nonlocal export_events, exported
             for sink in sinks:
                 sink.emit(records, rotation, now)
-            exported_all.extend(records)
-            if records:
-                rotation_records.setdefault(rotation, []).extend(records)
+            keep_rotation(batches, records, rotation)
+            exported += len(records)
             export_events += 1
 
         def on_degraded(rotation) -> None:
@@ -546,8 +561,8 @@ class ServeDaemon:
                 datagrams=datagrams,
                 drops=drops,
                 rotations=supervisor.rotation_total(),
-                exported=len(exported_all),
-                records=merge_flow_records(exported_all),
+                exported=exported,
+                batches=batches,
                 sinks=summaries,
                 meters=dict(sorted(supervisor.meters.items())),
                 elapsed=time.monotonic() - start,
@@ -556,10 +571,6 @@ class ServeDaemon:
                 restarts=list(supervisor.restarts),
                 recv_errors=dict(recv_errors),
                 degraded=sorted(supervisor.degraded),
-                rotation_records={
-                    r: merge_flow_records(records)
-                    for r, records in sorted(rotation_records.items())
-                },
             )
         finally:
             supervisor.shutdown()

@@ -118,7 +118,7 @@ class Supervisor:
         spec: ServeSpec,
         ctx,
         worker_faults: tuple = (),
-        on_export: Callable[[int, int, float, list], None] = lambda *a: None,
+        on_export: Callable[[int, int, float, Any], None] = lambda *a: None,
         on_degraded: Callable[[int], None] = lambda r: None,
         say: Callable[[str], None] = lambda line: None,
     ):

@@ -19,7 +19,14 @@ from collections.abc import Callable, Iterable, Mapping
 import numpy as np
 
 from repro.flow.batch import DEFAULT_CHUNK_SIZE, KeyBatch, iter_key_chunks
+from repro.hashing.mixers import keys_from_halves, split_keys
 from repro.specs.spec import CollectorSpec, SpecError
+
+
+def column_records(lo: np.ndarray, hi: np.ndarray, values: np.ndarray) -> dict:
+    """``{packed key: value}`` over key-half columns, in row order: the
+    dict view of :meth:`FlowCollector.record_columns`."""
+    return dict(zip(keys_from_halves(lo, hi), values.tolist()))
 
 
 def gather_estimates(records: Mapping[int, int], keys, scale: int = 1) -> np.ndarray:
@@ -193,6 +200,23 @@ class FlowCollector(ABC):
         Only flows whose full IDs are recoverable appear here (this is
         the numerator of the paper's Flow Set Coverage metric).
         """
+
+    def record_columns(self):
+        """The reported records as columns, for rotation exports.
+
+        Returns:
+            ``(lo, hi, packets, octets)``: one row per :meth:`records`
+            entry, in its order — ``uint64`` key halves and ``int64``
+            packet counts — and the ``int64`` measured byte counts of a
+            collector tracking byte volumes, else None.  Table-backed
+            collectors (and every byte-tracking one) override this to
+            gather from their planes; their :meth:`records` is its
+            dict view.
+        """
+        records = self.records()
+        lo, hi = split_keys(list(records))
+        packets = np.fromiter(records.values(), np.int64, count=len(records))
+        return lo, hi, packets, None
 
     @abstractmethod
     def query(self, key: int) -> int:

@@ -24,9 +24,9 @@ import numpy as np
 from repro.flow.batch import KeyBatch
 from repro.flow.key import FLOW_KEY_BITS
 from repro.hashing.families import HashFamily
-from repro.hashing.mixers import MASK64, keys_from_halves, mix128
+from repro.hashing.mixers import MASK64, key_groups, mix128
 from repro.native import resolve_kernel
-from repro.sketches.base import FlowCollector
+from repro.sketches.base import FlowCollector, column_records
 from repro.sketches.planes import cleared, new_plane, occupied
 from repro.specs import register
 
@@ -193,18 +193,30 @@ class HashPipe(FlowCollector):
             writes=len(row0) + writes,
         )
 
+    def record_columns(self):
+        """Reported records as columns ``(lo, hi, packets, None)``.
+
+        A flow split across stages holds several cells; it reports one
+        row, at its first cell in stage-major order, carrying the sum
+        of its cells — on every tier.
+        """
+        counts = self.counts
+        lo = occupied(self.k_lo, counts, np.uint64)
+        hi = occupied(self.k_hi, counts, np.uint64)
+        packets = occupied(counts, counts, np.int64)
+        order, starts = key_groups(lo, hi)
+        # The sort is stable: a group starts at its flow's first cell.
+        first = order[starts]
+        sums = np.add.reduceat(packets[order], starts)
+        rank = np.argsort(first)
+        first = first[rank]
+        return lo[first], hi[first], sums[rank], None
+
     def records(self) -> dict[int, int]:
         """Reported records: per-flow sums of the (possibly split) cells,
         in stage-major cell order on every tier."""
-        counts = self.counts
-        keys = keys_from_halves(
-            occupied(self.k_lo, counts, np.uint64),
-            occupied(self.k_hi, counts, np.uint64),
-        )
-        result: dict[int, int] = {}
-        for key, count in zip(keys, occupied(counts, counts, np.int64).tolist()):
-            result[key] = result.get(key, 0) + count
-        return result
+        lo, hi, packets, _ = self.record_columns()
+        return column_records(lo, hi, packets)
 
     def query(self, key: int) -> int:
         """Sum the flow's counts across all stages (0 if absent)."""

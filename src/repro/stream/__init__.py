@@ -32,7 +32,7 @@ from repro.stream.durable import (
     iter_manifest,
     read_archive,
 )
-from repro.stream.records import FlowRecord, merge_flow_records
+from repro.stream.records import FlowRecord, RecordBatch, merge_flow_records
 from repro.stream.rotation import (
     ROTATIONS,
     CountRotation,
@@ -88,6 +88,7 @@ __all__ = [
     "PipelineResult",
     "PipelineSpec",
     "ROTATIONS",
+    "RecordBatch",
     "RotationArchive",
     "RotationPolicy",
     "SINKS",

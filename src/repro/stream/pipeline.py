@@ -24,7 +24,7 @@ import numpy as np
 from repro.flow.batch import KeyBatch
 from repro.sketches.base import FlowCollector
 from repro.specs import build as build_collector
-from repro.stream.records import FlowRecord, merge_flow_records
+from repro.stream.records import RecordBatch, merge_flow_records
 from repro.stream.rotation import (
     RotationPolicy,
     TimeoutRotation,
@@ -72,24 +72,6 @@ class PipelineResult:
             "records": dict(self.records),
             "sinks": {k: dict(v) for k, v in self.sinks.items()},
         }
-
-
-class _MeasuredBytes:
-    """A lazy per-key byte-count view over an evictable collector.
-
-    Expiry sweeps export a handful of flows per rotation; probing each
-    exported key (``byte_query``) beats materializing ``byte_records``
-    over the whole table once per sweep.
-    """
-
-    __slots__ = ("_query",)
-
-    def __init__(self, query):
-        self._query = query
-
-    def get(self, key: int, default=None):
-        value = self._query(key)
-        return default if value is None else value
 
 
 def _evicts(collector) -> bool:
@@ -142,7 +124,8 @@ class StreamFeeder:
         rotation: the rotation policy, or None for one end-of-stream
             export.
         emit: callback ``emit(records, rotation_index, now)`` invoked
-            for every export (including the final drain).
+            with every export's :class:`~repro.stream.records.RecordBatch`
+            (including the final drain).
         chunk_size: packets per batched feed chunk.
     """
 
@@ -156,22 +139,6 @@ class StreamFeeder:
         self.exported = 0
         self.now = 0.0
         self._finished = False
-
-    def _byte_counts(self):
-        """Measured per-flow byte counts, when the collector tracks them.
-
-        Read *before* a rotation sweep frees the cells the counters
-        live in.  Export-all policies get the whole-table dict;
-        expiry-style sweeps (which export a few flows) get a lazy
-        per-key view.
-        """
-        if not getattr(self.collector, "track_bytes", False):
-            return None
-        if isinstance(self.rotation, TimeoutRotation) and hasattr(
-            self.collector, "byte_query"
-        ):
-            return _MeasuredBytes(self.collector.byte_query)
-        return self.collector.byte_records()
 
     def feed(self, keys, lo, hi, sizes, timestamps) -> None:
         """Push one batch of packets through collector and rotation.
@@ -214,7 +181,7 @@ class StreamFeeder:
                 pos += take
                 self.now = float(timestamps[pos - 1])
             if rotation is not None and rotation.due():
-                exported = rotation.collect(collector, self._byte_counts())
+                exported = rotation.collect(collector)
                 self.emit(exported, self.rotations, self.now)
                 self.exported += len(exported)
                 self.rotations += 1
@@ -229,19 +196,10 @@ class StreamFeeder:
         if self._finished:
             return
         self._finished = True
-        byte_counts = self._byte_counts()
         if self.rotation is None:
-            final = [
-                FlowRecord(
-                    key=key,
-                    packets=count,
-                    reason="final",
-                    octets=None if byte_counts is None else byte_counts.get(key),
-                )
-                for key, count in self.collector.records().items()
-            ]
+            final = RecordBatch(*self.collector.record_columns(), "final")
         else:
-            final = self.rotation.drain(self.collector, byte_counts)
+            final = self.rotation.drain(self.collector)
         self.emit(final, self.rotations, self.now)
         self.exported += len(final)
 
@@ -332,7 +290,7 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _emit(self, exported: list[FlowRecord], rotation: int, now: float) -> None:
+    def _emit(self, exported: RecordBatch, rotation: int, now: float) -> None:
         for sink in self.sinks:
             sink.emit(exported, rotation, now)
 
@@ -374,11 +332,11 @@ class Pipeline:
         lo, hi = batch.halves() if len(batch) else (None, None)
         n = len(batch)
 
-        exported_all: list[FlowRecord] = []
+        exported_all: list[RecordBatch] = []
 
         def emit(exported, rotation_index, now):
             self._emit(exported, rotation_index, now)
-            exported_all.extend(exported)
+            exported_all.append(exported)
 
         feeder = StreamFeeder(
             self.collector, self.rotation, emit, chunk_size=self.chunk_size
@@ -402,8 +360,8 @@ class Pipeline:
         return PipelineResult(
             packets=n,
             rotations=rotations,
-            exported=len(exported_all),
-            records=merge_flow_records(exported_all),
+            exported=feeder.exported,
+            records=merge_flow_records(RecordBatch.concat(exported_all)),
             sinks=summaries,
         )
 

@@ -17,7 +17,7 @@ A policy answers four questions:
 * :meth:`~RotationPolicy.due` — is a rotation sweep pending;
 * :meth:`~RotationPolicy.collect` / :meth:`~RotationPolicy.drain` —
   export the due records (evicting or resetting collector state) as
-  :class:`~repro.stream.records.FlowRecord`\\ s.
+  one :class:`~repro.stream.records.RecordBatch`.
 
 Policies are spec-described (``{"kind": ..., "params": ...}``,
 JSON-native) so a :class:`~repro.stream.spec.PipelineSpec` can nest
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.flow.batch import KeyBatch
 from repro.specs import SpecError
-from repro.stream.records import FlowRecord
+from repro.stream.records import FlowRecord, RecordBatch
 
 
 def positive_count(name: str, value) -> int:
@@ -65,14 +65,18 @@ def positive_finite(name: str, value) -> float:
     return float(value)
 
 
-def export_and_reset(collector) -> dict[int, int]:
-    """Export a collector's records and reset its tables in place.
+def export_and_reset(collector, reason: str) -> RecordBatch:
+    """Gather a collector's records as one batch, then reset its tables
+    in place.
 
-    The cost meter's cumulative counters survive the reset (rotation is
-    control-plane work; the dataplane cost history must not vanish with
-    the tables); every epoch-style rotation and drain shares it.
+    The records come from the collector's column gather
+    (``record_columns``: key halves, packets, measured octets), every
+    row stamped ``reason``.  The cost meter's cumulative counters
+    survive the reset (rotation is control-plane work; the dataplane
+    cost history must not vanish with the tables); every epoch-style
+    rotation and drain shares it.
     """
-    exported = collector.records()
+    exported = RecordBatch(*collector.record_columns(), reason)
     meter = collector.meter
     packets = meter.packets
     hashes, reads, writes = meter.hashes, meter.reads, meter.writes
@@ -82,25 +86,6 @@ def export_and_reset(collector) -> dict[int, int]:
     return exported
 
 
-def _records_from(
-    exported: Mapping[int, int],
-    reason: str,
-    byte_counts: Mapping[int, int] | None,
-) -> list[FlowRecord]:
-    """Wrap an exported ``{key: packets}`` map as :class:`FlowRecord`\\ s."""
-    if byte_counts is None:
-        return [
-            FlowRecord(key=key, packets=count, reason=reason)
-            for key, count in exported.items()
-        ]
-    return [
-        FlowRecord(
-            key=key, packets=count, reason=reason, octets=byte_counts.get(key)
-        )
-        for key, count in exported.items()
-    ]
-
-
 class RotationPolicy(ABC):
     """When to export records from a standing collector, and which.
 
@@ -108,7 +93,7 @@ class RotationPolicy(ABC):
     :class:`~repro.stream.pipeline.StreamFeeder` (``admit`` → feed →
     ``note`` → ``due`` → ``collect``).  All state a policy keeps is
     control-plane state (packet counters, per-flow timestamps); the
-    collector's tables are only touched through ``records()``/
+    collector's tables are only touched through ``record_columns()``/
     ``reset()``/``evict()`` during a sweep.
     """
 
@@ -153,32 +138,24 @@ class RotationPolicy(ABC):
         """Whether a rotation sweep is pending."""
 
     @abstractmethod
-    def collect(
-        self, collector, byte_counts: Mapping[int, int] | None = None
-    ) -> list[FlowRecord]:
+    def collect(self, collector) -> RecordBatch:
         """Run the due rotation: export (and free) the due records.
 
         Args:
             collector: the fed collector; epoch-style policies export
                 everything and reset it, expiry-style policies evict
-                per flow.
-            byte_counts: optional measured ``{key: octets}`` gathered
-                by the caller *before* the sweep (the sweep frees the
-                cells the counts live in).
+                per flow.  Measured byte counts are read before the
+                sweep frees the cells they live in.
         """
 
-    def drain(
-        self, collector, byte_counts: Mapping[int, int] | None = None
-    ) -> list[FlowRecord]:
+    def drain(self, collector) -> RecordBatch:
         """Export everything still resident (end-of-stream).
 
         Default: one final export-and-reset with reason ``"final"``.
         """
-        exported = export_and_reset(collector)
+        exported = export_and_reset(collector, "final")
         self.reset()
-        if not exported:
-            return []
-        return _records_from(exported, "final", byte_counts)
+        return exported
 
 
 class CountRotation(RotationPolicy):
@@ -213,12 +190,10 @@ class CountRotation(RotationPolicy):
     def due(self) -> bool:
         return self._in_epoch >= self.epoch_packets
 
-    def collect(
-        self, collector, byte_counts: Mapping[int, int] | None = None
-    ) -> list[FlowRecord]:
-        exported = export_and_reset(collector)
+    def collect(self, collector) -> RecordBatch:
+        exported = export_and_reset(collector, "epoch")
         self._in_epoch = 0
-        return _records_from(exported, "epoch", byte_counts)
+        return exported
 
 
 class IntervalRotation(RotationPolicy):
@@ -268,12 +243,10 @@ class IntervalRotation(RotationPolicy):
     def due(self) -> bool:
         return self._due
 
-    def collect(
-        self, collector, byte_counts: Mapping[int, int] | None = None
-    ) -> list[FlowRecord]:
-        exported = export_and_reset(collector)
+    def collect(self, collector) -> RecordBatch:
+        exported = export_and_reset(collector, "interval")
         self._due = False
-        return _records_from(exported, "interval", byte_counts)
+        return exported
 
 
 class TimeoutRotation(RotationPolicy):
@@ -325,11 +298,14 @@ class TimeoutRotation(RotationPolicy):
         self._now = 0.0
         self._since_sweep = 0
 
-    def _sweep(
-        self, collector, now: float, byte_counts: Mapping[int, int] | None
-    ) -> list[FlowRecord]:
-        """Export and evict every flow past a timeout at clock ``now``."""
+    def _sweep(self, collector, now: float) -> RecordBatch:
+        """Export and evict every flow past a timeout at clock ``now``.
+
+        A byte-tracking collector's count is probed per swept flow
+        (``byte_query``) before the eviction frees its cell.
+        """
         self._since_sweep = 0
+        measured = getattr(collector, "track_bytes", False) and collector.byte_query
         exported: list[FlowRecord] = []
         for key, last in list(self._last_seen.items()):
             first = self._first_seen[key]
@@ -341,20 +317,12 @@ class TimeoutRotation(RotationPolicy):
                 continue
             count = collector.query(key)
             if count > 0:
-                exported.append(
-                    FlowRecord(
-                        key=key,
-                        packets=count,
-                        first_seen=first,
-                        last_seen=last,
-                        reason=reason,
-                        octets=None if byte_counts is None else byte_counts.get(key),
-                    )
-                )
+                octets = measured(key) if measured else None
+                exported.append(FlowRecord(key, count, first, last, reason, octets))
             collector.evict(key)
             del self._first_seen[key]
             del self._last_seen[key]
-        return exported
+        return RecordBatch.from_records(exported)
 
     def admit(self, n: int, timestamps: np.ndarray | None) -> int:
         return min(n, self.expiry_interval - self._since_sweep)
@@ -377,17 +345,13 @@ class TimeoutRotation(RotationPolicy):
     def due(self) -> bool:
         return self._since_sweep >= self.expiry_interval
 
-    def collect(
-        self, collector, byte_counts: Mapping[int, int] | None = None
-    ) -> list[FlowRecord]:
-        return self._sweep(collector, self._now, byte_counts)
+    def collect(self, collector) -> RecordBatch:
+        return self._sweep(collector, self._now)
 
-    def drain(
-        self, collector, byte_counts: Mapping[int, int] | None = None
-    ) -> list[FlowRecord]:
+    def drain(self, collector) -> RecordBatch:
         """One sweep with a clock late enough to expire every flow."""
         horizon = self._now + self.active_timeout + self.inactive_timeout
-        exported = self._sweep(collector, horizon, byte_counts)
+        exported = self._sweep(collector, horizon)
         self.reset()
         return exported
 

@@ -1,7 +1,7 @@
 """Sinks: where a streaming pipeline's exported records go.
 
 A :class:`Sink` receives every rotation's exported
-:class:`~repro.stream.records.FlowRecord`\\ s.  Transport sinks encode
+:class:`~repro.stream.records.RecordBatch`.  Transport sinks encode
 them for downstream consumers (NetFlow v5 datagrams, JSON/CSV lines, an
 in-memory archive); analysis *taps* run a per-rotation analysis stage
 (heavy hitters, cardinality, anomaly detection) over the export stream
@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.flow.packet import DEFAULT_PACKET_BYTES
-from repro.stream.records import FlowRecord, merge_flow_records
+from repro.hashing.mixers import keys_from_halves
+from repro.stream.records import RecordBatch, merge_flow_records
 
 
 class Sink(ABC):
@@ -39,11 +40,12 @@ class Sink(ABC):
         return {"kind": self.kind, "params": self.spec_params()}
 
     @abstractmethod
-    def emit(self, records: list[FlowRecord], rotation: int, now: float) -> None:
+    def emit(self, records: RecordBatch, rotation: int, now: float) -> None:
         """Receive one rotation's exported records.
 
         Args:
-            records: the rotation's exports (may be empty).
+            records: the rotation's exports as one batch (may be
+                empty).
             rotation: 0-based rotation index (the end-of-stream drain
                 uses the next index after the last rotation).
             now: the pipeline clock at export time (seconds).
@@ -95,8 +97,8 @@ class NetFlowV5Sink(Sink):
 
     Measured byte counts and flow timing carried on the records are
     wired into ``dOctets`` / ``first`` / ``last`` (see
-    :meth:`repro.export.netflow_v5.NetFlowV5Exporter.export_flows` for
-    the fallback precedence); the datagrams accumulate on
+    :meth:`repro.export.netflow_v5.NetFlowV5Exporter.export` for the
+    fallback precedence); the datagrams accumulate on
     :attr:`datagrams` for transport or parse-back verification.
 
     With ``directory`` set the sink is *durable*: every export is also
@@ -156,10 +158,10 @@ class NetFlowV5Sink(Sink):
             "directory": self.directory,
         }
 
-    def emit(self, records: list[FlowRecord], rotation: int, now: float) -> None:
-        if not records:
+    def emit(self, records: RecordBatch, rotation: int, now: float) -> None:
+        if not len(records):
             return
-        datagrams = self.exporter.export_flows(
+        datagrams = self.exporter.export(
             records,
             sys_uptime_ms=int(round(now * 1000.0)),
             unix_secs=self.unix_secs,
@@ -259,11 +261,11 @@ class TextSink(Sink):
     def spec_params(self) -> dict[str, Any]:
         return {"path": self.path, "directory": self.directory}
 
-    def _format(self, records: list[FlowRecord], rotation: int) -> list[str]:
+    def _format(self, records: RecordBatch, rotation: int) -> list[str]:
         from repro.flow.key import format_ip, unpack_key
 
         lines = []
-        for record in records:
+        for record in records.flows():
             src_ip, dst_ip, src_port, dst_port, proto = unpack_key(record.key)
             row = {
                 "rotation": rotation,
@@ -286,7 +288,7 @@ class TextSink(Sink):
                 lines.append(buffer.getvalue().rstrip("\r\n"))
         return lines
 
-    def emit(self, records: list[FlowRecord], rotation: int, now: float) -> None:
+    def emit(self, records: RecordBatch, rotation: int, now: float) -> None:
         # Format the whole emit before touching sink state, so a
         # mid-emit failure never leaves half a rotation appended.
         lines = self._format(records, rotation)
@@ -333,29 +335,43 @@ class TextSink(Sink):
         return fields
 
 
+def keep_rotation(by_rotation: dict, records: RecordBatch, rotation: int) -> None:
+    """File a non-empty export under its rotation index, one batch per
+    rotation (several workers' exports of one window concatenate)."""
+    if len(records):
+        held = by_rotation.get(int(rotation))
+        if held:
+            records = RecordBatch.concat([held, records])
+        by_rotation[int(rotation)] = records
+
+
 class ArchiveSink(Sink):
     """Keep every exported record in memory.
 
-    :attr:`exported` preserves each export verbatim,
-    :attr:`by_rotation` groups them per rotation index (each epoch's
-    records under count or interval rotation; supervision tests compare
-    live vs offline runs on the non-degraded rotations), and
+    :attr:`by_rotation` holds one batch per rotation index (each
+    epoch's records under count or interval rotation; supervision tests
+    compare live vs offline runs on the non-degraded rotations),
+    :attr:`exported` is every record in rotation order, and
     :meth:`merged` sums per flow.
     """
 
     kind = "archive"
 
     def __init__(self):
-        self.exported: list[FlowRecord] = []
-        self.by_rotation: dict[int, list[FlowRecord]] = {}
+        self.by_rotation: dict[int, RecordBatch] = {}
 
     def spec_params(self) -> dict[str, Any]:
         return {}
 
-    def emit(self, records: list[FlowRecord], rotation: int, now: float) -> None:
-        self.exported.extend(records)
-        if records:
-            self.by_rotation.setdefault(int(rotation), []).extend(records)
+    def emit(self, records: RecordBatch, rotation: int, now: float) -> None:
+        keep_rotation(self.by_rotation, records, rotation)
+
+    @property
+    def exported(self) -> RecordBatch:
+        """Every exported record, in rotation order."""
+        return RecordBatch.concat(
+            [self.by_rotation[r] for r in sorted(self.by_rotation)]
+        )
 
     def merged(self) -> dict[int, int]:
         """Merged ``{key: packets}`` across every export."""
@@ -391,13 +407,13 @@ class HeavyHitterTap(Sink):
     def spec_params(self) -> dict[str, Any]:
         return {"threshold": self.threshold}
 
-    def emit(self, records: list[FlowRecord], rotation: int, now: float) -> None:
+    def emit(self, records: RecordBatch, rotation: int, now: float) -> None:
         top = self._top
-        threshold = self.threshold
-        for record in records:
-            if record.packets > threshold:
-                if record.packets > top.get(record.key, 0):
-                    top[record.key] = record.packets
+        heavy = records.packets > self.threshold
+        keys = keys_from_halves(records.lo[heavy], records.hi[heavy])
+        for key, packets in zip(keys, records.packets[heavy].tolist()):
+            if packets > top.get(key, 0):
+                top[key] = packets
 
     def top(self) -> dict[int, int]:
         """Detected heavy hitters: ``{key: largest exported count}``."""
@@ -429,8 +445,8 @@ class CardinalityTap(Sink):
     def spec_params(self) -> dict[str, Any]:
         return {}
 
-    def emit(self, records: list[FlowRecord], rotation: int, now: float) -> None:
-        self._seen.update(record.key for record in records)
+    def emit(self, records: RecordBatch, rotation: int, now: float) -> None:
+        self._seen.update(records.keys())
         self.series.append(len(records))
 
     def flows_seen(self) -> int:
@@ -485,10 +501,10 @@ class AnomalyTap(Sink):
             "min_fanout": self.min_fanout,
         }
 
-    def emit(self, records: list[FlowRecord], rotation: int, now: float) -> None:
+    def emit(self, records: RecordBatch, rotation: int, now: float) -> None:
         if self.detector.observe(float(len(records))):
             self.alerts.append(rotation)
-        if self.min_fanout is not None and records:
+        if self.min_fanout is not None and len(records):
             from repro.analysis.anomaly import detect_scanners
 
             counts = merge_flow_records(records)

@@ -38,7 +38,7 @@ class TestCountRotation:
         pipeline, result = rotate([7] * 120, epoch_packets=50)  # one flow
         assert result.records == {7: 120}
         per_epoch = {
-            index: [r.packets for r in records]
+            index: [r.packets for r in records.flows()]
             for index, records in pipeline.sinks[0].by_rotation.items()
         }
         assert per_epoch == {0: [50], 1: [50], 2: [20]}
@@ -49,7 +49,7 @@ class TestCountRotation:
         feeder = StreamFeeder(
             collector,
             build_rotation({"kind": "count", "params": {"epoch_packets": 10}}),
-            lambda records, rotation, now: exported.extend(records),
+            lambda records, rotation, now: exported.extend(records.flows()),
         )
         batch = KeyBatch([1] * 10)
         lo, hi = batch.halves()

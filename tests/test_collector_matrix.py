@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveHashFlow
 from repro.core.hashflow import HashFlow
+from repro.flow.batch import KeyBatch
+from repro.hashing.mixers import keys_from_halves
 from repro.netwide.sharding import ShardedCollector
 from repro.sketches.cuckoo import CuckooFlowCache
 from repro.sketches.elastic import ElasticSketch
@@ -286,3 +289,73 @@ class TestReportContract:
         fresh.process_all(LIGHT_LOAD)
         probes = probes_for(LIGHT_LOAD)
         assert state(clone, probes) == state(fresh, probes)
+
+
+def cell_records(k_lo, k_hi, counts) -> dict[int, int]:
+    """Per-flow sums over a table's occupied cells, in flat cell order:
+    the record dict the planes spell out, read cell by cell."""
+    records: dict[int, int] = {}
+    for lo, hi, count in zip(k_lo, k_hi, counts):
+        if count:
+            key = (int(hi) << 64) | int(lo)
+            records[key] = records.get(key, 0) + int(count)
+    return records
+
+
+@pytest.fixture(params=["numpy", "native"])
+def tier(request, monkeypatch):
+    """Build the matrix's table-backed collectors on one kernel tier."""
+    from repro.native import native_available
+
+    if request.param == "native" and not native_available():
+        pytest.skip("native kernel tier unavailable (no C compiler)")
+    monkeypatch.setenv("REPRO_KERNEL", request.param)
+    return request.param
+
+
+#: The matrix plus a byte-tracking 2-shard collector.
+GATHERED = {
+    **COLLECTOR_FACTORIES,
+    "sharded_bytes": lambda: ShardedCollector(
+        HashFlow(main_cells=128, track_bytes=True, seed=10), n_shards=2
+    ),
+}
+
+
+class TestColumnGather:
+    """``record_columns`` — what rotation exports — is ``records()`` /
+    ``byte_records()`` as columns, on both tiers."""
+
+    @pytest.mark.parametrize("kind", sorted(GATHERED))
+    def test_gather_equals_record_dicts(self, kind, tier):
+        collector = GATHERED[kind]()
+        sizes = [40 + key % 1400 for key in CONTENDED]
+        collector.process_all(KeyBatch(CONTENDED, sizes=sizes))
+        lo, hi, packets, octets = collector.record_columns()
+        keys = keys_from_halves(lo, hi)
+        assert list(zip(keys, packets.tolist())) == list(collector.records().items())
+        if getattr(collector, "track_bytes", False):
+            assert dict(zip(keys, octets.tolist())) == collector.byte_records()
+            assert octets.sum() > 0
+        else:
+            assert octets is None
+
+    def test_hashflow_gathers_its_cells_in_flat_order(self, tier):
+        hf = HashFlow(main_cells=256, track_bytes=True, seed=3)
+        hf.process_all(CONTENDED)
+        main = hf.main
+        lo, hi, packets, _ = hf.record_columns()
+        expected = cell_records(main.k_lo, main.k_hi, main.counts)
+        assert len(expected) == len(lo)  # probes never split a flow
+        keys = [(int(h) << 64) | int(l) for l, h in zip(lo, hi)]
+        assert list(zip(keys, packets.tolist())) == list(expected.items())
+
+    def test_hashpipe_split_cells_sum_at_first_cell(self, tier):
+        hp = HashPipe(cells_per_stage=64, seed=3)
+        hp.process_all(CONTENDED)
+        lo, hi, packets, _ = hp.record_columns()
+        assert hp.occupancy() > len(lo), "want a flow split across stages"
+        expected = cell_records(hp.k_lo, hp.k_hi, hp.counts)
+        keys = [(int(h) << 64) | int(l) for l, h in zip(lo, hi)]
+        assert list(zip(keys, packets.tolist())) == list(expected.items())
+        assert int(packets.sum()) == int(np.asarray(hp.counts).sum())

@@ -35,6 +35,7 @@ from repro.export.netflow_v5 import (
 )
 from repro.flow.key import pack_key, unpack_key
 from repro.hashing.mixers import MASK64, keys_from_halves
+from repro.stream.records import FlowRecord, RecordBatch
 
 
 def sample_records(n: int) -> dict[int, int]:
@@ -42,6 +43,19 @@ def sample_records(n: int) -> dict[int, int]:
         pack_key(0x0A000000 + i, 0x0B000000 + i, 1000 + i, 80, 6): i + 1
         for i in range(n)
     }
+
+
+def batch(counts, octets=None, times_ms=None) -> RecordBatch:
+    """``{key: packets}`` as a record batch, with optional measured
+    ``{key: octets}`` and SysUptime ``{key: (first_ms, last_ms)}``."""
+    octets, times_ms = octets or {}, times_ms or {}
+    flows = []
+    for key, packets in counts.items():
+        first = last = None
+        if key in times_ms:
+            first, last = (ms / 1000.0 for ms in times_ms[key])
+        flows.append(FlowRecord(key, packets, first, last, octets=octets.get(key)))
+    return RecordBatch.from_records(flows)
 
 
 def record_bytes(key, packets, octets, first_ms=0, last_ms=0) -> bytes:
@@ -78,13 +92,13 @@ class TestExport:
 
     def test_single_datagram(self):
         exporter = NetFlowV5Exporter()
-        datagrams = exporter.export(sample_records(5))
+        datagrams = exporter.export(batch(sample_records(5)))
         assert len(datagrams) == 1
         assert len(datagrams[0]) == 24 + 5 * 48
 
     def test_datagram_splitting_at_30(self):
         exporter = NetFlowV5Exporter()
-        datagrams = exporter.export(sample_records(65))
+        datagrams = exporter.export(batch(sample_records(65)))
         assert len(datagrams) == 3
         header0, _ = parse_datagram(datagrams[0])
         header2, _ = parse_datagram(datagrams[2])
@@ -93,13 +107,13 @@ class TestExport:
 
     def test_flow_sequence_increments(self):
         exporter = NetFlowV5Exporter()
-        exporter.export(sample_records(10))
-        datagrams = exporter.export(sample_records(3))
+        exporter.export(batch(sample_records(10)))
+        datagrams = exporter.export(batch(sample_records(3)))
         header, _ = parse_datagram(datagrams[0])
         assert header["flow_sequence"] == 10
 
     def test_empty_records(self):
-        assert NetFlowV5Exporter().export({}) == []
+        assert NetFlowV5Exporter().export(batch({})) == []
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -118,7 +132,7 @@ class TestRoundTrip:
     def test_records_survive(self):
         records = sample_records(42)
         exporter = NetFlowV5Exporter()
-        assert parse_stream(exporter.export(records)) == records
+        assert parse_stream(exporter.export(batch(records))) == records
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -137,17 +151,19 @@ class TestRoundTrip:
     def test_roundtrip_property(self, tuples):
         records = {pack_key(*t): count for t, count in tuples.items()}
         exporter = NetFlowV5Exporter()
-        assert parse_stream(exporter.export(records)) == records
+        assert parse_stream(exporter.export(batch(records))) == records
 
     def test_octets_synthesized_from_mean(self):
         exporter = NetFlowV5Exporter(mean_packet_bytes=100)
         key = pack_key(1, 2, 3, 4, 6)
-        _, parsed = parse_datagram(exporter.export({key: 7})[0])
+        _, parsed = parse_datagram(exporter.export(batch({key: 7}))[0])
         assert parsed[0].octets == 700
 
     def test_header_metadata(self):
         exporter = NetFlowV5Exporter(engine_id=9, sampling_interval=100)
-        datagram = exporter.export(sample_records(1), sys_uptime_ms=5000, unix_secs=1234)[0]
+        datagram = exporter.export(
+            batch(sample_records(1)), sys_uptime_ms=5000, unix_secs=1234
+        )[0]
         header, _ = parse_datagram(datagram)
         assert header["engine_id"] == 9
         assert header["sampling_interval"] == 100
@@ -166,7 +182,7 @@ class TestParseErrors:
             parse_datagram(data)
 
     def test_truncated_records(self):
-        good = NetFlowV5Exporter().export(sample_records(2))[0]
+        good = NetFlowV5Exporter().export(batch(sample_records(2)))[0]
         with pytest.raises(ValueError, match="truncated"):
             parse_datagram(good[:-10])
 
@@ -183,27 +199,27 @@ class TestTolerantParsing:
         assert split_datagram(v9) is None
 
     def test_split_complete_datagram(self):
-        datagram = NetFlowV5Exporter().export(sample_records(3))[0]
+        datagram = NetFlowV5Exporter().export(batch(sample_records(3)))[0]
         header, payload = split_datagram(datagram)
         assert header["count"] == 3
         assert len(payload) == 3 * RECORD_BYTES
 
     def test_split_excludes_truncated_trailing_record(self):
-        datagram = NetFlowV5Exporter().export(sample_records(3))[0]
+        datagram = NetFlowV5Exporter().export(batch(sample_records(3)))[0]
         header, payload = split_datagram(datagram[:-10])
         assert header["count"] == 3  # the header still claims 3
         assert len(payload) == 2 * RECORD_BYTES  # only 2 are whole
 
     def test_split_caps_payload_at_header_count(self):
         # Trailing garbage beyond the claimed count is not decoded.
-        datagram = NetFlowV5Exporter().export(sample_records(2))[0]
+        datagram = NetFlowV5Exporter().export(batch(sample_records(2)))[0]
         header, payload = split_datagram(datagram + b"\x00" * RECORD_BYTES)
         assert header["count"] == 2
         assert len(payload) == 2 * RECORD_BYTES
 
     def test_partial_matches_strict_on_good_datagrams(self):
         records = sample_records(7)
-        datagram = NetFlowV5Exporter().export(records)[0]
+        datagram = NetFlowV5Exporter().export(batch(records))[0]
         strict_header, strict_records = parse_datagram(datagram)
         header, parsed, consumed = parse_datagram_partial(datagram)
         assert header == strict_header
@@ -212,7 +228,7 @@ class TestTolerantParsing:
 
     def test_partial_keeps_complete_records_of_truncated_datagram(self):
         records = sample_records(5)
-        datagram = NetFlowV5Exporter().export(records)[0]
+        datagram = NetFlowV5Exporter().export(batch(records))[0]
         truncated = datagram[: HEADER_BYTES + 3 * RECORD_BYTES + 7]
         header, parsed, consumed = parse_datagram_partial(truncated)
         assert header["count"] == 5
@@ -228,7 +244,7 @@ class TestTolerantParsing:
     def test_strict_parser_still_raises_on_truncation(self):
         # parse_datagram keeps its contract: archival reads must fail
         # loudly where the live path degrades gracefully.
-        datagram = NetFlowV5Exporter().export(sample_records(2))[0]
+        datagram = NetFlowV5Exporter().export(batch(sample_records(2)))[0]
         with pytest.raises(ValueError, match="truncated"):
             parse_datagram(datagram[:-10])
         header, parsed, _ = parse_datagram_partial(datagram[:-10])
@@ -242,7 +258,7 @@ class TestMeasuredFields:
     def test_measured_octets_override_estimate(self):
         exporter = NetFlowV5Exporter(mean_packet_bytes=100)
         a, b = pack_key(1, 2, 3, 4, 6), pack_key(5, 6, 7, 8, 17)
-        datagrams = exporter.export({a: 7, b: 2}, octets={a: 999})
+        datagrams = exporter.export(batch({a: 7, b: 2}, octets={a: 999}))
         parsed = {r.key: r for r in parse_datagram(datagrams[0])[1]}
         assert parsed[a].octets == 999  # measured wins
         assert parsed[b].octets == 200  # estimate fallback
@@ -251,7 +267,7 @@ class TestMeasuredFields:
         exporter = NetFlowV5Exporter()
         a, b = pack_key(1, 2, 3, 4, 6), pack_key(5, 6, 7, 8, 17)
         datagrams = exporter.export(
-            {a: 1, b: 1}, sys_uptime_ms=5000, times_ms={a: (1234, 4321)}
+            batch({a: 1, b: 1}, times_ms={a: (1234, 4321)}), sys_uptime_ms=5000
         )
         parsed = {r.key: r for r in parse_datagram(datagrams[0])[1]}
         assert (parsed[a].first_ms, parsed[a].last_ms) == (1234, 4321)
@@ -265,7 +281,7 @@ class TestMeasuredFields:
             first_seen=1.2345, last_seen=6.789, reason="inactive",
             octets=2800,
         )
-        datagrams = NetFlowV5Exporter().export_flows([flow])
+        datagrams = NetFlowV5Exporter().export(RecordBatch.from_records([flow]))
         record = parse_datagram(datagrams[0])[1][0]
         assert record.packets == 4
         assert record.octets == 2800
@@ -281,7 +297,9 @@ class TestMeasuredFields:
             key=pack_key(9, 9, 9, 9, 6), packets=1,
             first_seen=0.0, last_seen=0.0, reason="inactive",
         )
-        datagrams = NetFlowV5Exporter().export_flows([flow], sys_uptime_ms=99_999)
+        datagrams = NetFlowV5Exporter().export(
+            RecordBatch.from_records([flow]), sys_uptime_ms=99_999
+        )
         record = parse_datagram(datagrams[0])[1][0]
         assert (record.first_ms, record.last_ms) == (0, 0)
 
@@ -289,7 +307,9 @@ class TestMeasuredFields:
         from repro.stream.records import FlowRecord
 
         flow = FlowRecord(key=pack_key(9, 9, 9, 9, 6), packets=1, reason="epoch")
-        datagrams = NetFlowV5Exporter().export_flows([flow], sys_uptime_ms=5000)
+        datagrams = NetFlowV5Exporter().export(
+            RecordBatch.from_records([flow]), sys_uptime_ms=5000
+        )
         record = parse_datagram(datagrams[0])[1][0]
         assert (record.first_ms, record.last_ms) == (5000, 5000)
 
@@ -304,7 +324,8 @@ class TestMeasuredFields:
             FlowRecord(key=key, packets=5),
         ]
         exporter = NetFlowV5Exporter(mean_packet_bytes=100)
-        record = parse_datagram(exporter.export_flows(flows)[0])[1][0]
+        datagrams = exporter.export(RecordBatch.from_records(flows))
+        record = parse_datagram(datagrams[0])[1][0]
         assert record.packets == 8
         assert record.octets == 800  # 8 packets * 100 B estimate
 
@@ -318,7 +339,8 @@ class TestMeasuredFields:
             FlowRecord(key=key, packets=5, first_seen=4.0, last_seen=9.0,
                        octets=500),
         ]
-        record = parse_datagram(NetFlowV5Exporter().export_flows(flows)[0])[1][0]
+        datagrams = NetFlowV5Exporter().export(RecordBatch.from_records(flows))
+        record = parse_datagram(datagrams[0])[1][0]
         assert record.packets == 8
         assert record.octets == 800
         assert (record.first_ms, record.last_ms) == (1000, 9000)
@@ -374,7 +396,7 @@ class TestCollectorIntegration:
         hf = HashFlow(main_cells=4096, seed=1)
         hf.process_all(small_trace.keys())
         records = hf.records()
-        merged = parse_stream(NetFlowV5Exporter().export(records))
+        merged = parse_stream(NetFlowV5Exporter().export(batch(records)))
         assert merged == records
 
     def test_byte_tracking_hashflow_populates_octets(self, small_trace):
@@ -384,7 +406,7 @@ class TestCollectorIntegration:
         hf.process_all(small_trace.key_batch(sizes=123))
         records = hf.records()
         datagrams = NetFlowV5Exporter(mean_packet_bytes=700).export(
-            records, octets=hf.byte_records()
+            batch(records, octets=hf.byte_records())
         )
         for datagram in datagrams:
             for record in parse_datagram(datagram)[1]:
@@ -403,7 +425,7 @@ class TestTruncationFuzz:
 
     def test_every_cut_offset_is_safe(self):
         records = sample_records(5)
-        datagram = NetFlowV5Exporter().export(records)[0]
+        datagram = NetFlowV5Exporter().export(batch(records))[0]
         _, truth = parse_datagram(datagram)
         for cut in range(len(datagram) + 1):
             prefix = datagram[:cut]
@@ -428,7 +450,7 @@ class TestTruncationFuzz:
         junk=st.binary(max_size=64),
     )
     def test_cut_then_junk_never_raises_or_fabricates(self, n_records, cut, junk):
-        datagram = NetFlowV5Exporter().export(sample_records(n_records))[0]
+        datagram = NetFlowV5Exporter().export(batch(sample_records(n_records)))[0]
         _, truth = parse_datagram(datagram)
         mangled = datagram[: min(cut, len(datagram))] + junk
         header, parsed, consumed = parse_datagram_partial(mangled)
@@ -467,7 +489,7 @@ class TestTruncationFuzz:
         # round-trip, any shortened stream is a ValueError — never a
         # silent partial read, never a different exception.
         exporter = NetFlowV5Exporter()
-        datagrams = [exporter.export(sample_records(n))[0] for n in sizes]
+        datagrams = [exporter.export(batch(sample_records(n)))[0] for n in sizes]
         stream = b"".join(datagrams)
         assert split_stream(stream) == datagrams
         if stream:
@@ -518,7 +540,7 @@ class TestLiveDecode:
     def test_inverts_scalar_exporter(self):
         keys = sample_keys(30, seed=1)
         records = {k: 1 for k in keys}
-        datagram = NetFlowV5Exporter(mean_packet_bytes=100).export(records)[0]
+        datagram = NetFlowV5Exporter(mean_packet_bytes=100).export(batch(records))[0]
         lo, hi, sizes, _ = decode_datagram(datagram)
         assert keys_from_halves(lo, hi) == sorted(records)
         assert sizes.tolist() == [100] * 30
@@ -540,7 +562,7 @@ class TestLiveDecode:
 
     def test_halves_match_key_split(self):
         keys = sample_keys(20, seed=3)
-        datagram = NetFlowV5Exporter().export({k: 1 for k in keys})[0]
+        datagram = NetFlowV5Exporter().export(batch({k: 1 for k in keys}))[0]
         lo, hi = decode_datagram(datagram)[:2]
         expected = [(k & ((1 << 64) - 1), k >> 64) for k in sorted(keys)]
         assert list(zip(lo.tolist(), hi.tolist())) == expected
@@ -578,7 +600,7 @@ class TestLiveDecode:
 
     def test_truncated_trailing_record_excluded(self):
         keys = sample_keys(3, seed=4)
-        datagram = NetFlowV5Exporter().export({k: 1 for k in keys})[0]
+        datagram = NetFlowV5Exporter().export(batch({k: 1 for k in keys}))[0]
         lo, _, _, _ = decode_datagram(datagram[:-10])
         assert len(lo) == 2
 
@@ -663,8 +685,8 @@ class TestGoldenBytes:
         exporter = NetFlowV5Exporter(engine_id=ENGINE, sampling_interval=SAMPLING)
         exporter.flow_sequence = SEQUENCE
         datagrams = exporter.export(
-            {KEY: PACKETS}, sys_uptime_ms=UPTIME, unix_secs=UNIX_SECS,
-            octets={KEY: OCTETS}, times_ms={KEY: (FIRST, LAST)},
+            batch({KEY: PACKETS}, octets={KEY: OCTETS}, times_ms={KEY: (FIRST, LAST)}),
+            sys_uptime_ms=UPTIME, unix_secs=UNIX_SECS,
         )
         assert datagrams == [GOLDEN]
 
@@ -717,7 +739,7 @@ class TestGoldenBytes:
 
 #: Every encode path, fed one flow key.
 ENCODERS = {
-    "exporter": lambda key: NetFlowV5Exporter().export({key: 1}),
+    "exporter": lambda key: NetFlowV5Exporter().export(batch({key: 1})),
     "encode_records": lambda key: [encode_header(1) + record_bytes(key, 1, 40)],
     "replay": lambda key: encode_datagrams(
         np.array([key & ((1 << 64) - 1)], dtype=np.uint64),

@@ -18,14 +18,14 @@ from repro.flowdb import (
     merge_summaries,
 )
 from repro.specs import SpecError
-from repro.stream.records import FlowRecord
+from repro.stream.records import FlowRecord, RecordBatch
 
 
-def recs(spec: dict[int, int], octets: int | None = 64) -> list[FlowRecord]:
-    return [
+def recs(spec: dict[int, int], octets: int | None = 64) -> RecordBatch:
+    return RecordBatch.from_records(
         FlowRecord(key=k, packets=c, octets=None if octets is None else c * octets)
         for k, c in spec.items()
-    ]
+    )
 
 
 class TestFlowSummary:
@@ -214,7 +214,7 @@ class TestFlowStore:
         from repro.export.netflow_v5 import NetFlowV5Exporter
 
         exporter = NetFlowV5Exporter()
-        data = b"".join(exporter.export({1: 5, 2: 3}))
+        data = b"".join(exporter.export(recs({1: 5, 2: 3}, octets=None)))
         path = tmp_path / "capture.nfv5"
         path.write_bytes(data)
         store = FlowStore(tmp_path / "s")
@@ -289,6 +289,110 @@ class TestExecute:
         store = self._store(tmp_path)
         with pytest.raises(StoreError, match="unknown vantages"):
             execute(store, QuerySpec(vantages=("zz",)))
+
+
+class TestLookupReadsEachLeafOnce:
+    """A lookup reads each selected window's leaf once, yet answers as
+    the merged plan would: per vantage ``summarize`` + ``lookup``, then
+    the cross-vantage fold."""
+
+    WINDOWS = 12
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        import random
+
+        rng = random.Random(7)
+        store = FlowStore(tmp_path / "s", StoreSpec(fanout=4))
+        degraded = {"a": {2, 9}, "b": {5}}
+        for vantage in ("a", "b"):
+            by_rotation = {}
+            for window in range(self.WINDOWS):
+                rows = [
+                    FlowRecord(
+                        key=rng.randrange(1, 40),
+                        packets=rng.randrange(1, 9),
+                        # Key 13 is measured everywhere; the rest mix
+                        # measured and unmeasured octets.
+                        octets=(
+                            None if rng.random() < 0.3 and key_is_mixed else 64
+                        ),
+                    )
+                    for key_is_mixed in [True] * rng.randrange(4, 12)
+                ] + [FlowRecord(key=13, packets=window + 1, octets=100)]
+                by_rotation[window] = RecordBatch.from_records(rows)
+            store.ingest_rotations(vantage, by_rotation, degraded[vantage])
+            store.merge_up(vantage)
+        # Tier away a whole parent's span of "a" and one lone leaf of "b".
+        for window in (0, 1, 2, 3):
+            store._node_path("a", 0, window).unlink()
+        store._node_path("b", 0, 9).unlink()
+        return store
+
+    @staticmethod
+    def expected(store, spec):
+        per_vantage = {}
+        for vantage in ("a", "b"):
+            windows = store.leaf_windows(vantage)
+            if spec.last is not None:
+                windows = windows[-spec.last:]
+            per_vantage[vantage] = (windows, store.summarize(vantage, windows))
+        merged = merge_summaries(
+            [summary for _, summary in per_vantage.values()], mode=spec.merge
+        )
+        return per_vantage, merged.lookup(spec.key)
+
+    @pytest.mark.parametrize("merge", ["max", "sum"])
+    @pytest.mark.parametrize("last", [1, 8, None])
+    @pytest.mark.parametrize("key", [13, 5, 21, 999])
+    def test_lookup_equals_summarize_then_lookup(self, store, merge, last, key):
+        spec = QuerySpec(op="lookup", key=key, last=last, merge=merge)
+        per_vantage, hit = self.expected(store, spec)
+        answer = execute(store, spec)
+        assert answer["found"] == (hit is not None)
+        assert answer["packets"] == (hit[0] if hit else 0)
+        assert answer["octets"] == (
+            hit[1] if hit is not None and hit[1] != UNMEASURED else None
+        )
+        for vantage, (windows, summary) in per_vantage.items():
+            vhit = summary.lookup(key)
+            detail = answer["by_vantage"][vantage]
+            assert detail["packets"] == (vhit[0] if vhit else 0)
+            series = []
+            for window in windows:
+                if store.has_node(vantage, 0, window):
+                    whit = store.load_node(vantage, 0, window).lookup(key)
+                    if whit is not None:
+                        series.append({"window": window, "packets": whit[0]})
+            assert detail["series"] == series
+            provenance = answer["vantages"][vantage]
+            assert provenance["windows"] == windows
+            assert provenance["degraded_windows"] == sorted(summary.degraded_windows)
+        assert answer["degraded"] == any(
+            summary.degraded for _, summary in per_vantage.values()
+        )
+
+    def test_nodes_count_what_was_read(self, store):
+        answer = execute(store, QuerySpec(op="lookup", key=13))
+        # Over all 12 windows the plan's one L2 parent stands in for the
+        # tiered-away leaves, beside the 8 ("a") / 11 ("b") leaves left.
+        assert answer["vantages"]["a"]["nodes"] == 9
+        assert answer["vantages"]["a"]["levels"] == [0, 2]
+        assert answer["vantages"]["b"]["nodes"] == 12
+        assert answer["vantages"]["b"]["levels"] == [0, 2]
+        # Over the last 8, "a" still has every leaf: no parent is read;
+        # "b" plans windows 4..11 as L1 parents and reads the one
+        # holding window 9.
+        recent = execute(store, QuerySpec(op="lookup", key=13, last=8))
+        assert recent["vantages"]["a"]["nodes"] == 8
+        assert recent["vantages"]["a"]["levels"] == [0]
+        assert recent["vantages"]["b"]["nodes"] == 8
+        assert recent["vantages"]["b"]["levels"] == [0, 1]
+
+    def test_unreadable_leaf_raises(self, store):
+        store._node_path("a", 0, 11).write_bytes(b"not a node")
+        with pytest.raises(StoreError, match="unreadable"):
+            execute(store, QuerySpec(op="lookup", key=13, last=1))
 
 
 class TestFlowStoreSink:

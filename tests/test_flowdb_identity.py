@@ -217,7 +217,7 @@ class TestOfflineGroundTruth:
         last = 2
         reference = merge_sum(
             [
-                {r.key: r.packets for r in archive.by_rotation[rot]}
+                {r.key: r.packets for r in archive.by_rotation[rot].flows()}
                 for rot in rotations[-last:]
             ]
         )
@@ -225,7 +225,7 @@ class TestOfflineGroundTruth:
         # keys within one rotation would break the dict comprehension,
         # so assert the premise first.
         for rot in rotations[-last:]:
-            keys = [r.key for r in archive.by_rotation[rot]]
+            keys = [r.key for r in archive.by_rotation[rot].flows()]
             assert len(keys) == len(set(keys))
         answer = execute(store, QuerySpec(op="topk", k=30, last=last))
         assert [

@@ -22,14 +22,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "benchmarks", "examples", "perfbench")
 
 KEPT = {
-    "repro.hashing.mixers.murmur64": (
-        "scalar murmur3 finalizer; test_hashing_mixers checks "
-        "murmur64_batch against it"
-    ),
-    "repro.hashing.mixers.murmur64_batch": (
-        "numpy murmur3 finalizer; test_native_kernels checks the C "
-        "kernel's murmur64 batch against it"
-    ),
     "repro.netwide.merge.merge_sum": (
         "the sum merge flowdb.merge_summaries is pinned to bit for bit "
         "(DESIGN §12; test_flowdb, test_flowdb_identity)"

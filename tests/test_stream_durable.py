@@ -15,7 +15,7 @@ from repro.stream.durable import (
     atomic_write_bytes,
     atomic_write_text,
 )
-from repro.stream.records import FlowRecord
+from repro.stream.records import FlowRecord, RecordBatch
 from repro.stream.sinks import NetFlowV5Sink, TextSink
 
 
@@ -26,18 +26,18 @@ def clean_fault_plan():
     faults.deactivate()
 
 
-def records(rotation: int, n: int = 3) -> list[FlowRecord]:
-    return [
+def records(rotation: int, n: int = 3) -> RecordBatch:
+    return RecordBatch.from_records(
         FlowRecord(
             key=rotation * 100 + i + 1,
             packets=i + 1,
             octets=64 * (i + 1),
             first_seen=float(rotation),
             last_seen=float(rotation) + 0.5,
-            reason="rotation",
+            reason="interval",
         )
         for i in range(n)
-    ]
+    )
 
 
 class TestAtomicWrite:
@@ -179,7 +179,9 @@ class TestNetFlowSinkDurability:
         for name in names:
             datagrams.extend(split_stream((directory / name).read_bytes()))
         merged = parse_stream(iter(datagrams))
-        assert merged == {r.key: r.packets for r in records(0) + records(1)}
+        assert merged == {
+            r.key: r.packets for r in records(0).flows() + records(1).flows()
+        }
 
     def test_abort_leaves_whole_files_only(self, tmp_path):
         directory = tmp_path / "arch"
@@ -225,9 +227,10 @@ class TestArchiveReader:
             for payload in payloads:
                 datagrams.extend(split_stream(payload))
             seen[rotation] = parse_stream(iter(datagrams))
-        assert seen[0] == {r.key: r.packets for r in records(0)}
+        assert seen[0] == {r.key: r.packets for r in records(0).flows()}
         expected: dict[int, int] = {}
-        for r in records(1) + records(1, n=2):  # parts share keys -> sum
+        # The two parts share keys, which sum.
+        for r in records(1).flows() + records(1, n=2).flows():
             expected[r.key] = expected.get(r.key, 0) + r.packets
         assert seen[1] == expected
 

@@ -132,7 +132,7 @@ class TestRotationParity:
         per_packet.run(trace=trace)
         result = chunked.run(trace=trace)
         assert result.rotations > 0
-        assert chunked.sinks[0].exported == per_packet.sinks[0].exported
+        assert chunked.sinks[0].exported.flows() == per_packet.sinks[0].exported.flows()
 
     def test_interval_rotation_matches_time_splitter(self):
         trace = CAIDA.generate(n_flows=600, seed=5, interleave="temporal")
@@ -161,7 +161,7 @@ class TestPipelineMechanics:
         pipeline = make_pipeline(rotation=None)
         result = pipeline.run()
         assert result.rotations == 0
-        assert {r.reason for r in pipeline.sinks[0].exported} == {"final"}
+        assert {r.reason for r in pipeline.sinks[0].exported.flows()} == {"final"}
         # Without rotation, the export equals the collector's records.
         assert result.records == pipeline.collector.records()
 
@@ -307,8 +307,8 @@ class TestByteTracking:
         assert all(value % 123 == 0 for value in octets)
 
     def test_timeout_sweeps_attach_measured_octets(self):
-        # Expiry sweeps read byte counts through the lazy per-key view;
-        # exported records still carry measured octets.
+        # Expiry sweeps probe each swept flow's byte count before the
+        # eviction; exported records still carry measured octets.
         pipeline = Pipeline(
             source=TEMPORAL_SOURCE,
             collector={"kind": "hashflow",
@@ -320,7 +320,9 @@ class TestByteTracking:
         )
         result = pipeline.run()
         assert result.rotations > 0
-        measured = [r for r in pipeline.sinks[0].exported if r.octets is not None]
+        measured = [
+            r for r in pipeline.sinks[0].exported.flows() if r.octets is not None
+        ]
         assert measured
         assert all(r.octets % 123 == 0 for r in measured)
 
@@ -343,7 +345,7 @@ class TestByteTracking:
             packet_bytes=700,
         )
         pipeline.run()
-        exported = pipeline.sinks[0].exported
+        exported = pipeline.sinks[0].exported.flows()
         assert exported
         assert all(r.octets == r.packets * 700 for r in exported)
 

@@ -38,7 +38,7 @@ class Expiry:
         self.feeder = StreamFeeder(
             self.collector,
             TimeoutRotation(inactive, active, interval),
-            lambda records, rotation, now: self.exported.extend(records),
+            lambda records, rotation, now: self.exported.extend(records.flows()),
         )
 
     def feed(self, packets) -> None:
