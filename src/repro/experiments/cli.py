@@ -32,15 +32,91 @@ from repro.experiments.figures import EXPERIMENTS
 from repro.experiments.report import render_table, save_result
 from repro.experiments.runner import ExperimentResult, make_workload
 from repro.native import KERNELS, kernel_info
-from repro.specs import (
-    SpecError,
-    available_kinds,
-    build,
-    load_spec,
-    resolve_scale,
-    save_spec,
-)
+from repro.specs import CollectorSpec, SpecError, available_kinds, build, resolve_scale
 from repro.traces.profiles import PROFILES
+
+
+#: ``serve`` flags that override one :class:`~repro.serve.ServeSpec`
+#: field each (of a loaded spec too): field -> (flag, value type or
+#: choices, help).
+_SERVE_OVERRIDES = {
+    "workers": ("--jobs", int, "collector worker processes (default: the "
+                "spec's, else 1); more than one requires a sharded collector "
+                "(composed specs are wrapped automatically)"),
+    "stats_interval": ("--stats-interval", float, "seconds between stats "
+                       "lines (default: spec, else 5)"),
+    "ring_slots": ("--ring-slots", int, "packet slots per worker ring, a "
+                   "power of two (default: spec, else 65536)"),
+    "backpressure": ("--backpressure", ("block", "drop"), "full-ring policy: "
+                     "block (lossless) or drop (shed + count; default: spec, "
+                     "else block)"),
+    "max_restarts": ("--max-restarts", int, "worker respawns allowed within "
+                     "--restart-window before a death is a hard fault "
+                     "(default: spec, else 0 = fail fast)"),
+    "restart_window": ("--restart-window", float, "sliding window in seconds "
+                       "the restart budget counts over (default: spec, else 30)"),
+    "on_worker_loss": ("--on-worker-loss", ("auto", "replay", "drop"),
+                       "disposition of a dead worker's ring-resident packets: "
+                       "replay to the respawn (lossless) or drop as `lost` "
+                       "(default: auto — block back-pressure replays, drop "
+                       "back-pressure drops)"),
+}
+
+
+def _add_pipeline_flags(parser, spec_type: str, rotate: str) -> None:
+    """The flags ``stream`` and ``serve`` share: a spec file, or the
+    stages to compose one from (see :func:`_compose_pipeline`)."""
+    parser.add_argument(
+        "--spec",
+        metavar="FILE.json",
+        default=None,
+        help=f"run a {spec_type} JSON file (the stage flags are ignored)",
+    )
+    parser.add_argument(
+        "--collector",
+        metavar="KIND",
+        default="hashflow",
+        help="registered collector kind (default: hashflow)",
+    )
+    parser.add_argument(
+        "--memory",
+        type=int,
+        default=None,
+        help="collector memory budget in bytes (default: the paper's 1 MB "
+        "budget at the REPRO_SCALE factor)",
+    )
+    parser.add_argument(
+        "--scale",
+        type=float,
+        default=None,
+        help="size factor applied to the memory budget (default: REPRO_SCALE "
+        "env or 0.1)",
+    )
+    parser.add_argument("--seed", type=int, default=0, help="hash / trace seed")
+    parser.add_argument(
+        "--rotate",
+        metavar="POLICY",
+        default=rotate,
+        help="rotation policy: 'count:N' (N-packet epochs), 'interval:W' "
+        "(W-second windows), 'timeout[:INACTIVE[,ACTIVE[,SWEEP]]]' (RFC "
+        "3954 expiry), or 'none' (one end-of-stream export); "
+        f"default: {rotate}",
+    )
+    parser.add_argument(
+        "--sink",
+        metavar="SINK",
+        action="append",
+        default=None,
+        help="sink to attach (repeatable): netflow, jsonl[:PATH], csv[:PATH], "
+        "archive, heavy_hitters:T, cardinality, anomaly[:MIN_FANOUT], "
+        "store:DIR[,VANTAGE] (default: netflow + archive)",
+    )
+    parser.add_argument(
+        "--save-spec",
+        metavar="FILE.json",
+        default=None,
+        help=f"write the run's {spec_type} to a JSON file",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,12 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stream",
         help="run a streaming pipeline: source -> collector -> rotation -> sinks",
     )
-    stream.add_argument(
-        "--spec",
-        metavar="FILE.json",
-        default=None,
-        help="run a PipelineSpec JSON file (other stage flags are ignored)",
-    )
+    _add_pipeline_flags(stream, "PipelineSpec", rotate="timeout")
     stream.add_argument(
         "--trace",
         default="caida",
@@ -160,55 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--flows", type=int, default=20_000, help="flows in the streamed trace"
     )
     stream.add_argument(
-        "--collector",
-        metavar="KIND",
-        default="hashflow",
-        help="registered collector kind (default: hashflow)",
-    )
-    stream.add_argument(
-        "--memory",
-        type=int,
-        default=None,
-        help="collector memory budget in bytes (default: the paper's 1 MB "
-        "budget at the REPRO_SCALE factor)",
-    )
-    stream.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="size factor applied to the memory budget (default: REPRO_SCALE "
-        "env or 0.1)",
-    )
-    stream.add_argument("--seed", type=int, default=0, help="hash / trace seed")
-    stream.add_argument(
-        "--rotate",
-        metavar="POLICY",
-        default="timeout",
-        help="rotation policy: 'count:N' (N-packet epochs), 'interval:W' "
-        "(W-second windows), 'timeout[:INACTIVE[,ACTIVE[,SWEEP]]]' (RFC "
-        "3954 expiry; default), or 'none' (one end-of-stream export)",
-    )
-    stream.add_argument(
-        "--sink",
-        metavar="SINK",
-        action="append",
-        default=None,
-        help="sink to attach (repeatable): netflow, jsonl[:PATH], csv[:PATH], "
-        "archive, heavy_hitters:T, cardinality, anomaly[:MIN_FANOUT], "
-        "store:DIR[,VANTAGE] (default: netflow + archive)",
-    )
-    stream.add_argument(
         "--kernel",
         choices=KERNELS,
         default=None,
         help="collector execution tier (native = compiled C kernels, "
         "bit-identical to numpy; default: REPRO_KERNEL env or numpy)",
-    )
-    stream.add_argument(
-        "--save-spec",
-        metavar="FILE.json",
-        default=None,
-        help="write the pipeline's spec to a JSON file",
     )
 
     serve = sub.add_parser(
@@ -216,13 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the live collection daemon: UDP NetFlow v5 ingest over "
         "shared-memory rings, rotating under load",
     )
-    serve.add_argument(
-        "--spec",
-        metavar="FILE.json",
-        default=None,
-        help="run a ServeSpec JSON file (stage flags are ignored; "
-        "--listen/--jobs/--duration still apply)",
-    )
+    _add_pipeline_flags(serve, "ServeSpec", rotate="interval:10")
     serve.add_argument(
         "--listen",
         metavar="[HOST:]PORT",
@@ -238,56 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with --replay and no duration, the daemon drains after the replay)",
     )
     serve.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="collector worker processes (default: the spec's, else 1); more "
-        "than one requires a sharded collector (composed specs are wrapped "
-        "automatically)",
-    )
-    serve.add_argument(
-        "--stats-interval",
-        type=float,
-        default=None,
-        help="seconds between stats lines (default: spec, else 5)",
-    )
-    serve.add_argument(
-        "--ring-slots",
-        type=int,
-        default=None,
-        help="packet slots per worker ring, a power of two (default: spec, "
-        "else 65536)",
-    )
-    serve.add_argument(
-        "--backpressure",
-        choices=("block", "drop"),
-        default=None,
-        help="full-ring policy: block (lossless) or drop (shed + count; "
-        "default: spec, else block)",
-    )
-    serve.add_argument(
-        "--max-restarts",
-        type=int,
-        default=None,
-        help="worker respawns allowed within --restart-window before a "
-        "death is a hard fault (default: spec, else 0 = fail fast)",
-    )
-    serve.add_argument(
-        "--restart-window",
-        type=float,
-        default=None,
-        help="sliding window in seconds the restart budget counts over "
-        "(default: spec, else 30)",
-    )
-    serve.add_argument(
-        "--on-worker-loss",
-        choices=("auto", "replay", "drop"),
-        default=None,
-        help="disposition of a dead worker's ring-resident packets: "
-        "replay to the respawn (lossless) or drop as `lost` (default: "
-        "auto — block back-pressure replays, drop back-pressure drops)",
-    )
-    serve.add_argument(
         "--replay",
         metavar="PROFILE:FLOWS[:PPS]",
         default=None,
@@ -295,48 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         "loopback UDP (unpaced unless PPS is given); REPRO_FAULTS "
         "datagram_chaos entries mutate the replayed stream",
     )
-    serve.add_argument(
-        "--collector",
-        metavar="KIND",
-        default="hashflow",
-        help="registered collector kind for composed specs (default: hashflow)",
-    )
-    serve.add_argument(
-        "--memory",
-        type=int,
-        default=None,
-        help="collector memory budget in bytes (default: the paper's 1 MB "
-        "budget at the REPRO_SCALE factor)",
-    )
-    serve.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="size factor applied to the memory budget (default: REPRO_SCALE "
-        "env or 0.1)",
-    )
-    serve.add_argument("--seed", type=int, default=0, help="hash seed")
-    serve.add_argument(
-        "--rotate",
-        metavar="POLICY",
-        default="interval:10",
-        help="rotation policy for composed specs (same grammar as stream; "
-        "default: interval:10 — 10-second wall-clock windows)",
-    )
-    serve.add_argument(
-        "--sink",
-        metavar="SINK",
-        action="append",
-        default=None,
-        help="sink to attach (repeatable, same grammar as stream, "
-        "including store:DIR[,VANTAGE]; default: netflow + archive)",
-    )
-    serve.add_argument(
-        "--save-spec",
-        metavar="FILE.json",
-        default=None,
-        help="write the daemon's ServeSpec to a JSON file",
-    )
+    for name, (flag, kind, text) in _SERVE_OVERRIDES.items():
+        options = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        serve.add_argument(flag, dest=name, default=None, help=text, **options)
 
     query = sub.add_parser(
         "query",
@@ -505,81 +437,97 @@ def _parse_replay(text: str) -> tuple[str, int, float | None]:
     return parts[0], flows, pps
 
 
+def _compose_pipeline(args, source: dict, workers: int = 1, kernel: str | None = None):
+    """The :class:`~repro.stream.PipelineSpec` ``stream`` and ``serve``
+    compose from their shared flags around ``source``.
+
+    Composed specs carry fully resolved collector params: the memory
+    budget and scale are applied once, here (without an explicit budget
+    the paper's 1 MB default is sized at REPRO_SCALE).  Multi-worker
+    serving needs a home shard per flow key, so with ``workers > 1`` a
+    plain collector is wrapped one-shard-per-worker.
+    """
+    from repro.stream import PipelineSpec
+
+    scale = args.scale
+    if args.memory is None and scale is None:
+        scale = resolve_scale(None)
+    overrides = {"kernel": kernel} if kernel else {}
+    collector = build(
+        args.collector, memory_bytes=args.memory, scale=scale, seed=args.seed,
+        **overrides,
+    ).spec.to_dict()
+    if workers > 1 and collector["kind"] != "sharded":
+        collector = {
+            "kind": "sharded",
+            "params": {"collector": collector, "n_shards": workers, "seed": args.seed},
+        }
+    return PipelineSpec(
+        source=source,
+        collector=collector,
+        rotation=_parse_rotation(args.rotate),
+        sinks=[_parse_sink(s) for s in (args.sink or ["netflow", "archive"])],
+    )
+
+
+def _add_export_rows(table: ExperimentResult, result) -> None:
+    """The rows ``stream`` and ``serve`` share: rotations, exports,
+    flows and each sink's summary."""
+    table.add_row(metric="rotations", value=result.rotations)
+    table.add_row(metric="exported_records", value=result.exported)
+    table.add_row(metric="flows", value=len(result.records))
+    for label, summary in result.sinks.items():
+        for key, value in summary.items():
+            table.add_row(metric=f"{label}.{key}", value=value)
+
+
 def run_serve(args) -> int:
     """Build (or load) a serve spec and run the live collection daemon."""
     import signal
-    import threading
 
-    from repro.serve import (
-        ServeDaemon,
-        ServeSpec,
-        load_serve_spec,
-        replay_trace,
-        save_serve_spec,
-    )
+    from repro.serve import ServeDaemon, ServeSpec
 
     replay = _parse_replay(args.replay) if args.replay else None
+    overrides = {
+        name: getattr(args, name)
+        for name in _SERVE_OVERRIDES
+        if getattr(args, name) is not None
+    }
     try:
-        overrides = {}
-        if args.jobs is not None:
-            overrides["workers"] = args.jobs
-        if args.ring_slots is not None:
-            overrides["ring_slots"] = args.ring_slots
-        if args.backpressure is not None:
-            overrides["backpressure"] = args.backpressure
-        if args.stats_interval is not None:
-            overrides["stats_interval"] = args.stats_interval
-        if args.max_restarts is not None:
-            overrides["max_restarts"] = args.max_restarts
-        if args.restart_window is not None:
-            overrides["restart_window"] = args.restart_window
-        if args.on_worker_loss is not None:
-            overrides["on_worker_loss"] = args.on_worker_loss
         if args.spec:
-            spec = load_serve_spec(args.spec)
+            spec = ServeSpec.load(args.spec)
             if overrides:
                 spec = ServeSpec.from_dict({**spec.to_dict(), **overrides})
         else:
-            # Composed specs carry fully resolved collector params (as
-            # in `stream`): budget and scale are applied once, here.
-            scale = args.scale
-            if args.memory is None and scale is None:
-                scale = resolve_scale(None)
-            collector = build(
-                args.collector, memory_bytes=args.memory, scale=scale, seed=args.seed
-            ).spec.to_dict()
-            workers = overrides.get("workers", 1)
-            if workers > 1 and collector["kind"] != "sharded":
-                # Multi-worker serving needs a home shard per flow key;
-                # wrap the composed collector one-shard-per-worker.
-                collector = {
-                    "kind": "sharded",
-                    "params": {
-                        "collector": collector,
-                        "n_shards": workers,
-                        "seed": args.seed,
-                    },
-                }
-            pipeline = {
-                "source": {"kind": "udp", "params": {"host": "127.0.0.1", "port": 2055}},
-                "collector": collector,
-                "rotation": _parse_rotation(args.rotate),
-                "sinks": [_parse_sink(s) for s in (args.sink or ["netflow", "archive"])],
-            }
-            spec = ServeSpec(pipeline=pipeline, **overrides)
+            udp = {"kind": "udp", "params": {"host": "127.0.0.1", "port": 2055}}
+            pipeline = _compose_pipeline(args, udp, overrides.get("workers", 1))
+            spec = ServeSpec(pipeline=pipeline.to_dict(), **overrides)
         if args.listen:
             spec = spec.with_listen(*_parse_listen(args.listen))
         if args.save_spec:
-            save_serve_spec(spec, args.save_spec)
+            spec.save(args.save_spec)
             print(f"# serve spec saved to {args.save_spec}")
         daemon = ServeDaemon(spec)
     except (SpecError, OSError, ValueError) as exc:
         print(f"cannot build serve daemon: {exc}", file=sys.stderr)
         return 2
 
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: daemon.request_stop())
+    signals = (signal.SIGTERM, signal.SIGINT)
+    previous = [signal.signal(s, lambda *_: daemon.request_stop()) for s in signals]
+    try:
+        return _serve(daemon, args, replay)
+    finally:
+        for signum, handler in zip(signals, previous):
+            signal.signal(signum, handler)
 
+
+def _serve(daemon, args, replay) -> int:
+    """Bind, run (with an optional loopback replay) and report."""
+    import threading
+
+    from repro.serve import replay_trace
+
+    spec = daemon.spec
     try:
         address = daemon.bind()
     except OSError as exc:
@@ -652,12 +600,7 @@ def run_serve(args) -> int:
         metric="accounting",
         value="exact" if result.accounting_exact else "VIOLATED",
     )
-    table.add_row(metric="rotations", value=result.rotations)
-    table.add_row(metric="exported_records", value=result.exported)
-    table.add_row(metric="flows", value=len(result.records))
-    for label, summary in result.sinks.items():
-        for key, value in summary.items():
-            table.add_row(metric=f"{label}.{key}", value=value)
+    _add_export_rows(table, result)
     print(render_table(table))
     print(f"# elapsed: {result.elapsed:.1f}s")
     if not result.accounting_exact:
@@ -672,46 +615,19 @@ def run_serve(args) -> int:
 
 def run_stream(args) -> int:
     """Build (or load) a pipeline spec, run it, verify NetFlow parse-back."""
-    from repro.stream import NetFlowV5Sink, Pipeline, load_pipeline_spec, save_pipeline_spec
+    from repro.stream import NetFlowV5Sink, Pipeline, PipelineSpec
 
     try:
         if args.spec:
-            pipeline_spec = load_pipeline_spec(args.spec)
+            pipeline_spec = PipelineSpec.load(args.spec)
         else:
-            # Spec-driven pipelines carry fully resolved collector
-            # params, so the memory budget and scale are applied here,
-            # once, at composition time.  Without an explicit budget the
-            # paper's 1 MB default is sized at REPRO_SCALE.
-            scale = args.scale
-            if args.memory is None and scale is None:
-                scale = resolve_scale(None)
-            overrides = {"kernel": args.kernel} if args.kernel else {}
-            collector = build(
-                args.collector,
-                memory_bytes=args.memory,
-                scale=scale,
-                seed=args.seed,
-                **overrides,
-            )
-            sinks = [_parse_sink(s) for s in (args.sink or ["netflow", "archive"])]
-            pipeline = Pipeline(
-                source={
-                    "kind": "synthetic",
-                    "params": {
-                        "profile": args.trace,
-                        "n_flows": args.flows,
-                        "seed": args.seed,
-                    },
-                },
-                collector=collector,
-                rotation=_parse_rotation(args.rotate),
-                sinks=sinks,
-            )
-            pipeline_spec = pipeline.spec
-        if args.save_spec:
-            save_pipeline_spec(pipeline_spec, args.save_spec)
-            print(f"# pipeline spec saved to {args.save_spec}")
+            params = {"profile": args.trace, "n_flows": args.flows, "seed": args.seed}
+            source = {"kind": "synthetic", "params": params}
+            pipeline_spec = _compose_pipeline(args, source, kernel=args.kernel)
         pipeline = Pipeline.from_spec(pipeline_spec)
+        if args.save_spec:
+            pipeline_spec.save(args.save_spec)
+            print(f"# pipeline spec saved to {args.save_spec}")
     except (SpecError, OSError, ValueError) as exc:
         print(f"cannot build pipeline: {exc}", file=sys.stderr)
         return 2
@@ -728,12 +644,7 @@ def run_stream(args) -> int:
         params={"source": pipeline_spec.source["kind"]},
     )
     table.add_row(metric="packets", value=result.packets)
-    table.add_row(metric="rotations", value=result.rotations)
-    table.add_row(metric="exported_records", value=result.exported)
-    table.add_row(metric="flows", value=len(result.records))
-    for label, summary in result.sinks.items():
-        for key, value in summary.items():
-            table.add_row(metric=f"{label}.{key}", value=value)
+    _add_export_rows(table, result)
     print(render_table(table))
     print(f"# elapsed: {elapsed:.1f}s")
 
@@ -952,7 +863,7 @@ def run_sweep(
 def run_collect(args) -> int:
     """Build a collector (kind or spec file), replay a trace, report."""
     try:
-        source = load_spec(args.spec) if args.spec else args.collector
+        source = CollectorSpec.load(args.spec) if args.spec else args.collector
         overrides = {"kernel": args.kernel} if args.kernel else {}
         collector = build(
             source, memory_bytes=args.memory, seed=args.seed, **overrides
@@ -988,7 +899,7 @@ def run_collect(args) -> int:
     print(render_table(result))
     print(f"# elapsed: {elapsed:.1f}s")
     if args.save_spec:
-        save_spec(collector.spec, args.save_spec)
+        collector.spec.save(args.save_spec)
         print(f"# spec saved to {args.save_spec}")
     return 0
 

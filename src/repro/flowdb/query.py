@@ -29,15 +29,15 @@ instead of pretending.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, ClassVar
 
 import numpy as np
 
+from repro.flow.key import FLOW_KEY_MASK
 from repro.flowdb.store import FlowStore, StoreError
 from repro.flowdb.summary import UNMEASURED, merge_summaries
-from repro.specs import SpecError
+from repro.specs import Spec, SpecError, positive_count
 from repro.stream.records import merge_rows
 
 #: Query operations :func:`execute` understands.
@@ -46,17 +46,16 @@ OPS = ("topk", "lookup", "cardinality")
 #: Cross-vantage merge modes (see :mod:`repro.netwide.merge`).
 MERGE_MODES = ("max", "sum")
 
-_FIELDS = {"op", "k", "key", "vantages", "last", "start", "stop", "merge"}
-
 
 @dataclass(frozen=True, eq=False)
-class QuerySpec:
+class QuerySpec(Spec):
     """One frozen query: operation × vantage set × window range.
 
     Attributes:
         op: ``"topk"`` / ``"lookup"`` / ``"cardinality"``.
-        k: result size for ``topk``.
-        key: packed flow key for ``lookup``.
+        k: result size for ``topk`` (an integer >= 1).
+        key: packed flow key for ``lookup`` (an integer in the 104-bit
+            key range).
         vantages: vantage names to cover; empty = every vantage.
         last: answer over the most recent N windows (per vantage).
         start: lowest window index included (with ``stop``; ignored
@@ -74,77 +73,45 @@ class QuerySpec:
     stop: int | None = None
     merge: str = "max"
 
-    def __post_init__(self):
+    what: ClassVar[str] = "query spec"
+
+    def _validate(self):
         if self.op not in OPS:
             raise SpecError(f"unknown query op {self.op!r}; one of {OPS}")
         if self.merge not in MERGE_MODES:
             raise SpecError(
                 f"unknown merge mode {self.merge!r}; one of {MERGE_MODES}"
             )
-        object.__setattr__(self, "k", int(self.k))
-        if self.op == "topk" and self.k <= 0:
-            raise SpecError(f"topk needs k >= 1, got {self.k}")
-        if self.op == "lookup":
-            if self.key is None:
-                raise SpecError("lookup needs a flow key")
-            object.__setattr__(self, "key", int(self.key))
-        object.__setattr__(
-            self, "vantages", tuple(str(v) for v in self.vantages)
-        )
-        for name in ("last", "start", "stop"):
+        key = self.key
+        if key is not None:
+            key = positive_count("key", key, minimum=0)
+            if key > FLOW_KEY_MASK:
+                raise SpecError(f"key {key} is beyond the 104-bit flow key range")
+        elif self.op == "lookup":
+            raise SpecError("lookup needs a flow key")
+        if not isinstance(self.vantages, (list, tuple)) or not all(
+            isinstance(v, str) for v in self.vantages
+        ):
+            raise SpecError(f"vantages must be a list of names, got {self.vantages!r}")
+
+        def window(name: str, minimum: int) -> int | None:
             value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, int(value))
-        if self.last is not None and self.last <= 0:
-            raise SpecError(f"last must be >= 1, got {self.last}")
+            return None if value is None else positive_count(name, value, minimum)
+
+        self._set(
+            k=positive_count("k", self.k),
+            key=key,
+            vantages=tuple(self.vantages),
+            last=window("last", 1),
+            start=window("start", 0),
+            stop=window("stop", 0),
+        )
         if (
             self.start is not None
             and self.stop is not None
             and self.stop < self.start
         ):
             raise SpecError(f"window range [{self.start}, {self.stop}] is empty")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuerySpec):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __hash__(self) -> int:
-        return hash(json.dumps(self.to_dict(), sort_keys=True))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "op": self.op,
-            "k": self.k,
-            "key": self.key,
-            "vantages": list(self.vantages),
-            "last": self.last,
-            "start": self.start,
-            "stop": self.stop,
-            "merge": self.merge,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "QuerySpec":
-        if not isinstance(data, Mapping):
-            raise SpecError(f"not a query spec mapping: {data!r}")
-        extra = set(data) - _FIELDS
-        if extra:
-            raise SpecError(f"unknown query spec fields {sorted(extra)} in {data!r}")
-        kwargs = {k: data[k] for k in _FIELDS & set(data)}
-        kwargs["vantages"] = tuple(kwargs.get("vantages", ()))
-        return cls(**kwargs)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuerySpec":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise SpecError(f"invalid query spec JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     def over(self, **overrides: Any) -> "QuerySpec":
         """A new spec with some fields replaced."""

@@ -34,12 +34,12 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, ClassVar, Iterable, Mapping
 
 import numpy as np
 
 from repro.flowdb.summary import FlowSummary, merge_summaries
-from repro.specs import SpecError
+from repro.specs import Spec, SpecError, positive_count
 from repro.stream.durable import atomic_write_bytes, read_archive
 
 #: Store layout version; readers reject stores written by a different one.
@@ -57,55 +57,32 @@ _NODE_FILE_RE = re.compile(r"^w(\d{8,})\.flow$")
 #: Vantage names must be path-safe single components.
 _VANTAGE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
-_SPEC_FIELDS = {"schema", "fanout"}
-
-
 class StoreError(ValueError):
     """A flow store failed validation or an operation was inconsistent."""
 
 
-@dataclass(frozen=True)
-class StoreSpec:
+@dataclass(frozen=True, eq=False)
+class StoreSpec(Spec):
     """Frozen, JSON-round-trippable store configuration.
 
     Attributes:
         fanout: leaf windows per level-1 parent; each further level
             multiplies coverage by ``fanout`` again.
+        schema: the store layout version; only this reader's
+            :data:`STORE_SCHEMA` loads.
     """
 
     fanout: int = DEFAULT_FANOUT
+    schema: int = STORE_SCHEMA
 
-    def __post_init__(self):
-        if not isinstance(self.fanout, int) or self.fanout < 2:
-            raise SpecError(f"fanout must be an int >= 2, got {self.fanout!r}")
+    what: ClassVar[str] = "store spec"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"schema": STORE_SCHEMA, "fanout": self.fanout}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StoreSpec":
-        if not isinstance(data, Mapping):
-            raise SpecError(f"not a store spec mapping: {data!r}")
-        extra = set(data) - _SPEC_FIELDS
-        if extra:
-            raise SpecError(f"unknown store spec fields {sorted(extra)} in {data!r}")
-        schema = data.get("schema", STORE_SCHEMA)
-        if schema != STORE_SCHEMA:
+    def _validate(self):
+        if positive_count("schema", self.schema) != STORE_SCHEMA:
             raise SpecError(
-                f"store schema {schema!r} is not this reader's {STORE_SCHEMA}"
+                f"store schema {self.schema!r} is not this reader's {STORE_SCHEMA}"
             )
-        return cls(fanout=data.get("fanout", DEFAULT_FANOUT))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "StoreSpec":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise SpecError(f"invalid store spec JSON: {exc}") from exc
-        return cls.from_dict(data)
+        self._set(fanout=positive_count("fanout", self.fanout, minimum=2))
 
 
 @dataclass(frozen=True)
@@ -206,7 +183,7 @@ class FlowStore:
         self.root = Path(root)
         spec_path = self.root / STORE_SPEC_NAME
         if spec_path.exists():
-            existing = StoreSpec.from_json(spec_path.read_text(encoding="utf-8"))
+            existing = StoreSpec.load(spec_path)
             if spec is not None and spec != existing:
                 raise StoreError(
                     f"store at {self.root} was created with {existing.to_dict()}; "
@@ -216,7 +193,8 @@ class FlowStore:
         else:
             self.spec = spec or StoreSpec()
             self.root.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(spec_path, self.spec.to_json().encode("utf-8"))
+            text = self.spec.to_json(indent=2) + "\n"
+            atomic_write_bytes(spec_path, text.encode("utf-8"))
 
     # -- layout helpers ------------------------------------------------
 

@@ -42,13 +42,7 @@ from repro.hashing.mixers import keys_from_halves
 from repro.serve.daemon import ServeDaemon, ServeResult
 from repro.serve.replay import replay_datagrams, replay_trace, trace_datagrams
 from repro.serve.ring import DEFAULT_RING_SLOTS, PacketRing
-from repro.serve.spec import (
-    BACKPRESSURE_MODES,
-    WORKER_LOSS_MODES,
-    ServeSpec,
-    load_serve_spec,
-    save_serve_spec,
-)
+from repro.serve.spec import BACKPRESSURE_MODES, WORKER_LOSS_MODES, ServeSpec
 from repro.serve.supervisor import Supervisor
 
 __all__ = [
@@ -63,9 +57,7 @@ __all__ = [
     "decode_datagram",
     "encode_datagrams",
     "keys_from_halves",
-    "load_serve_spec",
     "replay_datagrams",
     "replay_trace",
-    "save_serve_spec",
     "trace_datagrams",
 ]

@@ -65,7 +65,7 @@ from repro.specs import build as build_collector
 from repro.stream.pipeline import StreamFeeder
 from repro.stream.records import RecordBatch, merge_flow_records
 from repro.stream.rotation import build_rotation
-from repro.stream.sinks import build_sink, keep_rotation
+from repro.stream.sinks import build_sink, keep_rotation, sink_summaries
 from repro.stream.spec import PipelineSpec
 
 #: Receive-buffer request for the listen socket: the kernel-side slack
@@ -549,13 +549,6 @@ class ServeDaemon:
             for sink in sinks:
                 sink.close()
             sinks_settled = True
-            names: dict[str, int] = {}
-            summaries: dict[str, dict] = {}
-            for sink in sinks:
-                count = names.get(sink.kind, 0)
-                names[sink.kind] = count + 1
-                label = sink.kind if count == 0 else f"{sink.kind}#{count}"
-                summaries[label] = sink.summary()
             return ServeResult(
                 packets=packets,
                 datagrams=datagrams,
@@ -563,7 +556,7 @@ class ServeDaemon:
                 rotations=supervisor.rotation_total(),
                 exported=exported,
                 batches=batches,
-                sinks=summaries,
+                sinks=sink_summaries(sinks),
                 meters=dict(sorted(supervisor.meters.items())),
                 elapsed=time.monotonic() - start,
                 fed=supervisor.fed,

@@ -13,14 +13,15 @@ whether it runs for ten seconds under CI or indefinitely under systemd.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, ClassVar, Mapping
 
 from repro.serve.ring import DEFAULT_RING_SLOTS
-from repro.specs import SpecError, build
+from repro.specs import Spec, SpecError, build, positive_count, positive_finite
 from repro.stream.pipeline import check_rotation
 from repro.stream.rotation import build_rotation
+from repro.stream.sinks import SINKS
+from repro.stream.sources import udp_address
 from repro.stream.spec import PipelineSpec
 
 #: Allowed back-pressure policies at the ring door (DESIGN §10).
@@ -32,21 +33,9 @@ BACKPRESSURE_MODES = ("block", "drop")
 #: ``drop`` counts them as ``lost``.
 WORKER_LOSS_MODES = ("auto", "replay", "drop")
 
-_FIELDS = {
-    "pipeline",
-    "workers",
-    "ring_slots",
-    "backpressure",
-    "stats_interval",
-    "max_restarts",
-    "restart_window",
-    "on_worker_loss",
-    "faults",
-}
-
 
 @dataclass(frozen=True, eq=False)
-class ServeSpec:
+class ServeSpec(Spec):
     """A frozen, JSON-round-trippable serve-daemon description.
 
     Attributes:
@@ -89,7 +78,9 @@ class ServeSpec:
     on_worker_loss: str = "auto"
     faults: tuple = ()
 
-    def __post_init__(self):
+    what: ClassVar[str] = "serve spec"
+
+    def _validate(self):
         # Nested validation (and error messages) are PipelineSpec's own.
         pipeline = PipelineSpec.from_dict(self.pipeline)
         if pipeline.source["kind"] != "udp":
@@ -98,84 +89,69 @@ class ServeSpec:
                 f"must be 'udp', got {pipeline.source['kind']!r} "
                 "(offline sources run via Pipeline.run)"
             )
-        object.__setattr__(self, "pipeline", pipeline.to_dict())
-        # Build once here what every worker builds, so a collector or
-        # pairing the workers cannot build or drive fails at load,
-        # before a daemon binds or spawns (the spec is frozen: one
-        # check covers every daemon and respawn built from it).
-        try:
-            check_rotation(build(pipeline.collector), build_rotation(pipeline.rotation))
-        except ValueError as exc:
-            raise SpecError(f"invalid serve spec: {exc}") from exc
-        workers = int(self.workers)
-        if workers < 1:
-            raise SpecError(f"workers must be >= 1, got {workers}")
+        unknown = [s["kind"] for s in pipeline.sinks if s["kind"] not in SINKS]
+        if unknown:
+            raise SpecError(
+                f"unknown sink kinds {unknown}; available: {', '.join(sorted(SINKS))}"
+            )
+        # Check here the listen address and build once the collector and
+        # rotation every worker builds (sinks are only looked up above:
+        # they create directories), so an address, collector or pairing
+        # the daemon cannot use fails at load, before a daemon binds or
+        # spawns (the spec is frozen: one check covers every daemon and
+        # respawn built from it).
+        udp_address(**pipeline.source["params"])
+        collector = build(pipeline.collector)
+        check_rotation(collector, build_rotation(pipeline.rotation))
+        workers = positive_count("workers", self.workers)
         if workers > 1:
-            collector = pipeline.collector
-            if collector["kind"] != "sharded":
+            if pipeline.collector["kind"] != "sharded":
                 raise SpecError(
                     f"{workers} workers need a 'sharded' collector so each "
                     f"flow key has one home process, got kind "
-                    f"{collector['kind']!r}"
+                    f"{pipeline.collector['kind']!r}"
                 )
-            n_shards = int(collector["params"]["n_shards"])
-            if n_shards < workers:
+            if collector.n_shards < workers:
                 raise SpecError(
                     f"{workers} workers need at least that many shards, "
-                    f"got n_shards={n_shards}"
+                    f"got n_shards={collector.n_shards}"
                 )
-        object.__setattr__(self, "workers", workers)
-        ring_slots = int(self.ring_slots)
+        ring_slots = positive_count("ring_slots", self.ring_slots, minimum=0)
         if ring_slots < 2 or ring_slots & (ring_slots - 1):
             raise SpecError(
                 f"ring_slots must be a power of two >= 2, got {ring_slots}"
             )
-        object.__setattr__(self, "ring_slots", ring_slots)
         if self.backpressure not in BACKPRESSURE_MODES:
             raise SpecError(
                 f"backpressure must be one of {BACKPRESSURE_MODES}, "
                 f"got {self.backpressure!r}"
             )
-        if not self.stats_interval > 0:
-            raise SpecError(
-                f"stats_interval must be positive, got {self.stats_interval}"
-            )
-        object.__setattr__(self, "stats_interval", float(self.stats_interval))
-        max_restarts = int(self.max_restarts)
-        if max_restarts < 0:
-            raise SpecError(f"max_restarts must be >= 0, got {max_restarts}")
-        object.__setattr__(self, "max_restarts", max_restarts)
-        if not self.restart_window > 0:
-            raise SpecError(
-                f"restart_window must be positive, got {self.restart_window}"
-            )
-        object.__setattr__(self, "restart_window", float(self.restart_window))
         if self.on_worker_loss not in WORKER_LOSS_MODES:
             raise SpecError(
                 f"on_worker_loss must be one of {WORKER_LOSS_MODES}, "
                 f"got {self.on_worker_loss!r}"
             )
-        if self.on_worker_loss == "auto":
-            resolved = "replay" if self.backpressure == "block" else "drop"
-            object.__setattr__(self, "on_worker_loss", resolved)
+        on_worker_loss = self.on_worker_loss
+        if on_worker_loss == "auto":
+            on_worker_loss = "replay" if self.backpressure == "block" else "drop"
         from repro.faults import FaultSpecError, _validated
 
         try:
+            if not isinstance(self.faults, (list, tuple)):
+                raise FaultSpecError(f"a list is needed, got {self.faults!r}")
             faults = tuple(_validated(entry) for entry in self.faults)
         except FaultSpecError as exc:
             raise SpecError(f"invalid serve spec faults: {exc}") from exc
-        object.__setattr__(self, "faults", faults)
-
-    # ------------------------------------------------------------------
-    # Identity
-    # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ServeSpec):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __hash__(self) -> int:
-        return hash(json.dumps(self.to_dict(), sort_keys=True))
+        self._set(
+            pipeline=pipeline.to_dict(),
+            workers=workers,
+            ring_slots=ring_slots,
+            stats_interval=positive_finite("stats_interval", self.stats_interval),
+            max_restarts=positive_count("max_restarts", self.max_restarts, minimum=0),
+            restart_window=positive_finite("restart_window", self.restart_window),
+            on_worker_loss=on_worker_loss,
+            faults=faults,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -194,64 +170,16 @@ class ServeSpec:
     @property
     def listen(self) -> tuple[str, int]:
         """The ``(host, port)`` the udp source asks to bind."""
-        params = self.pipeline["source"]["params"]
-        return str(params.get("host", "127.0.0.1")), int(params.get("port", 2055))
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form, JSON-native throughout."""
-        return {
-            "pipeline": dict(self.pipeline),
-            "workers": self.workers,
-            "ring_slots": self.ring_slots,
-            "backpressure": self.backpressure,
-            "stats_interval": self.stats_interval,
-            "max_restarts": self.max_restarts,
-            "restart_window": self.restart_window,
-            "on_worker_loss": self.on_worker_loss,
-            "faults": [dict(f) for f in self.faults],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServeSpec":
-        """Inverse of :meth:`to_dict`.
-
-        Raises:
-            SpecError: if the mapping is not of the canonical shape.
-        """
-        if not isinstance(data, Mapping) or "pipeline" not in data:
-            raise SpecError(f"not a serve spec mapping: {data!r}")
-        extra = set(data) - _FIELDS
-        if extra:
-            raise SpecError(f"unknown serve spec fields {sorted(extra)} in {data!r}")
-        return cls(**{k: data[k] for k in _FIELDS & set(data)})
-
-    def to_json(self, indent: int | None = None) -> str:
-        """Serialize to a JSON document."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServeSpec":
-        """Parse a JSON document produced by :meth:`to_json`."""
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise SpecError(f"invalid serve spec JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return udp_address(**self.pipeline["source"]["params"])
 
     # ------------------------------------------------------------------
     # Derivation / construction
     # ------------------------------------------------------------------
     def with_listen(self, host: str, port: int) -> "ServeSpec":
         """A new spec bound to a different listen address."""
-        pipeline = self.pipeline_spec
-        source = {
-            "kind": "udp",
-            "params": {**pipeline.source["params"], "host": host, "port": int(port)},
-        }
-        return replace(self, pipeline=pipeline.with_stages(source=source).to_dict())
+        params = {**self.pipeline["source"]["params"], "host": host, "port": port}
+        source = {"kind": "udp", "params": params}
+        return replace(self, pipeline={**self.pipeline, "source": source})
 
     def build(self):
         """Build a runnable :class:`~repro.serve.daemon.ServeDaemon`."""
@@ -259,14 +187,3 @@ class ServeSpec:
 
         return ServeDaemon(self)
 
-
-def load_serve_spec(path) -> ServeSpec:
-    """Load a :class:`ServeSpec` from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return ServeSpec.from_json(fh.read())
-
-
-def save_serve_spec(spec: ServeSpec, path) -> None:
-    """Write a :class:`ServeSpec` to a JSON file (pretty-printed)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(spec.to_json(indent=2) + "\n")

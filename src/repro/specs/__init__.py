@@ -4,7 +4,9 @@ The paper evaluates seven algorithms under one memory budget; this
 package makes every collector *described by data* — named, parameterized,
 serializable, and reconstructible on any shard, switch, or epoch:
 
-* :class:`CollectorSpec` — frozen kind + params, JSON round-trippable;
+* :class:`CollectorSpec` — frozen kind + params, JSON round-trippable
+  through :class:`Spec`, the one codec every spec type shares (with
+  the :func:`positive_count`/:func:`positive_finite` field checks);
 * :func:`register` / :func:`available_kinds` — the global kind registry;
 * :func:`build` — one construction path for the whole harness, with
   per-kind memory sizing rules (:mod:`repro.specs.sizing`);
@@ -45,7 +47,13 @@ from repro.specs.sizing import (
     resolve_scale,
     scaled_memory,
 )
-from repro.specs.spec import CollectorSpec, SpecError, load_spec, save_spec
+from repro.specs.spec import (
+    CollectorSpec,
+    Spec,
+    SpecError,
+    positive_count,
+    positive_finite,
+)
 
 __all__ = [
     "CollectorSpec",
@@ -54,6 +62,7 @@ __all__ = [
     "EVALUATED_KINDS",
     "Registration",
     "SCALE_ENV",
+    "Spec",
     "SpecError",
     "as_spec",
     "available_kinds",
@@ -61,11 +70,11 @@ __all__ = [
     "build_evaluated",
     "derive_seed",
     "display_name",
-    "load_spec",
+    "positive_count",
+    "positive_finite",
     "register",
     "register_sizing",
     "reseeded",
     "resolve_scale",
-    "save_spec",
     "scaled_memory",
 ]

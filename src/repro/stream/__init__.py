@@ -63,12 +63,7 @@ from repro.stream.sources import (
     UDPSource,
     build_source,
 )
-from repro.stream.spec import (
-    DEFAULT_PACKET_RATE,
-    PipelineSpec,
-    load_pipeline_spec,
-    save_pipeline_spec,
-)
+from repro.stream.spec import DEFAULT_PACKET_RATE, PipelineSpec
 
 __all__ = [
     "AnomalyTap",
@@ -106,8 +101,6 @@ __all__ = [
     "build_source",
     "export_and_reset",
     "iter_manifest",
-    "load_pipeline_spec",
     "merge_flow_records",
     "read_archive",
-    "save_pipeline_spec",
 ]

@@ -21,23 +21,16 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.flow.batch import KeyBatch
+from repro.flow.batch import DEFAULT_CHUNK_SIZE, KeyBatch
+from repro.flow.packet import DEFAULT_PACKET_BYTES
 from repro.sketches.base import FlowCollector
 from repro.specs import build as build_collector
+from repro.specs import positive_count, positive_finite
 from repro.stream.records import RecordBatch, merge_flow_records
-from repro.stream.rotation import (
-    RotationPolicy,
-    TimeoutRotation,
-    build_rotation,
-    positive_count,
-    positive_finite,
-)
-from repro.stream.sinks import Sink, build_sink
+from repro.stream.rotation import RotationPolicy, TimeoutRotation, build_rotation
+from repro.stream.sinks import Sink, build_sink, sink_summaries
 from repro.stream.sources import Source, build_source
 from repro.stream.spec import DEFAULT_PACKET_RATE, PipelineSpec
-
-from repro.flow.batch import DEFAULT_CHUNK_SIZE
-from repro.flow.packet import DEFAULT_PACKET_BYTES
 
 
 @dataclass
@@ -349,19 +342,11 @@ class Pipeline:
         rotations = feeder.rotations
         for sink in self.sinks:
             sink.close()
-
-        names: dict[str, int] = {}
-        summaries: dict[str, dict] = {}
-        for sink in self.sinks:
-            count = names.get(sink.kind, 0)
-            names[sink.kind] = count + 1
-            label = sink.kind if count == 0 else f"{sink.kind}#{count}"
-            summaries[label] = sink.summary()
         return PipelineResult(
             packets=n,
             rotations=rotations,
             exported=feeder.exported,
             records=merge_flow_records(RecordBatch.concat(exported_all)),
-            sinks=summaries,
+            sinks=sink_summaries(self.sinks),
         )
 

@@ -26,43 +26,14 @@ them next to the collector's :class:`~repro.specs.CollectorSpec`.
 
 from __future__ import annotations
 
-import math
-import numbers
 from abc import ABC, abstractmethod
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.flow.batch import KeyBatch
-from repro.specs import SpecError
+from repro.specs.spec import build_stage, positive_count, positive_finite
 from repro.stream.records import FlowRecord, RecordBatch
-
-
-def positive_count(name: str, value) -> int:
-    """``value`` as a count: an integer >= 1 (bools refused).
-
-    A fractional count would truncate — to 0 below 1, which stalls the
-    feed loop (``admit`` returns 0 while ``due`` stays true).
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def positive_finite(name: str, value) -> float:
-    """``value`` as a finite real > 0 (bools refused).
-
-    NaN compares false against every bound, so an unchecked NaN timeout
-    or clock rate silently expires nothing.
-    """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-        or value <= 0
-    ):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-    return float(value)
 
 
 def export_and_reset(collector, reason: str) -> RecordBatch:
@@ -374,13 +345,4 @@ def build_rotation(spec: Mapping[str, Any] | RotationPolicy | None):
     """
     if spec is None or isinstance(spec, RotationPolicy):
         return spec
-    kind = spec.get("kind") if isinstance(spec, Mapping) else None
-    if kind not in ROTATIONS:
-        raise ValueError(
-            f"unknown rotation kind {kind!r}; available: {', '.join(sorted(ROTATIONS))}"
-        )
-    params = dict(spec.get("params", {}))
-    try:
-        return ROTATIONS[kind](**params)
-    except TypeError as exc:
-        raise SpecError(f"cannot build {kind!r} rotation from params {params}: {exc}") from exc
+    return build_stage(ROTATIONS, spec, "rotation")

@@ -16,11 +16,11 @@ import csv
 import io
 import json
 from abc import ABC, abstractmethod
-from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.flow.packet import DEFAULT_PACKET_BYTES
 from repro.hashing.mixers import keys_from_halves
+from repro.specs.spec import build_stage
 from repro.stream.records import RecordBatch, merge_flow_records
 
 
@@ -335,6 +335,18 @@ class TextSink(Sink):
         return fields
 
 
+def sink_summaries(sinks: Iterable[Sink]) -> dict[str, dict]:
+    """Each sink's summary, labelled by kind (``kind#i`` for the i-th
+    repeat of a kind) — the sink rows of a pipeline or daemon result."""
+    counts: dict[str, int] = {}
+    summaries: dict[str, dict] = {}
+    for sink in sinks:
+        count = counts.get(sink.kind, 0)
+        counts[sink.kind] = count + 1
+        summaries[sink.kind if count == 0 else f"{sink.kind}#{count}"] = sink.summary()
+    return summaries
+
+
 def keep_rotation(by_rotation: dict, records: RecordBatch, rotation: int) -> None:
     """File a non-empty export under its rotation index, one batch per
     rotation (several workers' exports of one window concatenate)."""
@@ -542,12 +554,8 @@ SINKS: dict[str, Any] = {
 
 
 def build_sink(spec: Mapping[str, Any] | Sink) -> Sink:
-    """Build a sink from its spec dict (passthrough for instances)."""
+    """Build a sink from its spec dict (passthrough for instances;
+    refusals as :func:`~repro.specs.spec.build_stage`)."""
     if isinstance(spec, Sink):
         return spec
-    kind = spec.get("kind") if isinstance(spec, Mapping) else None
-    if kind not in SINKS:
-        raise ValueError(
-            f"unknown sink kind {kind!r}; available: {', '.join(sorted(SINKS))}"
-        )
-    return SINKS[kind](**dict(spec.get("params", {})))
+    return build_stage(SINKS, spec, "sink")

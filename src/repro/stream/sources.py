@@ -12,6 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Mapping
 
+from repro.specs.spec import build_stage, positive_count
 from repro.traces.trace import Trace
 
 
@@ -200,6 +201,21 @@ class NetwideSource(Source):
         return trace_from_keys(keys, name=f"{base.name}-netwide")
 
 
+def udp_address(host: str = "127.0.0.1", port: int = 2055) -> tuple[str, int]:
+    """The checked ``(host, port)`` of a udp source's params.
+
+    Raises:
+        ValueError: a host that is not a string, or a port that is not
+            an integer in ``[0, 65535]``.
+    """
+    if not isinstance(host, str):
+        raise ValueError(f"host must be a string, got {host!r}")
+    port = positive_count("port", port, minimum=0)
+    if port > 0xFFFF:
+        raise ValueError(f"port out of range: {port}")
+    return host, port
+
+
 class UDPSource(Source):
     """A live UDP NetFlow v5 listener (the :mod:`repro.serve` source).
 
@@ -221,10 +237,7 @@ class UDPSource(Source):
     kind = "udp"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 2055):
-        if not 0 <= int(port) <= 0xFFFF:
-            raise ValueError(f"port out of range: {port}")
-        self.host = str(host)
-        self.port = int(port)
+        self.host, self.port = udp_address(host, port)
 
     def spec_params(self) -> dict[str, Any]:
         return {"host": self.host, "port": self.port}
@@ -247,12 +260,8 @@ SOURCES: dict[str, type[Source]] = {
 
 
 def build_source(spec: Mapping[str, Any] | Source) -> Source:
-    """Build a source from its spec dict (passthrough for instances)."""
+    """Build a source from its spec dict (passthrough for instances;
+    refusals as :func:`~repro.specs.spec.build_stage`)."""
     if isinstance(spec, Source):
         return spec
-    kind = spec.get("kind") if isinstance(spec, Mapping) else None
-    if kind not in SOURCES:
-        raise ValueError(
-            f"unknown source kind {kind!r}; available: {', '.join(sorted(SOURCES))}"
-        )
-    return SOURCES[kind](**dict(spec.get("params", {})))
+    return build_stage(SOURCES, spec, "source")

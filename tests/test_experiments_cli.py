@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
@@ -212,3 +214,100 @@ class TestMain:
         assert main(["run", "table1", "--scale", "0.01"]) == 0
         out = capsys.readouterr().out
         assert "caida" in out
+
+
+def _row(out: str, metric: str) -> str:
+    """One metric's value in a stream/serve table."""
+    for line in out.splitlines():
+        name, _, value = line.partition("|")
+        if name.strip() == metric:
+            return value.strip()
+    raise AssertionError(f"no {metric} row in:\n{out}")
+
+
+class TestServeCommand:
+    def test_saved_spec_reruns_the_same_serve(self, capsys, tmp_path):
+        import signal
+
+        signals = (signal.SIGTERM, signal.SIGINT)
+        handlers = [signal.getsignal(s) for s in signals]
+        path = tmp_path / "serve.json"
+        base = ["serve", "--replay", "caida:400", "--listen", "0"]
+        assert main([*base, "--memory", "32768", "--rotate", "interval:0.5",
+                     "--save-spec", str(path)]) == 0
+        first = capsys.readouterr().out
+        assert main(["serve", "--spec", str(path), *base[1:]]) == 0
+        again = capsys.readouterr().out
+        for metric in ("exported_records", "flows", "netflow_v5.bytes"):
+            assert _row(first, metric) == _row(again, metric)
+        assert _row(again, "drops") == "0"
+        # run_serve restores the signal handlers it installed.
+        assert [signal.getsignal(s) for s in signals] == handlers
+
+
+_SERVE = {
+    "pipeline": {
+        "source": {"kind": "udp", "params": {"host": "127.0.0.1", "port": 0}},
+        "collector": {"kind": "hashflow", "params": {"main_cells": 1024}},
+        "rotation": {"kind": "interval", "params": {"window": 0.5}},
+        "sinks": [{"kind": "archive"}],
+    },
+}
+_PIPELINE = {
+    "source": {"kind": "synthetic", "params": {"profile": "caida", "n_flows": 200}},
+    "collector": {"kind": "hashflow", "params": {"main_cells": 1024}},
+}
+
+#: ``(command, base spec, field, value, error line)``: spec files each
+#: command must refuse with exit 2 and its ``cannot build`` line.
+MALFORMED_FILES = {
+    "serve stats_interval 'fast'": ("serve", _SERVE, "stats_interval", "fast"),
+    "serve workers 'two'": ("serve", _SERVE, "workers", "two"),
+    "serve workers 1.7": ("serve", _SERVE, "workers", 1.7),
+    "serve workers '1'": ("serve", _SERVE, "workers", "1"),
+    "serve ring_slots null": ("serve", _SERVE, "ring_slots", None),
+    "serve faults 5": ("serve", _SERVE, "faults", 5),
+    "serve sink kind 'nope'": (
+        "serve", _SERVE, "pipeline",
+        {**_SERVE["pipeline"], "sinks": [{"kind": "nope"}]},
+    ),
+    "stream sinks 7": ("stream", _PIPELINE, "sinks", 7),
+    "stream chunk_size 1.5": ("stream", _PIPELINE, "chunk_size", 1.5),
+    "collect params 7": ("collect", {"kind": "hashflow"}, "params", 7),
+    "collect kind 5": ("collect", {"kind": "hashflow"}, "kind", 5),
+}
+_ERROR_LINES = {
+    "serve": "cannot build serve daemon",
+    "stream": "cannot build pipeline",
+    "collect": "cannot build collector",
+}
+
+
+class TestMalformedSpecFiles:
+    @pytest.fixture(autouse=True)
+    def no_binding(self, monkeypatch):
+        from repro.serve import ServeDaemon
+
+        def started(*_args, **_kwargs):
+            raise AssertionError("serve bound its socket or started workers")
+
+        monkeypatch.setattr(ServeDaemon, "bind", started)
+        monkeypatch.setattr(ServeDaemon, "run", started)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_refused_with_exit_2(self, case, capsys, tmp_path):
+        command, base, field, value = MALFORMED_FILES[case]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**base, field: value}))
+        assert main([command, "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert _ERROR_LINES[command] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,base", [
+        ("serve", _SERVE), ("stream", _PIPELINE), ("collect", {"kind": "hashflow"}),
+    ])
+    def test_truncated_file_refused(self, command, base, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(base)[:-3])
+        assert main([command, "--spec", str(path)]) == 2
+        assert _ERROR_LINES[command] in capsys.readouterr().err

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve import ServeSpec, load_serve_spec, save_serve_spec
+from repro.serve import ServeSpec
 from repro.specs import SpecError
 
 
@@ -131,8 +131,8 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         spec = ServeSpec(pipeline=pipeline_dict())
         path = tmp_path / "serve.json"
-        save_serve_spec(spec, path)
-        assert load_serve_spec(path) == spec
+        spec.save(path)
+        assert ServeSpec.load(path) == spec
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(SpecError, match="unknown"):

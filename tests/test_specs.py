@@ -27,9 +27,7 @@ from repro.specs import (
     build,
     build_evaluated,
     derive_seed,
-    load_spec,
     reseeded,
-    save_spec,
 )
 from repro.specs.sizing import DEFAULT_MEMORY_BYTES, resolve_scale
 from repro.traces.profiles import CAIDA
@@ -112,8 +110,8 @@ class TestCollectorSpec:
     def test_file_round_trip(self, tmp_path):
         spec = matrix_spec("sharded")
         path = tmp_path / "collector.json"
-        save_spec(spec, path)
-        assert load_spec(path) == spec
+        spec.save(path)
+        assert CollectorSpec.load(path) == spec
 
 
 class TestRegistry:
@@ -251,8 +249,8 @@ class TestRoundTripMatrix:
     def test_json_file_round_trip_records(self, case, tmp_path):
         original = build(matrix_spec(case))
         path = tmp_path / "spec.json"
-        save_spec(original.spec, path)
-        twin = build(load_spec(path))
+        original.spec.save(path)
+        twin = build(CollectorSpec.load(path))
         original.process_all(STREAM)
         twin.process_all(STREAM)
         assert original.records() == twin.records()

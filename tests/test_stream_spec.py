@@ -14,8 +14,6 @@ from repro.stream import (
     Pipeline,
     PipelineSpec,
     build_rotation,
-    load_pipeline_spec,
-    save_pipeline_spec,
 )
 
 _HF = {"kind": "hashflow", "params": {"main_cells": 512, "seed": 3}}
@@ -99,8 +97,8 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         spec = PipelineSpec(**SPEC_MATRIX["timeout"])
         path = tmp_path / "pipeline.json"
-        save_pipeline_spec(spec, path)
-        assert load_pipeline_spec(path) == spec
+        spec.save(path)
+        assert PipelineSpec.load(path) == spec
 
     def test_pipeline_spec_is_a_fixed_point(self, case):
         # Building normalizes constructor defaults into the stage
