@@ -34,7 +34,7 @@ import pytest
 from benchmarks.conftest import RESULTS_DIR, update_headline
 from repro.experiments.runner import make_workload
 from repro.native import kernel_info
-from repro.parallel import SweepCell, WorkloadRef, materialize_refs, run_plan
+from repro.parallel import SweepCell, WorkloadRef, run_plan
 from repro.specs import EVALUATED_KINDS, build, resolve_scale
 from repro.traces.profiles import CAIDA
 
@@ -114,11 +114,6 @@ def test_parallel_sweep_recorded():
         for budget in BUDGETS
         for kind in EVALUATED_KINDS
     ]
-    # Warm the on-disk trace cache so the timed parallel runs measure
-    # execution, not one-off trace materialization; the serial run
-    # still pays in-process generation, as any serial caller would.
-    materialize_refs(cells)
-
     serial_s, serial = _timed_plan(cells, jobs=1)
     timings: dict[int, float] = {}
     for jobs in JOB_COUNTS:

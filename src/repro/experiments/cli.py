@@ -371,13 +371,14 @@ def _parse_rotation(text: str) -> dict | None:
     if name == "timeout":
         params = {}
         if arg:
-            values = [float(v) for v in arg.split(",")]
-            keys = ("inactive_timeout", "active_timeout", "expiry_interval")
-            if len(values) > len(keys):
+            values = arg.split(",")
+            if len(values) > 3:
                 raise SystemExit(f"--rotate timeout takes at most 3 values: {text!r}")
-            params = dict(zip(keys, values))
-            if "expiry_interval" in params:
-                params["expiry_interval"] = int(params["expiry_interval"])
+            keys = ("inactive_timeout", "active_timeout")
+            params = dict(zip(keys, map(float, values[:2])))
+            if len(values) == 3:
+                # SWEEP is a packet count: parsed as an integer, never truncated.
+                params["expiry_interval"] = int(values[2])
         return {"kind": "timeout", "params": params}
     raise SystemExit(f"unknown rotation policy {text!r}")
 

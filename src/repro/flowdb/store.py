@@ -32,6 +32,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Iterable, Mapping
@@ -114,6 +115,10 @@ def _check_vantage(vantage: str) -> str:
     return vantage
 
 
+#: The summary columns a node file holds beside its ``meta`` blob.
+_COLUMNS = ("lo", "hi", "packets", "octets")
+
+
 def _encode_node(summary: FlowSummary, meta: dict[str, Any]) -> bytes:
     buffer = io.BytesIO()
     meta_blob = np.frombuffer(
@@ -130,41 +135,62 @@ def _encode_node(summary: FlowSummary, meta: dict[str, Any]) -> bytes:
     return buffer.getvalue()
 
 
-def _read_meta(path: Path) -> dict[str, Any]:
-    """Read only a node's JSON meta blob (npz members load lazily, so
-    the summary arrays stay untouched on disk)."""
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            meta = json.loads(bytes(npz["meta"].tobytes()).decode("utf-8"))
-    except (OSError, KeyError, ValueError) as exc:
-        raise StoreError(f"unreadable store node {path}: {exc}") from exc
-    if meta.get("schema") != STORE_SCHEMA:
-        raise StoreError(
-            f"store node {path} has schema {meta.get('schema')!r}, "
-            f"not {STORE_SCHEMA}"
-        )
-    return meta
+#: What reading a damaged node file raises before its meta is checked:
+#: a truncated or foreign zip, an empty file, a missing member, or a
+#: meta blob that is not UTF-8 JSON (or nests too deep to decode).
+_UNREADABLE = (
+    OSError, EOFError, KeyError, ValueError, RecursionError, zipfile.BadZipFile,
+)
 
 
-def _decode_node(path: Path) -> tuple[FlowSummary, dict[str, Any]]:
+def _read_node(
+    path: Path, arrays: bool = False
+) -> tuple[dict[str, Any], FlowSummary | None]:
+    """Decode a node file: its checked meta and, with ``arrays``, its summary.
+
+    The one node decode.  npz members load lazily, so without
+    ``arrays`` only the ``meta`` member is read and the summary columns
+    stay on disk.  A damaged file raises :class:`StoreError`: one the
+    zip or npy reader refuses, or a meta blob that is not a JSON object
+    of this schema with lists of window indices ``windows`` and
+    ``degraded_windows`` and counts ``count`` and ``packets``.
+    """
     try:
         with np.load(path, allow_pickle=False) as npz:
-            meta = json.loads(bytes(npz["meta"].tobytes()).decode("utf-8"))
-            summary = FlowSummary(
-                lo=npz["lo"].astype(np.uint64, copy=False),
-                hi=npz["hi"].astype(np.uint64, copy=False),
-                packets=npz["packets"].astype(np.int64, copy=False),
-                octets=npz["octets"].astype(np.int64, copy=False),
-                degraded_windows=tuple(meta.get("degraded_windows", ())),
-            )
-    except (OSError, KeyError, ValueError) as exc:
+            meta = json.loads(npz["meta"].tobytes().decode("utf-8"))
+            columns = [npz[name] for name in _COLUMNS] if arrays else None
+    except _UNREADABLE as exc:
         raise StoreError(f"unreadable store node {path}: {exc}") from exc
-    if meta.get("schema") != STORE_SCHEMA:
+    if not isinstance(meta, dict):
+        raise StoreError(f"store node {path} meta is not a JSON object")
+    schema = meta.get("schema")
+    if type(schema) is not int or schema != STORE_SCHEMA:
         raise StoreError(
-            f"store node {path} has schema {meta.get('schema')!r}, "
-            f"not {STORE_SCHEMA}"
+            f"store node {path} has schema {schema!r}, not {STORE_SCHEMA}"
         )
-    return summary, meta
+    # Plain type tests (not positive_count's ABC check): a query plan
+    # decodes the meta of every node at each level it walks.
+    for name in ("windows", "degraded_windows"):
+        windows = meta.get(name)
+        if not isinstance(windows, list) or not all(
+            type(w) is int and w >= 0 for w in windows
+        ):
+            raise StoreError(f"store node {path} {name} is not a list of windows")
+    for name in ("count", "packets"):
+        value = meta.get(name)
+        if type(value) is not int or value < 0:
+            raise StoreError(f"store node {path} {name} {value!r} is not a count")
+    if columns is None:
+        return meta, None
+    lo, hi, packets, octets = columns
+    summary = FlowSummary(
+        lo=lo.astype(np.uint64, copy=False),
+        hi=hi.astype(np.uint64, copy=False),
+        packets=packets.astype(np.int64, copy=False),
+        octets=octets.astype(np.int64, copy=False),
+        degraded_windows=tuple(meta["degraded_windows"]),
+    )
+    return meta, summary
 
 
 class FlowStore:
@@ -236,16 +262,16 @@ class FlowStore:
             match = _NODE_FILE_RE.match(path.name)
             if match is None:
                 continue
-            meta = _read_meta(path)
+            meta, _ = _read_node(path)
             refs.append(
                 NodeRef(
                     vantage=str(vantage),
                     level=int(level),
                     start=int(match.group(1)),
                     windows=tuple(meta["windows"]),
-                    degraded_windows=tuple(meta.get("degraded_windows", ())),
-                    count=int(meta.get("count", 0)),
-                    packets=int(meta.get("packets", 0)),
+                    degraded_windows=tuple(meta["degraded_windows"]),
+                    count=meta["count"],
+                    packets=meta["packets"],
                 )
             )
         return refs
@@ -269,7 +295,7 @@ class FlowStore:
 
     def load_node(self, vantage: str, level: int, start: int) -> FlowSummary:
         """Read one node's summary arrays."""
-        summary, _ = _decode_node(self._node_path(vantage, level, start))
+        _, summary = _read_node(self._node_path(vantage, level, start), arrays=True)
         return summary
 
     # -- ingest --------------------------------------------------------
@@ -435,8 +461,8 @@ class FlowStore:
                 windows = sorted({w for m in members for w in m.windows})
                 path = self._node_path(vantage, level, start)
                 if path.exists():
-                    meta = _read_meta(path)
-                    if list(meta["windows"]) == windows:
+                    meta, _ = _read_node(path)
+                    if meta["windows"] == windows:
                         made_any = True
                         continue
                 merged = merge_summaries(

@@ -19,20 +19,13 @@ Quickstart::
     ]
     results = run_plan(cells, jobs=4)       # or REPRO_JOBS=4 in the env
 
-Serial execution (``jobs=1``) is the default, touches no disk, and is
-exactly the pre-engine behavior; see DESIGN.md §6 for the contract.
+Serial execution (``jobs=1``) is the default and exactly the
+pre-engine behavior.  A parallel plan's parent generates each distinct
+base trace once, and its workers inherit those traces through the pool
+initializer; see DESIGN.md §6 for the contract.
 """
 
-from repro.parallel.engine import (
-    JOBS_ENV,
-    TRACE_CACHE_ENV,
-    default_trace_root,
-    materialize_refs,
-    merge_meters,
-    resolve_jobs,
-    run_plan,
-    share_plan_traces,
-)
+from repro.parallel.engine import JOBS_ENV, merge_meters, resolve_jobs, run_plan
 from repro.parallel.evaluate import CellWorkload, WorkloadStore, evaluate_cell
 from repro.parallel.plan import CellResult, SweepCell, WorkloadRef
 
@@ -41,14 +34,10 @@ __all__ = [
     "CellWorkload",
     "JOBS_ENV",
     "SweepCell",
-    "TRACE_CACHE_ENV",
     "WorkloadRef",
     "WorkloadStore",
-    "default_trace_root",
     "evaluate_cell",
-    "materialize_refs",
     "merge_meters",
     "resolve_jobs",
     "run_plan",
-    "share_plan_traces",
 ]

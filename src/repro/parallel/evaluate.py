@@ -3,9 +3,10 @@
 This is the code that runs *inside* a sweep worker (or inline, for
 serial plans).  It owns two caches that make multi-cell plans cheap:
 
-* a per-process **trace cache** — base traces are attached from the
-  engine's shared-memory segments, loaded from its on-disk array store
-  (mmap), or generated from their profile, once per process;
+* a per-process **trace cache** — a parallel plan's workers are given
+  the parent's base traces (:func:`repro.parallel.engine.run_plan`);
+  any other base trace is generated from its profile, once per
+  process;
 * a per-process **workload cache** — the materialized
   :class:`~repro.experiments.runner.Workload` (packet ``KeyBatch``,
   truth vectors) is shared by every cell that names the same
@@ -22,12 +23,10 @@ module-level import of ``repro.experiments.runner`` would re-enter the
 from __future__ import annotations
 
 from collections import OrderedDict
-from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro.parallel.plan import CellResult, SweepCell, WorkloadRef
 from repro.specs import build
-from repro.traces.io import load_trace_arrays
 from repro.traces.profiles import PROFILES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,6 +85,13 @@ class CellWorkload:
         return self._batch
 
 
+def generate_base_trace(ref: WorkloadRef) -> "Trace":
+    """Generate a ref's base trace (before subsetting) from its profile."""
+    return PROFILES[ref.profile].generate(
+        n_flows=ref.generated_flows, seed=ref.seed, force_max=ref.force_max
+    )
+
+
 class WorkloadStore:
     """Per-process cache of base traces and materialized workloads.
 
@@ -96,21 +102,19 @@ class WorkloadStore:
     at a time, and peak memory must not regress relative to them.
 
     Args:
-        trace_root: directory of the on-disk trace-array cache.  When
-            set, profile-backed refs are loaded from
-            ``trace_root/<cache_token>`` if present (the parallel
-            engine materializes them there before fanning out) and
-            generated in-process only as a fallback; when None (serial
-            execution), traces are always generated in-process and the
-            disk is never touched.
-        max_cached: materialized workloads (and base traces) retained
-            per process.
+        traces: base traces generated ahead, keyed by
+            :meth:`WorkloadRef.base_key` (a parallel plan's workers get
+            the parent's).  They are served first and held for the
+            store's lifetime, outside the LRU; any other base trace is
+            generated in-process.
+        max_cached: materialized workloads (and generated base traces)
+            retained per process.
     """
 
     def __init__(
-        self, trace_root: str | Path | None = None, max_cached: int = 2
+        self, traces: Mapping[tuple, "Trace"] | None = None, max_cached: int = 2
     ):
-        self.trace_root = None if trace_root is None else Path(trace_root)
+        self._given = {} if traces is None else traces
         self.max_cached = max(1, max_cached)
         self._traces: OrderedDict[tuple, "Trace"] = OrderedDict()
         self._workloads: OrderedDict[WorkloadRef, CellWorkload] = OrderedDict()
@@ -124,36 +128,11 @@ class WorkloadStore:
     def base_trace(self, ref: WorkloadRef) -> "Trace":
         """The ref's base trace (before subsetting), cached."""
         key = ref.base_key()
+        if key in self._given:
+            return self._given[key]
         trace = self._traces.get(key)
-        if trace is not None:
-            self._traces.move_to_end(key)
-            return trace
-        if ref.shm is not None:
-            from repro.shm import attach_trace
-
-            trace = attach_trace(ref.shm)
-        else:
-            trace = None
-            if self.trace_root is not None:
-                cached = self.trace_root / ref.cache_token()
-                try:
-                    trace = load_trace_arrays(cached)
-                except FileNotFoundError:
-                    trace = None
-                # A cache entry that does not match the ref (e.g. left
-                # by an older layout) must not silently substitute a
-                # different trace; regenerate instead.
-                if trace is not None and (
-                    trace.name != ref.profile
-                    or trace.num_flows != ref.generated_flows
-                ):
-                    trace = None
-            if trace is None:
-                trace = PROFILES[ref.profile].generate(
-                    n_flows=ref.generated_flows,
-                    seed=ref.seed,
-                    force_max=ref.force_max,
-                )
+        if trace is None:
+            trace = generate_base_trace(ref)
         self._remember(self._traces, key, trace)
         return trace
 
@@ -162,11 +141,7 @@ class WorkloadStore:
         cw = self._workloads.get(ref)
         if cw is None:
             trace = self.base_trace(ref)
-            if ref.n_flows is not None and ref.generated_flows > ref.n_flows:
-                # Trial subsetting applies to shm-backed refs too: the
-                # engine's shared-trace rewrite carries the original
-                # n_flows/base_flows/seed so this subset is exactly the
-                # one the profile-backed ref would have taken.
+            if ref.generated_flows > ref.n_flows:
                 trace = trace.subset_flows(ref.n_flows, seed=ref.seed + 1)
             cw = CellWorkload(trace)
             self._remember(self._workloads, ref, cw)

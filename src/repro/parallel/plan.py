@@ -10,16 +10,15 @@ executed in-process or shipped to a worker process and rebuilt
 bit-identically; the engine (:mod:`repro.parallel.engine`) guarantees
 that the assembled results are byte-for-byte the same either way.
 
-Workloads are deliberately *not* shipped as pickled traces: a
-:class:`WorkloadRef` names either a calibrated profile (regenerated or
-mmap-loaded from the trace cache) or a shared-memory trace segment
-(:func:`repro.shm.share_trace`), in which the engine parks each
-profile's base trace once for its workers to attach zero-copy.
+Workloads are *descriptors*: a :class:`WorkloadRef` names a calibrated
+profile, flow count and seed.  A parallel plan's parent generates each
+distinct base trace once and its workers inherit it through the pool
+initializer (:mod:`repro.parallel.engine`); any other trace is
+generated from its profile where it is needed.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -30,48 +29,26 @@ from repro.specs import CollectorSpec
 class WorkloadRef:
     """A lightweight, process-portable workload description.
 
-    Exactly one of ``profile`` / ``shm`` must be set:
-
-    * ``profile`` — a calibrated trace profile name
-      (:data:`repro.traces.profiles.PROFILES`); the trace is generated
-      at ``max(base_flows, n_flows)`` flows and subset to ``n_flows``,
-      matching :func:`repro.experiments.runner.make_workload` exactly.
-    * ``shm`` — a :class:`repro.shm.SharedTraceRef` (as a plain tuple,
-      keeping the dataclass hashable): the trace already sits in a
-      named shared-memory segment owned by the coordinating process,
-      and workers attach zero-copy.  The segment must outlive the run.
+    The trace is the calibrated profile's generation at
+    ``max(base_flows, n_flows)`` flows, subset to ``n_flows``, matching
+    :func:`repro.experiments.runner.make_workload` exactly.
 
     Attributes:
-        profile: trace profile name, or None for shm-backed refs.
-        n_flows: flows in the trial (required for profile refs;
-            shm-backed refs carry their profile ref's value).
+        profile: trace profile name
+            (:data:`repro.traces.profiles.PROFILES`).
+        n_flows: flows in the trial.
         seed: generation seed (the subset seed is ``seed + 1``, as in
             ``make_workload``).
         base_flows: optional larger base-trace size to subset from.
         force_max: pin the largest flow to the profile's Table I max
             (Table I regeneration at paper scale).
-        shm: shared-trace descriptor tuple (shm-backed refs only).
     """
 
-    profile: str | None = None
-    n_flows: int | None = None
+    profile: str
+    n_flows: int
     seed: int = 0
     base_flows: int | None = None
     force_max: bool = False
-    shm: tuple | None = None
-
-    def __post_init__(self):
-        if (self.profile is None) == (self.shm is None):
-            raise ValueError(
-                "exactly one of profile/shm must be set, got "
-                f"profile={self.profile!r} shm={self.shm!r}"
-            )
-        if self.shm is not None:
-            # Normalize to a plain tuple so the frozen dataclass stays
-            # hashable/comparable regardless of the caller's NamedTuple.
-            object.__setattr__(self, "shm", tuple(self.shm))
-        if self.profile is not None and self.n_flows is None:
-            raise ValueError("profile workload refs require n_flows")
 
     @property
     def generated_flows(self) -> int:
@@ -85,38 +62,9 @@ class WorkloadRef:
 
         Refs that differ only in their trial subset (``n_flows`` below
         a shared ``base_flows``) share a base key, so the trace is
-        generated/saved exactly once per plan.
+        generated exactly once per plan.
         """
-        if self.shm is not None:
-            return ("shm", self.shm[0])  # the segment name
-        return ("profile", self.profile, self.generated_flows, self.seed,
-                self.force_max)
-
-    def cache_token(self) -> str:
-        """Filesystem-safe name of the base trace in the trace cache.
-
-        The token embeds a fingerprint of the generator version and the
-        profile's calibration parameters, so recalibrating a profile or
-        changing the generation algorithm (bumping
-        ``GENERATION_VERSION``) invalidates stale cache entries instead
-        of silently breaking the serial==parallel bit-identity
-        contract.
-        """
-        if self.shm is not None:
-            raise ValueError(
-                "shm-backed refs live in shared memory, not the trace cache"
-            )
-        from repro.traces.profiles import PROFILES
-        from repro.traces.synthetic import GENERATION_VERSION
-
-        fingerprint = hashlib.sha1(
-            repr((GENERATION_VERSION, PROFILES[self.profile])).encode()
-        ).hexdigest()[:10]
-        suffix = "-max" if self.force_max else ""
-        return (
-            f"{self.profile}-f{self.generated_flows}-s{self.seed}{suffix}"
-            f"-g{fingerprint}"
-        )
+        return (self.profile, self.generated_flows, self.seed, self.force_max)
 
 
 def _canonical_spec(spec_or_kind: Any) -> Any:

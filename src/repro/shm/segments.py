@@ -16,7 +16,7 @@ process.  This module pins down one contract for the whole package:
   silent.
 * **Attachment never unlinks.**  :func:`attach_segment` opens an
   existing segment by name.  Attachers are always descendants of the
-  owner (pool workers forked/spawned after creation), which share the
+  owner (serve workers started after creation), which share the
   owner's resource-tracker process — the stdlib tracker keeps one name
   *set* for all its clients, so the attach-side auto-registration is a
   no-op re-add and needs no undo.  (Explicitly unregistering here would
@@ -24,10 +24,9 @@ process.  This module pins down one contract for the whole package:
   race a missing entry.)
 * **Unlink keeps mappings alive.**  ``unlink()`` removes the name (the
   ``/dev/shm`` entry — the thing that can leak) but deliberately does
-  not unmap: numpy views carved from the segment (a ring's planes, a
-  shared trace's arrays) stay valid until the process exits.  The
-  mapping itself is freed by the OS when the last process unmaps (at
-  exit).
+  not unmap: numpy views carved from the segment (a ring's planes)
+  stay valid until the process exits.  The mapping itself is freed by
+  the OS when the last process unmaps (at exit).
 """
 
 from __future__ import annotations

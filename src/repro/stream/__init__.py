@@ -29,7 +29,6 @@ from repro.stream.durable import (
     ArchiveError,
     ArchiveView,
     RotationArchive,
-    iter_manifest,
     read_archive,
 )
 from repro.stream.records import FlowRecord, RecordBatch, merge_flow_records
@@ -59,7 +58,6 @@ from repro.stream.sources import (
     PcapSource,
     Source,
     SyntheticSource,
-    TraceArraySource,
     UDPSource,
     build_source,
 )
@@ -94,13 +92,11 @@ __all__ = [
     "SyntheticSource",
     "TextSink",
     "TimeoutRotation",
-    "TraceArraySource",
     "UDPSource",
     "build_rotation",
     "build_sink",
     "build_source",
     "export_and_reset",
-    "iter_manifest",
     "merge_flow_records",
     "read_archive",
 ]

@@ -218,11 +218,11 @@ class ArchiveView:
     """A validated, read-only view of one rotation-archive directory.
 
     What :func:`read_archive` returns: the manifest's claims, checked
-    against the directory (see :func:`iter_manifest` for the rules),
-    with the degraded-window flags the writer recorded — the flags the
-    raw rotation files themselves cannot carry, which is why readers
-    must come through here rather than globbing ``rotation-*`` files
-    (the silent-drop bug this type exists to close).
+    against the directory, with the degraded-window flags the writer
+    recorded — the flags the raw rotation files themselves cannot
+    carry, which is why readers must come through here rather than
+    globbing ``rotation-*`` files (the silent-drop bug this type exists
+    to close).
 
     Attributes:
         directory: the archive directory.
@@ -256,31 +256,33 @@ class ArchiveView:
             yield rotation, payloads, rotation in self.degraded
 
 
-def iter_manifest(directory, verify_sizes: bool = True) -> Iterator[dict[str, Any]]:
-    """Validate an archive's ``MANIFEST.json`` and yield its file entries.
+def read_archive(directory) -> ArchiveView:
+    """Open a finalized rotation archive for reading, validated.
 
-    Each yielded entry is the manifest's dict for one rotation file
-    (``file`` / ``rotation`` / ``bytes`` plus writer metadata) with the
-    per-file ``degraded`` flag guaranteed present.  Validation is
-    strict — an archive a crashed or foreign writer left behind fails
-    loudly instead of feeding a reader partial data:
+    The reader half of :class:`RotationArchive` and the one parse of
+    its ``MANIFEST.json``.  Validation is strict — an archive a crashed
+    or foreign writer left behind fails loudly instead of feeding a
+    reader partial data:
 
-    * the manifest must exist, parse, carry a known ``schema`` version
-      (absent means 1, the pre-versioning layout), and be ``complete``;
+    * the manifest must exist, parse as a JSON object, carry a known
+      ``schema`` version (absent means 1, the pre-versioning layout),
+      be ``complete`` and name a ``suffix``;
+    * its ``degraded`` list (absent means none) must hold rotation
+      indices, integers >= 0;
     * every entry must name a plain ``rotation-RRRRRR-PP<suffix>`` file
-      (no path separators, no ``.tmp.`` strays) that exists in the
-      directory with exactly the recorded byte size (a size mismatch is
-      a partial or tampered file the atomic-write discipline should
-      have made impossible).
+      (no path separators, no ``.tmp.`` strays) whose recorded
+      ``rotation`` matches the name and which exists in the directory
+      with exactly the recorded byte size (a size mismatch is a partial
+      or tampered file the atomic-write discipline should have made
+      impossible); its ``degraded`` flag, when present, must be a bool.
 
-    Args:
-        directory: the archive directory.
-        verify_sizes: also stat every file and compare sizes (on by
-            default; off spares the stats when a caller will read the
-            files anyway and can tolerate late failure).
+    The view's :meth:`~ArchiveView.rotations` iterator surfaces the
+    degraded-window flags next to each rotation's payload bytes, so
+    callers (e.g. :mod:`repro.flowdb` ingest) never hand-parse
+    ``MANIFEST.json`` or silently lose taint flags again.
 
     Raises:
-        ArchiveError: on any validation failure.
+        ArchiveError: if the directory is not a whole, finalized archive.
     """
     directory = Path(directory)
     manifest_path = directory / RotationArchive.MANIFEST_NAME
@@ -292,12 +294,12 @@ def iter_manifest(directory, verify_sizes: bool = True) -> Iterator[dict[str, An
             "finalized rotation archive (the writer crashed before "
             "finalize, or this is not an archive directory)"
         ) from None
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ArchiveError(f"unreadable manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ArchiveError(f"manifest {manifest_path} is not a JSON object")
     schema = manifest.get("schema", 1)
-    if schema != MANIFEST_SCHEMA:
+    if type(schema) is not int or schema != MANIFEST_SCHEMA:
         raise ArchiveError(
             f"manifest {manifest_path} has schema {schema!r}; this reader "
             f"understands {MANIFEST_SCHEMA}"
@@ -307,9 +309,18 @@ def iter_manifest(directory, verify_sizes: bool = True) -> Iterator[dict[str, An
     suffix = manifest.get("suffix")
     if not isinstance(suffix, str) or not suffix:
         raise ArchiveError(f"manifest {manifest_path} has no suffix")
+    degraded = manifest.get("degraded", [])
+    if not isinstance(degraded, list) or not all(
+        type(r) is int and r >= 0 for r in degraded
+    ):
+        raise ArchiveError(
+            f"manifest {manifest_path} degraded {degraded!r} is not a list "
+            "of rotation indices"
+        )
     files = manifest.get("files")
     if not isinstance(files, list):
         raise ArchiveError(f"manifest {manifest_path} has no file list")
+    entries = []
     for entry in files:
         if not isinstance(entry, dict):
             raise ArchiveError(f"malformed manifest entry {entry!r}")
@@ -328,54 +339,36 @@ def iter_manifest(directory, verify_sizes: bool = True) -> Iterator[dict[str, An
                 f"rotation-RRRRRR-PP{suffix} naming discipline"
             )
         rotation = entry.get("rotation")
-        if not isinstance(rotation, int) or rotation != int(match.group(1)):
+        if type(rotation) is not int or rotation != int(match.group(1)):
             raise ArchiveError(
                 f"manifest entry {name!r} disagrees with its recorded "
                 f"rotation {rotation!r}"
             )
         size = entry.get("bytes")
-        if not isinstance(size, int) or size < 0:
+        if type(size) is not int or size < 0:
             raise ArchiveError(f"manifest entry {name!r} has no byte size")
-        if verify_sizes:
-            try:
-                actual = (directory / name).stat().st_size
-            except FileNotFoundError:
-                raise ArchiveError(
-                    f"manifest names {name!r} but the file is missing from "
-                    f"{directory}"
-                ) from None
-            if actual != size:
-                raise ArchiveError(
-                    f"{name!r} is {actual} bytes but the manifest recorded "
-                    f"{size} — a partial or tampered rotation file"
-                )
-        yield {**entry, "degraded": bool(entry.get("degraded", False))}
-
-
-def read_archive(directory) -> ArchiveView:
-    """Open a finalized rotation archive for reading, validated.
-
-    The reader half of :class:`RotationArchive`: validates the manifest
-    (see :func:`iter_manifest`) and returns an :class:`ArchiveView`
-    whose :meth:`~ArchiveView.rotations` iterator surfaces the
-    degraded-window flags next to each rotation's payload bytes —
-    callers (e.g. :mod:`repro.flowdb` ingest) never hand-parse
-    ``MANIFEST.json`` or silently lose taint flags again.
-
-    Raises:
-        ArchiveError: if the directory is not a whole, finalized archive.
-    """
-    directory = Path(directory)
-    files = tuple(iter_manifest(directory))
-    manifest = json.loads(
-        (directory / RotationArchive.MANIFEST_NAME).read_text(encoding="utf-8")
-    )
-    degraded = frozenset(int(r) for r in manifest.get("degraded", []))
+        tainted = entry.get("degraded", False)
+        if not isinstance(tainted, bool):
+            raise ArchiveError(
+                f"manifest entry {name!r} degraded {tainted!r} is not a bool"
+            )
+        try:
+            actual = (directory / name).stat().st_size
+        except FileNotFoundError:
+            raise ArchiveError(
+                f"manifest names {name!r} but the file is missing from "
+                f"{directory}"
+            ) from None
+        if actual != size:
+            raise ArchiveError(
+                f"{name!r} is {actual} bytes but the manifest recorded "
+                f"{size} — a partial or tampered rotation file"
+            )
+        entries.append({**entry, "degraded": tainted})
     return ArchiveView(
         directory=directory,
-        suffix=str(manifest["suffix"]),
-        degraded=degraded | frozenset(
-            int(e["rotation"]) for e in files if e["degraded"]
-        ),
-        files=files,
+        suffix=suffix,
+        degraded=frozenset(degraded)
+        | frozenset(e["rotation"] for e in entries if e["degraded"]),
+        files=tuple(entries),
     )

@@ -92,37 +92,6 @@ class SyntheticSource(Source):
         )
 
 
-class TraceArraySource(Source):
-    """A saved trace-array directory, optionally a packet slice of it.
-
-    Args:
-        path: directory written by
-            :func:`repro.traces.io.save_trace_arrays`.
-        start: first packet of the slice (with ``stop``).
-        stop: one past the last packet of the slice.
-    """
-
-    kind = "trace_arrays"
-
-    def __init__(self, path: str, start: int | None = None, stop: int | None = None):
-        if (start is None) != (stop is None):
-            raise ValueError("start and stop must be provided together")
-        self.path = str(path)
-        self.start = start
-        self.stop = stop
-
-    def spec_params(self) -> dict[str, Any]:
-        return {"path": self.path, "start": self.start, "stop": self.stop}
-
-    def trace(self) -> Trace:
-        from repro.traces.io import load_trace_arrays
-
-        trace = load_trace_arrays(self.path)
-        if self.start is not None:
-            return trace.slice_packets(self.start, min(self.stop, len(trace)))
-        return trace
-
-
 class PcapSource(Source):
     """A pcap capture imported through :func:`repro.traces.pcap.read_pcap`.
 
@@ -252,7 +221,6 @@ class UDPSource(Source):
 #: Registered source kinds.
 SOURCES: dict[str, type[Source]] = {
     SyntheticSource.kind: SyntheticSource,
-    TraceArraySource.kind: TraceArraySource,
     PcapSource.kind: PcapSource,
     NetwideSource.kind: NetwideSource,
     UDPSource.kind: UDPSource,

@@ -1,4 +1,4 @@
-"""Trace substrate: synthetic generation, containers, sampling, I/O."""
+"""Trace substrate: synthetic generation, containers, sampling, pcap I/O."""
 
 from repro.traces.mixer import (
     inject_elephants,

@@ -30,15 +30,6 @@ from repro.traces.trace import Trace
 
 COMMON_PORTS = (80, 443, 53, 22, 25, 8080, 123, 993)
 
-#: Version of the generation algorithm itself.  Bump whenever a change
-#: makes :func:`synthesize` produce a *different trace* for the same
-#: ``(n_flows, model, seed, ...)`` inputs — the parallel engine's
-#: on-disk trace cache keys on it (with the profile parameters), so a
-#: bump invalidates stale cached traces instead of letting a parallel
-#: run silently diverge from a serial one.
-GENERATION_VERSION = 1
-
-
 @dataclass(frozen=True, slots=True)
 class SizeModel:
     """Parameters of the mice/elephant mixture flow-size distribution.

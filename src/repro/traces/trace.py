@@ -202,7 +202,7 @@ class Trace:
         Flows without packets in the window are dropped and the
         remaining flows re-indexed in window order — the epoch-slicing
         primitive behind :func:`repro.traces.replay.split_by_packets`
-        and the streaming :class:`~repro.stream.sources.TraceArraySource`.
+        and :func:`~repro.traces.replay.split_by_time`.
         """
         order = self.order[start:end]
         used = np.unique(order)

@@ -303,6 +303,27 @@ class TestMalformedSpecFiles:
         err = capsys.readouterr().err
         assert _ERROR_LINES[command] in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["serve", "stream"])
+    def test_fractional_timeout_sweep_refused(self, command, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        assert main([
+            command, "--rotate", "timeout:0.05,60,128.7", "--save-spec", str(path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert _ERROR_LINES[command] in err and "Traceback" not in err
+        assert not path.exists()
+
+    def test_integer_timeout_sweep_saved(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        assert main([
+            "stream", "--flows", "300", "--rotate", "timeout:0.05,60,128",
+            "--save-spec", str(path),
+        ]) == 0
+        rotation = json.loads(path.read_text())["rotation"]
+        assert rotation["params"] == {
+            "inactive_timeout": 0.05, "active_timeout": 60.0, "expiry_interval": 128,
+        }
+
     @pytest.mark.parametrize("command,base", [
         ("serve", _SERVE), ("stream", _PIPELINE), ("collect", {"kind": "hashflow"}),
     ])

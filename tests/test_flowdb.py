@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.flowdb import (
@@ -393,6 +395,95 @@ class TestLookupReadsEachLeafOnce:
         store._node_path("a", 0, 11).write_bytes(b"not a node")
         with pytest.raises(StoreError, match="unreadable"):
             execute(store, QuerySpec(op="lookup", key=13, last=1))
+
+
+#: One value of each JSON kind, for the meta-blob refusals.
+JSON_KINDS = [None, True, False, -1, 2**64 + 1, 2.5, "", "x", [], [1], {}]
+
+
+class TestDamagedNodes:
+    """A damaged node file is a :class:`StoreError` from every reader,
+    never a bare zip, EOF, key or attribute error."""
+
+    @pytest.fixture
+    def leaf(self, tmp_path):
+        store = FlowStore(tmp_path / "s")
+        store.ingest_rotations("v", {0: recs({5: 9, 6: 2})})
+        return store, store._node_path("v", 0, 0)
+
+    @staticmethod
+    def with_meta(path, meta) -> None:
+        """Rewrite a node file with ``meta`` as its JSON meta blob."""
+        with np.load(path) as npz:
+            members = {name: npz[name] for name in npz.files}
+        members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        buffer = io.BytesIO()
+        np.savez(buffer, **members)
+        path.write_bytes(buffer.getvalue())
+
+    @staticmethod
+    def refused(store) -> None:
+        with pytest.raises(StoreError):
+            store.nodes("v", 0)
+        with pytest.raises(StoreError):
+            store.load_node("v", 0, 0)
+
+    def test_every_proper_prefix_refused(self, leaf):
+        store, path = leaf
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            self.refused(store)
+
+    @pytest.mark.parametrize("meta", JSON_KINDS, ids=repr)
+    def test_meta_blob_of_each_json_kind_refused(self, leaf, meta):
+        store, path = leaf
+        self.with_meta(path, meta)
+        self.refused(store)
+
+    @pytest.mark.parametrize(
+        "field", ["schema", "windows", "degraded_windows", "count", "packets"]
+    )
+    @pytest.mark.parametrize("value", JSON_KINDS, ids=repr)
+    def test_meta_field_refused_or_read_exactly(self, leaf, field, value):
+        store, path = leaf
+        with np.load(path) as npz:
+            meta = json.loads(npz["meta"].tobytes())
+        meta[field] = value
+        self.with_meta(path, meta)
+        try:
+            [ref] = store.nodes("v", 0)
+            summary = store.load_node("v", 0, 0)
+        except StoreError:
+            return
+        # Only schema 1 opens; a window list or a count reads as written.
+        assert field != "schema"
+        read = getattr(ref, field)
+        if isinstance(value, list):
+            assert read == tuple(value)
+            assert all(type(w) is int and w >= 0 for w in read)
+        else:
+            assert type(read) is int and read == value >= 0
+        assert summary.degraded_windows == ref.degraded_windows
+
+    def test_missing_meta_field_refused(self, leaf):
+        store, path = leaf
+        with np.load(path) as npz:
+            meta = json.loads(npz["meta"].tobytes())
+        del meta["windows"]
+        self.with_meta(path, meta)
+        self.refused(store)
+
+    @pytest.mark.parametrize("action", ["topk", "ls"])
+    def test_query_on_damaged_store_exits_1(self, leaf, action, capsys):
+        from repro.experiments.cli import main
+
+        store, path = leaf
+        path.write_bytes(path.read_bytes()[:-40])
+        assert main(["query", action, "--store", str(store.root)]) == 1
+        err = capsys.readouterr().err
+        assert "query failed: unreadable store node" in err
+        assert "Traceback" not in err
 
 
 class TestFlowStoreSink:

@@ -7,11 +7,14 @@ building blocks.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
+import sys
 
 import numpy as np
 import pytest
 
+import repro.shm.segments
 from repro.experiments.runner import make_workload
 from repro.parallel import (
     CellResult,
@@ -19,21 +22,13 @@ from repro.parallel import (
     WorkloadRef,
     WorkloadStore,
     evaluate_cell,
-    materialize_refs,
     merge_meters,
     resolve_jobs,
     run_plan,
 )
+from repro.parallel import engine
 from repro.specs import CollectorSpec
-from repro.traces.profiles import CAIDA, PROFILES
-
-
-@pytest.fixture()
-def trace_cache(tmp_path, monkeypatch):
-    """Point the engine's on-disk trace cache at a throwaway dir."""
-    root = tmp_path / "trace-cache"
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(root))
-    return root
+from repro.traces.profiles import CAIDA, PROFILES, TraceProfile
 
 
 REF = WorkloadRef(profile="caida", n_flows=1500, seed=1)
@@ -72,14 +67,8 @@ class TestResolveJobs:
 
 
 class TestWorkloadRef:
-    def test_requires_exactly_one_source(self):
-        with pytest.raises(ValueError, match="profile/shm"):
-            WorkloadRef()
-        with pytest.raises(ValueError, match="profile/shm"):
-            WorkloadRef(profile="caida", n_flows=10, shm=("x", 1, 1, False, "t"))
-
     def test_profile_refs_require_n_flows(self):
-        with pytest.raises(ValueError, match="n_flows"):
+        with pytest.raises(TypeError, match="n_flows"):
             WorkloadRef(profile="caida")
 
     def test_base_key_shared_across_subsets(self):
@@ -117,32 +106,21 @@ class TestWorkloadRef:
         assert store.get(refs[0]) is not first
         assert len(store._workloads) <= 2
 
-    def test_cache_token_fingerprints_generator(self):
-        """The disk-cache token pins the generator config, so profile
-        recalibration or a GENERATION_VERSION bump misses stale dirs."""
-        from repro.traces import synthetic
-
-        before = REF.cache_token()
-        assert before.startswith("caida-f1500-s1")
-        original = synthetic.GENERATION_VERSION
-        try:
-            synthetic.GENERATION_VERSION = original + 1
-            assert REF.cache_token() != before
-        finally:
-            synthetic.GENERATION_VERSION = original
-        assert REF.cache_token() == before
-
-    def test_mismatched_cache_entry_regenerated(self, tmp_path, tiny_trace):
-        """A cache dir whose contents do not match the ref is ignored
-        rather than silently substituted for the real trace."""
-        from repro.traces.io import save_trace_arrays
-
-        ref = WorkloadRef(profile="caida", n_flows=600, seed=4)
-        root = tmp_path / "cache"
-        save_trace_arrays(tiny_trace, root / ref.cache_token())
-        trace = WorkloadStore(trace_root=root).base_trace(ref)
-        assert trace.num_flows == 600
-        assert trace.name == "caida"
+    def test_store_serves_given_traces_first(self, tiny_trace):
+        """Given traces are found by key, even an empty (falsy) one,
+        and stay out of the LRU: evicting workloads never drops them."""
+        empty = tiny_trace.truncate_packets(0)
+        assert not empty
+        refs = [
+            WorkloadRef(profile="caida", n_flows=600, seed=s) for s in range(3)
+        ]
+        given = {refs[0].base_key(): empty}
+        store = WorkloadStore(traces=given, max_cached=1)
+        assert store.base_trace(refs[0]) is empty
+        store.get(refs[1])
+        store.get(refs[2])
+        assert store.base_trace(refs[0]) is empty
+        assert refs[0].base_key() not in store._traces
 
 
 class TestSweepCell:
@@ -200,7 +178,7 @@ class TestSerialExecution:
 
 
 class TestParallelExecution:
-    def test_parallel_equals_serial(self, trace_cache):
+    def test_parallel_equals_serial(self):
         cells = [
             make_cell(spec_or_kind=kind, memory_bytes=budget)
             for kind in ("hashflow", "hashpipe")
@@ -212,38 +190,87 @@ class TestParallelExecution:
         assert [r.meter for r in serial] == [r.meter for r in parallel]
         assert [r.key for r in serial] == [r.key for r in parallel]
 
-    def test_worker_exception_surfaces(self, trace_cache):
+    def test_worker_exception_surfaces(self):
         """A raising cell propagates its original exception; the pool
         shuts down instead of hanging."""
         cells = [make_cell(), make_cell(metrics=("explode",))]
         with pytest.raises(ValueError, match="unknown sweep metric 'explode'"):
             run_plan(cells, jobs=2)
 
-    def test_materialize_refs_deduplicates_base_traces(self, trace_cache):
+    def test_parent_generates_each_base_trace_once(self, parent_generates_only):
         a = WorkloadRef(profile="caida", n_flows=200, seed=5, base_flows=1000)
         b = WorkloadRef(profile="caida", n_flows=700, seed=5, base_flows=1000)
-        cells = [
-            SweepCell(workload=r, metrics=("stats",)) for r in (a, b)
-        ]
-        root = materialize_refs(cells)
-        dirs = [p for p in root.iterdir() if p.is_dir()]
-        assert len(dirs) == 1  # one shared base trace on disk
-        assert (dirs[0] / "meta.json").exists()
+        cells = [SweepCell(workload=r, metrics=("stats",)) for r in (a, b)]
+        run_plan(cells, jobs=2)
+        assert parent_generates_only == [("caida", 1000)]
 
-    def test_cached_trace_loads_identically(self, trace_cache):
-        """Workers load base traces from disk; the round trip is exact."""
-        ref = WorkloadRef(profile="caida", n_flows=600, seed=4)
-        root = materialize_refs([SweepCell(workload=ref, metrics=("stats",))])
-        fresh = WorkloadStore().base_trace(ref)
-        cached = WorkloadStore(trace_root=root).base_trace(ref)
-        assert cached.flow_keys == fresh.flow_keys
-        assert np.array_equal(cached.order, fresh.order)
-        assert cached.true_sizes() == fresh.true_sizes()
-
-    def test_env_jobs_engages_parallel_path(self, trace_cache, monkeypatch):
+    def test_env_jobs_engages_parallel_path(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")
         cells = [make_cell(), make_cell(memory_bytes=16 * 1024)]
         env_run = run_plan(cells)
         monkeypatch.setenv("REPRO_JOBS", "1")
         serial = run_plan(cells)
         assert [r.rows for r in env_run] == [r.rows for r in serial]
+
+
+def three_cells() -> list[SweepCell]:
+    """Two trial subsets of one CAIDA base trace plus a campus trace."""
+    shared = dict(
+        spec_or_kind="hashflow", memory_bytes=32 * 1024, seed=0,
+        metrics=("fsc", "records"),
+    )
+    return [
+        SweepCell(
+            workload=WorkloadRef(profile="caida", n_flows=n, base_flows=300, seed=1),
+            **shared,
+        )
+        for n in (150, 300)
+    ] + [
+        SweepCell(
+            workload=WorkloadRef(profile="campus", n_flows=200, seed=2), **shared
+        )
+    ]
+
+
+@pytest.fixture()
+def parent_generates_only(monkeypatch):
+    """Fail any shared-memory segment, and any trace generation outside
+    this process; returns the parent's generation calls."""
+    original = repro.shm.segments.create_segment
+
+    def no_segment(*_args, **_kwargs):
+        raise AssertionError("a sweep created a shared-memory segment")
+
+    # Every module that bound the function by name, not only its home.
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("create_segment") is original:
+            monkeypatch.setattr(module, "create_segment", no_segment)
+
+    parent = os.getpid()
+    generate = TraceProfile.generate
+    calls = []
+
+    def in_parent(self, n_flows, *args, **kwargs):
+        assert os.getpid() == parent, "a worker regenerated a base trace"
+        calls.append((self.name, n_flows))
+        return generate(self, n_flows, *args, **kwargs)
+
+    monkeypatch.setattr(TraceProfile, "generate", in_parent)
+    return calls
+
+
+class TestOneTraceTransport:
+    def test_workers_inherit_the_parents_traces(self, parent_generates_only):
+        cells = three_cells()
+        serial = run_plan(cells, jobs=1)
+        parallel = run_plan(cells, jobs=2)
+        assert [r.rows for r in parallel] == [r.rows for r in serial]
+        assert [r.meter for r in parallel] == [r.meter for r in serial]
+
+    def test_spawned_workers_unpickle_the_traces(self, monkeypatch):
+        cells = three_cells()
+        serial = run_plan(cells, jobs=1)
+        monkeypatch.setattr(engine, "_mp_context", lambda: mp.get_context("spawn"))
+        spawned = run_plan(cells, jobs=2)
+        assert [r.rows for r in spawned] == [r.rows for r in serial]
+        assert [r.meter for r in spawned] == [r.meter for r in serial]

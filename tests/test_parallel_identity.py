@@ -29,12 +29,6 @@ REWIRED = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def trace_cache(tmp_path, monkeypatch):
-    """Isolate the engine's disk cache per test."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
-
-
 @pytest.mark.parametrize("name,kwargs", REWIRED, ids=[n for n, _ in REWIRED])
 def test_figure_bit_identical_at_two_workers(name, kwargs):
     func = getattr(figures, name)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,17 +81,3 @@ class TestSamplingProperties:
         truth = trace.true_sizes()
         for key, count in sampled.true_sizes().items():
             assert 1 <= count <= truth[key]
-
-
-class TestPersistenceProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(keys=key_streams)
-    def test_trace_arrays_roundtrip(self, tmp_path_factory, keys):
-        from repro.traces.io import load_trace_arrays, save_trace_arrays
-
-        trace = trace_from_keys(keys)
-        path = save_trace_arrays(trace, tmp_path_factory.mktemp("prop") / "t")
-        back = load_trace_arrays(path)
-        assert back.flow_keys == trace.flow_keys
-        assert np.array_equal(back.order, trace.order)
-        assert back.timestamps is None

@@ -1,26 +1,20 @@
-"""Shared-memory segment registry, plane carving, and shared traces."""
+"""Shared-memory segment registry and plane carving."""
 
 from __future__ import annotations
 
 import glob
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.shm import (
     SEGMENT_PREFIX,
-    SharedTraceRef,
     attach_segment,
-    attach_trace,
     carve,
     create_segment,
     layout_bytes,
     owned_segments,
-    share_trace,
 )
-from repro.traces.profiles import CAIDA
-from repro.traces.trace import Trace, trace_from_keys
 
 
 def shm_entries() -> set[str]:
@@ -89,84 +83,5 @@ class TestCarve:
         try:
             with pytest.raises(ValueError, match="exceeds segment"):
                 carve(seg, [(100, np.int64)])
-        finally:
-            seg.unlink()
-
-
-class TestSharedTrace:
-    def test_round_trip_exact(self):
-        trace = CAIDA.generate(n_flows=500, seed=3)
-        ref, seg = share_trace(trace)
-        try:
-            assert isinstance(ref, SharedTraceRef)
-            twin = attach_trace(ref)
-            assert twin.flow_keys == trace.flow_keys
-            assert np.array_equal(twin.order, trace.order)
-            assert twin.name == trace.name
-            if trace.timestamps is None:
-                assert twin.timestamps is None
-            else:
-                assert np.array_equal(twin.timestamps, trace.timestamps)
-            # The packet streams (what collectors consume) match exactly.
-            assert twin.key_batch().keys == trace.key_batch().keys
-        finally:
-            seg.unlink()
-
-    def test_timestamped_trace(self):
-        keys = [11, 22, 11, 33]
-        trace = Trace(
-            [11, 22, 33],
-            np.array([0, 1, 0, 2], dtype=np.int64),
-            timestamps=np.array([0.0, 0.5, 1.0, 1.5]),
-            name="timed",
-        )
-        ref, seg = share_trace(trace)
-        try:
-            twin = attach_trace(ref)
-            assert ref.has_timestamps
-            assert np.array_equal(twin.timestamps, trace.timestamps)
-            assert twin.key_batch().keys == keys
-        finally:
-            seg.unlink()
-
-    def test_ref_is_picklable_and_hashable(self):
-        trace = trace_from_keys([1, 2, 1], name="tiny")
-        ref, seg = share_trace(trace)
-        try:
-            clone = pickle.loads(pickle.dumps(ref))
-            assert clone == ref
-            assert hash(tuple(ref)) == hash(tuple(clone))
-        finally:
-            seg.unlink()
-
-
-class TestWorkloadRefShm:
-    def test_exactly_one_backing(self):
-        from repro.parallel.plan import WorkloadRef
-
-        with pytest.raises(ValueError, match="exactly one"):
-            WorkloadRef(profile="caida", n_flows=10, shm=("x", 1, 1, False, "t"))
-        with pytest.raises(ValueError, match="exactly one"):
-            WorkloadRef()
-
-    def test_shm_ref_base_key_and_cache_token(self):
-        from repro.parallel.plan import WorkloadRef
-
-        ref = WorkloadRef(shm=("seg-name", 2, 3, False, "t"))
-        assert ref.base_key() == ("shm", "seg-name")
-        with pytest.raises(ValueError, match="shared memory"):
-            ref.cache_token()
-
-    def test_store_attaches_shm_ref(self):
-        from repro.parallel.evaluate import WorkloadStore
-        from repro.parallel.plan import WorkloadRef
-
-        trace = CAIDA.generate(n_flows=300, seed=9)
-        shm_ref, seg = share_trace(trace)
-        try:
-            store = WorkloadStore(trace_root=None)
-            got = store.get(WorkloadRef(shm=tuple(shm_ref))).trace
-            assert got.flow_keys == trace.flow_keys
-            assert np.array_equal(got.order, trace.order)
         finally:
             seg.unlink()

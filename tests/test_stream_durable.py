@@ -198,8 +198,20 @@ class TestNetFlowSinkDurability:
         assert set(sink.summary()) == {"datagrams", "records", "bytes"}
 
 
+#: Manifest fields the refusal sweep sets: every top-level field and
+#: every field of the first file entry.
+MANIFEST_FIELDS = [
+    (name,) for name in ("schema", "complete", "suffix", "degraded", "files")
+] + [
+    ("files", name)
+    for name in ("file", "rotation", "bytes", "records", "datagrams", "degraded")
+]
+#: One value of each JSON kind.
+MANIFEST_VALUES = [None, True, -1, 2**64 + 1, 2.5, "", "x", [], [1], {}]
+
+
 class TestArchiveReader:
-    """read_archive / iter_manifest: validated, degraded-flag-preserving."""
+    """read_archive: validated, degraded-flag-preserving."""
 
     def _write(self, directory, degraded=frozenset()):
         sink = NetFlowV5Sink(directory=str(directory))
@@ -300,7 +312,7 @@ class TestArchiveReader:
             read_archive(directory)
 
     def test_temp_stray_entry_rejected(self, tmp_path):
-        from repro.stream.durable import ArchiveError, iter_manifest
+        from repro.stream.durable import ArchiveError, read_archive
 
         directory = tmp_path / "arch"
         self._write(directory)
@@ -311,10 +323,10 @@ class TestArchiveReader:
         )
         path.write_text(json.dumps(manifest))
         with pytest.raises(ArchiveError, match="temp stray"):
-            list(iter_manifest(directory))
+            read_archive(directory)
 
     def test_foreign_path_entry_rejected(self, tmp_path):
-        from repro.stream.durable import ArchiveError, iter_manifest
+        from repro.stream.durable import ArchiveError, read_archive
 
         directory = tmp_path / "arch"
         self._write(directory)
@@ -325,7 +337,7 @@ class TestArchiveReader:
         )
         path.write_text(json.dumps(manifest))
         with pytest.raises(ArchiveError, match="non-local"):
-            list(iter_manifest(directory))
+            read_archive(directory)
 
     def test_incomplete_manifest_rejected(self, tmp_path):
         from repro.stream.durable import ArchiveError, read_archive
@@ -340,7 +352,7 @@ class TestArchiveReader:
             read_archive(directory)
 
     def test_rotation_name_mismatch_rejected(self, tmp_path):
-        from repro.stream.durable import ArchiveError, iter_manifest
+        from repro.stream.durable import ArchiveError, read_archive
 
         directory = tmp_path / "arch"
         self._write(directory)
@@ -349,7 +361,51 @@ class TestArchiveReader:
         manifest["files"][0]["rotation"] = 42  # disagrees with the name
         path.write_text(json.dumps(manifest))
         with pytest.raises(ArchiveError, match="disagrees"):
-            list(iter_manifest(directory))
+            read_archive(directory)
+
+    def test_every_proper_prefix_refused(self, tmp_path):
+        from repro.stream.durable import ArchiveError, read_archive
+
+        directory = tmp_path / "arch"
+        self._write(directory, degraded={1})
+        path = directory / RotationArchive.MANIFEST_NAME
+        text = path.read_text().rstrip()
+        for cut in range(len(text)):
+            path.write_text(text[:cut])
+            with pytest.raises(ArchiveError):
+                read_archive(directory)
+
+    @pytest.mark.parametrize("field", MANIFEST_FIELDS, ids="/".join)
+    @pytest.mark.parametrize("value", MANIFEST_VALUES, ids=repr)
+    def test_field_refused_or_read_exactly(self, tmp_path, field, value):
+        from repro.stream.durable import ArchiveError, read_archive
+
+        directory = tmp_path / "arch"
+        self._write(directory, degraded={1})
+        path = directory / RotationArchive.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        if len(field) == 1:
+            manifest[field[0]] = value
+        else:
+            manifest["files"][0][field[1]] = value
+        path.write_text(json.dumps(manifest))
+        try:
+            view = read_archive(directory)
+        except ArchiveError:
+            return
+        # What the file says: rotation indices and bool flags, exactly.
+        listed = manifest.get("degraded", [])
+        assert all(type(r) is int and r >= 0 for r in listed)
+        flags = [e.get("degraded", False) for e in manifest["files"]]
+        assert all(type(flag) is bool for flag in flags)
+        rotations = {e["rotation"] for e in manifest["files"]}
+        degraded = set(listed) | {
+            e["rotation"] for e, flag in zip(manifest["files"], flags) if flag
+        }
+        assert view.degraded == degraded
+        assert [e["degraded"] for e in view.files] == flags
+        read = {rotation: tainted for rotation, _, tainted in view.rotations()}
+        assert read == {r: r in degraded for r in rotations}
 
     def test_text_archive_reads_back(self, tmp_path):
         from repro.stream.durable import read_archive

@@ -375,21 +375,6 @@ class TestSources:
         assert trace.flow_keys == expected.flow_keys
         assert np.array_equal(trace.order, expected.order)
 
-    def test_trace_array_source_round_trip(self, tmp_path, small_trace):
-        from repro.traces.io import save_trace_arrays
-
-        saved = save_trace_arrays(small_trace, tmp_path / "arrays")
-        source = build_source(
-            {"kind": "trace_arrays", "params": {"path": str(saved)}}
-        )
-        assert source.trace().true_sizes() == small_trace.true_sizes()
-        sliced = build_source(
-            {"kind": "trace_arrays",
-             "params": {"path": str(saved), "start": 10, "stop": 200}}
-        )
-        expected = small_trace.slice_packets(10, 200)
-        assert sliced.trace().true_sizes() == expected.true_sizes()
-
     def test_pcap_source(self, tmp_path, tiny_trace):
         from repro.traces.pcap import write_pcap
 

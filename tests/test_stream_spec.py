@@ -50,12 +50,6 @@ SPEC_MATRIX = {
                    "params": {"collector": _HF, "n_shards": 2, "seed": 4}},
         sinks=({"kind": "cardinality"}, {"kind": "anomaly"}),
     ),
-    "trace_arrays": dict(
-        source={"kind": "trace_arrays",
-                "params": {"path": "/tmp/somewhere", "start": 0, "stop": 10}},
-        collector=_HF,
-        rotation={"kind": "count", "params": {"epoch_packets": 5}},
-    ),
 }
 
 _NAN = float("nan")
@@ -104,8 +98,6 @@ class TestRoundTrip:
         # Building normalizes constructor defaults into the stage
         # params, so the derived spec is a fixed point: deriving it
         # again reproduces it exactly.
-        if case == "trace_arrays":
-            pytest.skip("path source needs real files to build")
         derived = Pipeline.from_spec(PipelineSpec(**SPEC_MATRIX[case])).spec
         assert Pipeline.from_spec(derived).spec == derived
 
@@ -212,8 +204,6 @@ class TestReseeding:
 
 class TestRebuildDeterminism:
     def test_spec_built_twins_match(self, case):
-        if case == "trace_arrays":
-            pytest.skip("path source needs real files to build")
         spec = PipelineSpec(**SPEC_MATRIX[case])
         first = Pipeline.from_spec(spec).run()
         second = Pipeline.from_spec(PipelineSpec.from_json(spec.to_json())).run()
