@@ -585,6 +585,10 @@ def _serve(daemon, args, replay) -> int:
     if replay is not None:
         table.add_row(metric="replayed_packets", value=replayed["packets"])
     table.add_row(metric="drops", value=result.drops)
+    table.add_row(
+        metric="kernel_drops",
+        value="n/a" if result.kernel_drops is None else result.kernel_drops,
+    )
     table.add_row(metric="fed", value=result.fed)
     table.add_row(metric="lost", value=result.lost)
     table.add_row(metric="restarts", value=len(result.restarts))

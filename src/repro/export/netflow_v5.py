@@ -9,8 +9,8 @@ vectorized record encoder (:func:`encode_records`) and one decoder
 (:func:`decode_records`).  Every other entry point is a thin wrapper
 over them: the exporter and the record parsers that hand records from
 any :class:`FlowCollector` to stock tooling (nfdump, flow-tools,
-commercial collectors), the live listener's :func:`decode_datagram`
-and the replayer's :func:`encode_datagrams`.
+commercial collectors), the live listener's burst decoder
+:func:`decode_datagrams` and the replayer's :func:`encode_datagrams`.
 
 The packed 104-bit key is ``src<<72 | dst<<40 | sport<<24 | dport<<8 |
 proto``; the codec works on its 64-bit halves ``lo = key & 2^64-1`` and
@@ -47,6 +47,7 @@ NETFLOW_V5_VERSION = 5
 MAX_RECORDS_PER_DATAGRAM = 30
 
 _HEADER = struct.Struct("!HHIIIIBBH")
+_VERSION_COUNT = struct.Struct("!HH")
 
 #: The 48-byte v5 record as a big-endian numpy structured dtype.
 RECORD_DTYPE = np.dtype(
@@ -332,21 +333,38 @@ def encode_datagrams(
     )
 
 
+def _whole_records(data) -> int | None:
+    """The tolerant header rule, once: how many records a datagram
+    carries.
+
+    None for a datagram too short for a v5 header or carrying a
+    different NetFlow version; otherwise ``min(count, records that
+    fit)`` — a truncated trailing record is excluded, never an error.
+    """
+    if len(data) < HEADER_BYTES:
+        return None
+    version, count = _VERSION_COUNT.unpack_from(data, 0)
+    if version != NETFLOW_V5_VERSION:
+        return None
+    return min(count, (len(data) - HEADER_BYTES) // RECORD_BYTES)
+
+
 def split_datagram(data: bytes) -> tuple[dict, memoryview] | None:
     """Header + the *complete* record payload of a v5 datagram.
 
-    The tolerant front half shared by :func:`parse_datagram`,
-    :func:`parse_datagram_partial` and :func:`decode_datagram`: a
-    datagram too short for a header, or carrying a different NetFlow
-    version, yields None; otherwise the payload view covers
-    ``min(count, records that fit)`` whole records — a truncated
-    trailing record is excluded, never an error.
+    The tolerant front half shared by :func:`parse_datagram` and
+    :func:`parse_datagram_partial`: a datagram too short for a header,
+    or carrying a different NetFlow version, yields None; otherwise
+    the payload view covers ``min(count, records that fit)`` whole
+    records — a truncated trailing record is excluded, never an error
+    (the rule :func:`decode_datagrams` applies too).
 
     Returns:
         ``(header_fields, payload)`` where ``payload`` is a zero-copy
         ``memoryview`` over a whole number of 48-byte records.
     """
-    if len(data) < HEADER_BYTES:
+    complete = _whole_records(data)
+    if complete is None:
         return None
     (
         version,
@@ -359,8 +377,6 @@ def split_datagram(data: bytes) -> tuple[dict, memoryview] | None:
         engine_id,
         sampling_interval,
     ) = _HEADER.unpack_from(data, 0)
-    if version != NETFLOW_V5_VERSION:
-        return None
     header = {
         "version": version,
         "count": count,
@@ -370,7 +386,6 @@ def split_datagram(data: bytes) -> tuple[dict, memoryview] | None:
         "engine_id": engine_id,
         "sampling_interval": sampling_interval,
     }
-    complete = min(count, (len(data) - HEADER_BYTES) // RECORD_BYTES)
     payload = memoryview(data)[
         HEADER_BYTES : HEADER_BYTES + complete * RECORD_BYTES
     ]
@@ -434,27 +449,39 @@ def parse_datagram_partial(
     return header, _to_records(*decode_records(payload)), HEADER_BYTES + len(payload)
 
 
-def decode_datagram(data: bytes):
-    """One v5 datagram → per-packet ring arrays (the live listener's decode).
+def decode_datagrams(datagrams):
+    """A burst of datagrams → per-packet ring arrays (the live
+    listener's decode).
 
-    Tolerant like :func:`parse_datagram_partial`: a non-v5 or
-    header-short datagram yields None, a truncated trailing record is
-    simply not decoded.  A record with ``dPkts > 1`` (an upstream
-    exporter aggregating) is expanded back into ``dPkts`` packets, all
-    carrying the record's ``first_ms`` timestamp — so ring occupancy
-    counts packets, not records.  Each gets ``dOctets // dPkts`` bytes
-    and the first ``dOctets % dPkts`` one byte more, so the sizes sum
-    to ``dOctets``.
+    Each datagram's header is checked on its own, by the tolerant rule
+    of :func:`split_datagram`: a non-v5 or header-short datagram is
+    skipped, a truncated trailing record is simply not decoded.  The
+    payloads that remain are joined and decoded by one
+    :func:`decode_records` call, so the numpy per-call cost is paid
+    once per burst, not once per datagram.  Packets keep arrival
+    order: datagram by datagram, record by record.
+
+    A record with ``dPkts > 1`` (an upstream exporter aggregating) is
+    expanded back into ``dPkts`` packets, all carrying the record's
+    ``first_ms`` timestamp — so ring occupancy counts packets, not
+    records.  Each gets ``dOctets // dPkts`` bytes and the first
+    ``dOctets % dPkts`` one byte more, so the sizes sum to
+    ``dOctets``.
 
     Returns:
         ``(lo, hi, sizes, timestamps)`` arrays (``uint64`` /
-        ``uint64`` / ``int64`` / ``float64``), or None for a datagram
-        that is not NetFlow v5.
+        ``uint64`` / ``int64`` / ``float64``) over every v5 datagram of
+        the burst, or None when none of them is NetFlow v5 (an empty
+        burst included).
     """
-    split = split_datagram(data)
-    if split is None:
+    payloads = []
+    for data in datagrams:
+        records = _whole_records(data)
+        if records is not None:
+            payloads.append(data[HEADER_BYTES : HEADER_BYTES + records * RECORD_BYTES])
+    if not payloads:
         return None
-    lo, hi, fields = decode_records(split[1])
+    lo, hi, fields = decode_records(b"".join(payloads))
     packets = fields["packets"].astype(np.int64)
     octets = fields["octets"].astype(np.int64)
     timestamps = fields["first_ms"].astype(np.float64) / 1000.0
@@ -472,6 +499,17 @@ def decode_datagram(data: bytes):
             np.repeat(timestamps, counts),
         )
     return lo, hi, octets, timestamps
+
+
+def decode_datagram(data: bytes):
+    """One v5 datagram → per-packet ring arrays: :func:`decode_datagrams`
+    over a burst of one.
+
+    Returns:
+        ``(lo, hi, sizes, timestamps)``, or None for a datagram that
+        is not NetFlow v5.
+    """
+    return decode_datagrams((data,))
 
 
 def split_stream(data: bytes) -> list[bytes]:

@@ -23,7 +23,13 @@ import numpy as np
 from repro.flow.batch import KeyBatch
 from repro.hashing.families import HashFunction
 from repro.sketches.base import FlowCollector, column_records
-from repro.specs import CollectorSpec, as_spec, build, register
+from repro.specs import CollectorSpec, as_spec, build, positive_count, register
+
+#: The most shards one sharded collector may have.  Every shard is a
+#: whole collector built up front (and a serve spec builds its
+#: collector at load), so an unbounded count costs unbounded time and
+#: memory before anything can refuse it.
+MAX_SHARDS = 1024
 
 
 def owner_hash(seed: int) -> HashFunction:
@@ -43,7 +49,8 @@ class ShardedCollector(FlowCollector):
             prototype collector), from which shard ``i``'s instance is
             built with a deterministically derived seed
             (``spec.reseed(i)``).
-        n_shards: number of shards (owner switches).
+        n_shards: number of shards (owner switches), at most
+            :data:`MAX_SHARDS`.
         seed: seed of the shard-assignment hash (:func:`owner_hash`).
 
     ``shards`` maps shard index to collector.  A subclass may build a
@@ -61,8 +68,9 @@ class ShardedCollector(FlowCollector):
         seed: int = 0,
     ):
         super().__init__()
-        if n_shards <= 0:
-            raise ValueError(f"n_shards must be positive, got {n_shards}")
+        n_shards = positive_count("n_shards", n_shards)
+        if n_shards > MAX_SHARDS:
+            raise ValueError(f"n_shards must be at most {MAX_SHARDS}, got {n_shards}")
         self.n_shards = n_shards
         self.seed = seed
         self._shard_hash = owner_hash(seed)

@@ -3,12 +3,13 @@
 :class:`ServeDaemon` runs a :class:`~repro.serve.spec.ServeSpec` as a
 long-lived multi-process service:
 
-* the **parent** owns the UDP socket and the sinks.  It decodes each
-  NetFlow v5 datagram into packet arrays
-  (:func:`repro.export.netflow_v5.decode_datagram`),
-  routes them to a worker (for several workers: by the sharded
-  collector's own owner hash, so every flow key has exactly one home
-  process), and pushes them into that worker's
+* the **parent** owns the UDP socket and the sinks.  It receives up
+  to ``_SOCKET_BURST`` datagrams at a time and treats the burst as
+  one unit: one decode of every NetFlow v5 datagram in it into packet
+  arrays (:func:`repro.export.netflow_v5.decode_datagrams`, arrival
+  order kept), one route of its packets to the workers (for several
+  workers: by the sharded collector's own owner hash, so every flow
+  key has exactly one home process), and one push into each worker's
   :class:`~repro.serve.ring.PacketRing` under the spec's back-pressure
   policy;
 * each **worker** process pops batches from its ring and drives the
@@ -54,7 +55,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro import faults as _faults
-from repro.export.netflow_v5 import decode_datagram
+from repro.export.netflow_v5 import decode_datagrams
 from repro.faults import FaultPlan
 from repro.flow.batch import KeyBatch
 from repro.netwide.sharding import ShardedCollector, owner_hash
@@ -73,8 +74,12 @@ from repro.stream.spec import PipelineSpec
 RECV_BUFFER_BYTES = 1 << 22
 
 #: Datagrams drained from the socket per parent loop iteration before
-#: pipe messages and stats get a turn.
+#: pipe messages and stats get a turn; the listener decodes, routes and
+#: pushes each such burst once.
 _SOCKET_BURST = 512
+
+#: The kernel's UDP socket table (one row per IPv4 UDP socket).
+_PROC_NET_UDP = "/proc/net/udp"
 
 #: Worker idle poll (seconds) while its ring is empty.
 _IDLE_POLL_S = 0.0005
@@ -205,6 +210,10 @@ class ServeResult:
         packets: packets decoded from the wire (before any ring drop).
         datagrams: datagrams received (v5 or not).
         drops: packets shed at full rings (``drop`` back-pressure).
+        kernel_drops: datagrams the kernel dropped at the listen socket
+            before the listener could receive them (receive buffer
+            full), from bind to the end of the drain; None where the
+            count cannot be read (see :meth:`ServeDaemon.kernel_drops`).
         rotations: rotation sweeps across workers (final drain excluded).
         exported: flow records emitted to the sinks.
         batches: every export, one batch per global rotation index.
@@ -238,6 +247,7 @@ class ServeResult:
     restarts: list = field(default_factory=list)
     recv_errors: dict = field(default_factory=dict)
     degraded: list = field(default_factory=list)
+    kernel_drops: int | None = None
 
     @cached_property
     def records(self) -> dict[int, int]:
@@ -260,6 +270,9 @@ class ServeResult:
 
         Holds exactly through any number of worker restarts — a
         violation means packets were silently created or destroyed.
+        ``kernel_drops`` stays outside it: those are datagrams the
+        daemon never received, so no packet of theirs was counted in
+        ``packets``.
         """
         return self.fed + self.drops + self.lost == self.packets
 
@@ -269,6 +282,7 @@ class ServeResult:
             "packets": self.packets,
             "datagrams": self.datagrams,
             "drops": self.drops,
+            "kernel_drops": self.kernel_drops,
             "rotations": self.rotations,
             "exported": self.exported,
             "flows": len(self.records),
@@ -347,6 +361,36 @@ class ServeDaemon:
             self.address = sock.getsockname()[:2]
             self._say(f"serve: listening on {self.address[0]}:{self.address[1]}")
         return self.address
+
+    def kernel_drops(self) -> int | None:
+        """Datagrams the kernel dropped at the listen socket.
+
+        The ``drops`` column of the socket's row in ``/proc/net/udp``,
+        matched by the socket's inode: datagrams that reached the
+        socket but were dropped before the listener could receive
+        them, mostly at a full receive buffer (counted from
+        :meth:`bind`).  One read scans the kernel's UDP socket table,
+        so the daemon reads it per stats line and once at drain, never
+        per datagram.
+
+        Returns:
+            The count, or None when no socket is bound or the file or
+            the socket's row is missing (off Linux, say).
+        """
+        sock = self._sock
+        if sock is None:
+            return None
+        try:
+            inode = str(os.fstat(sock.fileno()).st_ino)
+            with open(_PROC_NET_UDP, encoding="ascii") as fh:
+                fh.readline()  # the column names
+                for line in fh:
+                    columns = line.split()
+                    if len(columns) > 12 and columns[9] == inode:
+                        return int(columns[12])
+        except (OSError, ValueError):
+            pass
+        return None
 
     def _say(self, line: str) -> None:
         if not self.quiet:
@@ -447,10 +491,10 @@ class ServeDaemon:
                 now = time.monotonic()
                 if deadline is not None and now >= deadline:
                     break
-                burst = 0
-                while burst < _SOCKET_BURST:
+                burst = []
+                while len(burst) < _SOCKET_BURST:
                     try:
-                        data = sock.recv(65535)
+                        burst.append(sock.recv(65535))
                     except BlockingIOError:
                         break
                     except OSError as exc:
@@ -467,11 +511,11 @@ class ServeDaemon:
                             )
                         recv_errors[name] = recv_errors.get(name, 0) + 1
                         break
-                    burst += 1
-                    datagrams += 1
-                    decoded = decode_datagram(data)
-                    if decoded is None:
-                        continue
+                received = len(burst)
+                datagrams += received
+                decoded = decode_datagrams(burst)
+                del burst  # release the datagrams before the push
+                if decoded is not None and len(decoded[0]):
                     lo, hi, sizes, timestamps = decoded
                     packets += len(lo)
                     if workers == 1:
@@ -504,16 +548,20 @@ class ServeDaemon:
                         f"w{w}:{m.get('packets', 0)}p/{m.get('rotations', 0)}r"
                         for w, m in sorted(supervisor.meters.items())
                     )
+                    kernel_drops = self.kernel_drops()
+                    if kernel_drops is None:
+                        kernel_drops = "n/a"
                     self._say(
                         f"serve: t={now - start:7.1f}s pps={pps:9.0f} "
                         f"packets={packets} datagrams={datagrams} "
                         f"occ={occupancy} drops={drops} "
+                        f"kernel_drops={kernel_drops} "
                         f"exports={export_events} {per_worker}".rstrip()
                     )
                     stats_packets = packets
                     stats_at = now
                     next_stats = now + spec.stats_interval
-                if burst == 0:
+                if received == 0:
                     # Idle: sleep until traffic or a worker message.
                     select.select([sock] + supervisor.conns, [], [], 0.01)
 
@@ -544,6 +592,7 @@ class ServeDaemon:
             supervisor.pump()
 
             drops = sum(ring.drops for ring in rings)
+            kernel_drops = self.kernel_drops()
             for rotation in sorted(supervisor.degraded):
                 self._say(f"serve: rotation {rotation} flagged degraded")
             for sink in sinks:
@@ -564,6 +613,7 @@ class ServeDaemon:
                 restarts=list(supervisor.restarts),
                 recv_errors=dict(recv_errors),
                 degraded=sorted(supervisor.degraded),
+                kernel_drops=kernel_drops,
             )
         finally:
             supervisor.shutdown()

@@ -191,7 +191,7 @@ class UDPSource(Source):
     Unlike every other source this one has no finite trace: datagrams
     arrive on the wire and are decoded straight into the serve daemon's
     shared-memory packet rings
-    (:func:`repro.export.netflow_v5.decode_datagram`).  It exists
+    (:func:`repro.export.netflow_v5.decode_datagrams`).  It exists
     as a registered source kind so a :class:`~repro.stream.spec.
     PipelineSpec` can *name* live traffic the same way it names a
     profile — such a spec is runnable by ``repro-experiments serve``,

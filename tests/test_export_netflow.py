@@ -1,7 +1,8 @@
 """Tests for repro.export.netflow_v5, the one NetFlow v5 codec.
 
-Covers the exporter and record parsers, the live listener's
-``decode_datagram`` and the replayer's ``encode_datagrams``.  Round
+Covers the exporter and record parsers, the live listener's burst
+decoder ``decode_datagrams`` (and its one-datagram form
+``decode_datagram``) and the replayer's ``encode_datagrams``.  Round
 trips cannot catch a field swapped on both sides of one codec, so
 ``TestGoldenBytes`` pins the wire layout against bytes packed here
 with ``struct`` from the v5 field table.
@@ -23,6 +24,7 @@ from repro.export.netflow_v5 import (
     NetFlowV5Exporter,
     NetFlowV5Record,
     decode_datagram,
+    decode_datagrams,
     encode_datagrams,
     encode_header,
     encode_records,
@@ -603,6 +605,111 @@ class TestLiveDecode:
         datagram = NetFlowV5Exporter().export(batch({k: 1 for k in keys}))[0]
         lo, _, _, _ = decode_datagram(datagram[:-10])
         assert len(lo) == 2
+
+
+KEYS = st.integers(min_value=0, max_value=(1 << 104) - 1)
+U32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
+
+
+@st.composite
+def v5_datagrams(draw, aggregated: bool = False) -> bytes:
+    """A whole v5 datagram of 0-30 records.  ``aggregated`` records
+    carry ``dPkts > 1`` and a ``dOctets`` that ``dPkts`` does not
+    divide, so the expansion must hand out leftover bytes."""
+    n = draw(st.integers(1 if aggregated else 0, MAX_RECORDS_PER_DATAGRAM))
+    keys = draw(st.lists(KEYS, min_size=n, max_size=n))
+    if aggregated:
+        packets = draw(st.lists(st.integers(2, 20), min_size=n, max_size=n))
+        octets = [
+            p * draw(st.integers(0, 1 << 20)) + draw(st.integers(1, p - 1))
+            for p in packets
+        ]
+    else:
+        packets = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        octets = draw(st.lists(U32, min_size=n, max_size=n))
+    first_ms = draw(st.lists(U32, min_size=n, max_size=n))
+    lo, hi = halves(keys)
+    body = encode_records(lo, hi, packets, octets, first_ms, first_ms).tobytes()
+    return encode_header(n) + body
+
+
+#: Every kind of datagram a listener's socket burst may hold.
+BURST_DATAGRAMS = st.one_of(
+    v5_datagrams(),
+    v5_datagrams(aggregated=True),
+    # v5 cut at any offset (inside the header too).
+    st.tuples(v5_datagrams(), st.integers(0, 1500)).map(lambda t: t[0][: t[1]]),
+    st.binary(max_size=HEADER_BYTES - 1),
+    # Another NetFlow version over a body that would decode as v5.
+    st.tuples(v5_datagrams(), st.integers(0, 0xFFFF).filter(lambda v: v != 5)).map(
+        lambda t: t[1].to_bytes(2, "big") + t[0][2:]
+    ),
+    # Random bytes that do not claim version 5: a random v5 header
+    # could declare up to 2^32 packets per record.
+    st.binary(max_size=400).filter(lambda b: b[:2] != b"\x00\x05"),
+)
+
+
+def reference_packets(datagram: bytes) -> list[tuple[int, int, float]]:
+    """Plain-Python decode of one datagram: ``(key, size, timestamp)``
+    per packet, each record expanded to ``max(dPkts, 1)`` packets
+    whose sizes sum to ``dOctets``."""
+    _, records, _ = parse_datagram_partial(datagram)
+    rows = []
+    for record in records:
+        n = max(record.packets, 1)
+        for i in range(n):
+            size = record.octets // n + (i < record.octets % n)
+            rows.append((record.key, size, record.first_ms / 1000.0))
+    return rows
+
+
+class TestBurstDecode:
+    """decode_datagrams: one decode per socket burst, pinned to the
+    one-datagram decode and to a plain-Python reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(burst=st.lists(BURST_DATAGRAMS, max_size=8))
+    def test_burst_equals_its_datagrams_decoded_one_by_one(self, burst):
+        decoded = decode_datagrams(burst)
+        parts = [part for part in map(decode_datagram, burst) if part is not None]
+        if not parts:
+            assert decoded is None
+            return
+        assert len(decoded) == 4
+        for column, pieces in zip(decoded, zip(*parts)):
+            expected = np.concatenate(pieces)
+            assert column.dtype == expected.dtype
+            np.testing.assert_array_equal(column, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(burst=st.lists(BURST_DATAGRAMS, max_size=8))
+    def test_burst_matches_plain_python_reference(self, burst):
+        expected = [row for datagram in burst for row in reference_packets(datagram)]
+        decoded = decode_datagrams(burst)
+        if decoded is None:
+            assert all(split_datagram(d) is None for d in burst)
+            return
+        lo, hi, sizes, timestamps = decoded
+        assert (lo.dtype, hi.dtype, sizes.dtype, timestamps.dtype) == (
+            np.uint64, np.uint64, np.int64, np.float64
+        )
+        got = list(zip(keys_from_halves(lo, hi), sizes.tolist(), timestamps.tolist()))
+        assert got == expected
+
+    def test_nothing_decodable_is_none(self):
+        v9 = (9).to_bytes(2, "big") + b"\x00" * 22
+        assert decode_datagrams([]) is None
+        assert decode_datagrams([b"junk", v9, b""]) is None
+
+    def test_empty_v5_datagrams_are_empty_arrays(self):
+        # A v5 datagram of no records decodes (to nothing); only a
+        # burst without any v5 datagram is None.
+        lo, hi, sizes, timestamps = decode_datagrams([encode_header(0), b"junk"])
+        assert [len(lo), len(hi), len(sizes), len(timestamps)] == [0, 0, 0, 0]
+        assert (lo.dtype, hi.dtype, sizes.dtype, timestamps.dtype) == (
+            np.uint64, np.uint64, np.int64, np.float64
+        )
 
 
 class TestEncodeRecords:

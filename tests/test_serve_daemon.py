@@ -17,6 +17,7 @@ import json
 import multiprocessing as mp
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -28,7 +29,14 @@ import pytest
 from repro.flow.batch import KeyBatch
 from repro.native import native_available
 from repro.netwide.sharding import ShardedCollector, owner_hash
-from repro.serve import ServeDaemon, ServeSpec, replay_trace
+from repro.serve import (
+    ServeDaemon,
+    ServeSpec,
+    encode_datagrams,
+    replay_datagrams,
+    replay_trace,
+    trace_datagrams,
+)
 from repro.serve.daemon import _WorkerShards
 from repro.stream.pipeline import Pipeline
 from repro.traces.profiles import CAIDA
@@ -81,6 +89,27 @@ def run_replayed(spec: ServeSpec, trace, timeout_s: float = 60.0):
     result = daemon.run(duration=timeout_s)
     feeder.join(timeout=10.0)
     return result, sent["packets"]
+
+
+def drain_when_accounted(
+    daemon: ServeDaemon, sent: int, send=None, timeout_s: float = 30.0
+) -> threading.Thread:
+    """A thread that calls ``send()`` (if given), then requests the
+    drain once every one of ``sent`` datagrams was received or dropped
+    by the kernel; start it, then run the daemon."""
+
+    def watch() -> None:
+        if send is not None:
+            send()
+        deadline = time.monotonic() + timeout_s
+        while (
+            daemon.datagrams_received + (daemon.kernel_drops() or 0) < sent
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+        daemon.request_stop()
+
+    return threading.Thread(target=watch, daemon=True)
 
 
 def offline_result(spec: ServeSpec, trace):
@@ -316,6 +345,76 @@ class TestBackpressure:
         result, sent = run_replayed(spec, trace)
         assert result.drops == 0
         assert sum(m["packets"] for m in result.meters.values()) == sent
+
+
+class TestBurstIngest:
+    def test_strays_among_v5_datagrams_keep_offline_records(self, trace):
+        # The listener decodes each socket burst at once: strays mixed
+        # into a burst are skipped one by one, and the v5 datagrams
+        # around them still reach the worker whole and in order.
+        spec = serve_spec(workers=1)
+        v5 = trace_datagrams(trace, packet_rate=PACKET_RATE)
+        # Header-short junk, and a v9 header over a body that would
+        # decode as 30 records if its version went unchecked.
+        strays = [b"not netflow", (9).to_bytes(2, "big") + v5[0][2:]]
+        datagrams = []
+        for i, datagram in enumerate(v5):
+            datagrams.append(datagram)
+            datagrams.extend(strays[: i % 3])
+        assert len(datagrams) > len(v5)
+
+        daemon = ServeDaemon(spec, quiet=True)
+        address = daemon.bind()
+        feeder = drain_when_accounted(
+            daemon, len(datagrams), send=lambda: replay_datagrams(datagrams, address)
+        )
+        feeder.start()
+        result = daemon.run(duration=60.0)
+        feeder.join(timeout=10.0)
+
+        offline = offline_result(spec, trace)
+        assert result.kernel_drops in (0, None)
+        assert result.datagrams == len(datagrams)
+        assert result.packets == len(trace)
+        assert result.drops == 0
+        assert result.records == offline.records
+        assert result.exported == offline.exported
+        assert result.rotations == offline.rotations
+        assert result.sinks == offline.sinks
+
+
+class TestKernelDrops:
+    def test_socket_overflow_is_counted(self):
+        # Datagrams sent before the listener reads overflow the socket
+        # buffer; the kernel's per-socket drop count names exactly the
+        # ones the daemon never received.
+        if not os.access("/proc/net/udp", os.R_OK):
+            pytest.skip("/proc/net/udp is unreadable: no kernel drop count here")
+        daemon = ServeDaemon(serve_spec(workers=1), quiet=True)
+        address = daemon.bind()
+        assert daemon.kernel_drops() == 0
+        rcvbuf = daemon._sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+        lo = np.arange(1, 31, dtype=np.uint64)
+        datagram = encode_datagrams(
+            lo, np.zeros(30, dtype=np.uint64), np.full(30, 64), np.zeros(30)
+        )[0]
+        # Each queued datagram costs at least its own length of buffer.
+        sent = 2 * rcvbuf // len(datagram) + 64
+        sender = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            for _ in range(sent):
+                sender.sendto(datagram, address)
+        finally:
+            sender.close()
+        watcher = drain_when_accounted(daemon, sent)
+        watcher.start()
+        result = daemon.run(duration=30.0)
+        watcher.join(timeout=10.0)
+        assert result.kernel_drops > 0
+        assert result.datagrams + result.kernel_drops == sent
+        assert result.packets == 30 * result.datagrams
+        assert result.accounting_exact
+        assert result.summary()["kernel_drops"] == result.kernel_drops
 
 
 class TestLifecycle:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.netwide import sharding
 from repro.serve import ServeSpec
 from repro.specs import SpecError
 
@@ -30,6 +31,26 @@ def sharded_collector(n_shards: int) -> dict:
     }
 
 
+def count_shard_builds(monkeypatch, allow: bool = True) -> list:
+    """Record every shard a sharded collector builds from now on.
+
+    With ``allow=False`` the first build fails the test at once: a
+    collector that built shards before checking ``n_shards`` would
+    otherwise build ``2**64`` of them.
+    """
+    built = []
+    build = sharding.build
+
+    def counting_build(spec):
+        built.append(spec)
+        if not allow:
+            raise AssertionError("a shard was built before n_shards was checked")
+        return build(spec)
+
+    monkeypatch.setattr(sharding, "build", counting_build)
+    return built
+
+
 class TestValidation:
     def test_source_must_be_udp(self):
         offline = pipeline_dict(
@@ -47,6 +68,22 @@ class TestValidation:
         with pytest.raises(SpecError, match="shards"):
             ServeSpec(pipeline=pipeline, workers=3)
         ServeSpec(pipeline=pipeline, workers=2)  # enough
+
+    @pytest.mark.parametrize("n_shards", [sharding.MAX_SHARDS + 1, 2**64 + 1])
+    def test_huge_shard_count_refused_before_any_shard_is_built(
+        self, n_shards, monkeypatch
+    ):
+        built = count_shard_builds(monkeypatch, allow=False)
+        data = {"pipeline": pipeline_dict(collector=sharded_collector(n_shards))}
+        with pytest.raises(SpecError, match="n_shards"):
+            ServeSpec.from_dict(data)
+        assert built == []
+
+    def test_shard_count_at_the_ceiling_loads(self, monkeypatch):
+        built = count_shard_builds(monkeypatch)
+        collector = sharded_collector(sharding.MAX_SHARDS)
+        ServeSpec.from_dict({"pipeline": pipeline_dict(collector=collector)})
+        assert len(built) == sharding.MAX_SHARDS
 
     def test_workers_must_be_positive(self):
         with pytest.raises(SpecError, match="workers"):
