@@ -31,9 +31,8 @@ import time
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, update_headline
+from benchmarks.conftest import RESULTS_DIR, environment_fields, update_headline
 from repro.experiments.runner import make_workload
-from repro.native import kernel_info
 from repro.parallel import SweepCell, WorkloadRef, run_plan
 from repro.specs import EVALUATED_KINDS, build, resolve_scale
 from repro.traces.profiles import CAIDA
@@ -70,17 +69,6 @@ def _measure_headline_rates() -> dict[str, float]:
     }
 
 
-def _environment_fields() -> dict:
-    """The measurement environment every headline record must carry."""
-    info = kernel_info()
-    return {
-        "cpus": os.cpu_count(),
-        "kernel": info["requested"],
-        "native_available": info["available"],
-        "compiler": info["compiler"],
-    }
-
-
 def test_parallel_sweep_recorded():
     """Record serial-vs-parallel wall clock on the memory-sweep grid."""
     cpus = os.cpu_count() or 1
@@ -96,7 +84,7 @@ def test_parallel_sweep_recorded():
             parallel_speedup_2=None,
             parallel_speedup_4=None,
             parallel_skip_reason=reason,
-            **_environment_fields(),
+            **environment_fields(),
         )
         pytest.skip(reason)
     scale = resolve_scale(None)
@@ -148,7 +136,7 @@ def test_parallel_sweep_recorded():
         parallel_speedup_2=round(speedups[2], 2),
         parallel_speedup_4=round(speedups[4], 2),
         parallel_skip_reason=None,
-        **_environment_fields(),
+        **environment_fields(),
     )
 
     if SPEEDUP_FLOOR > 0:

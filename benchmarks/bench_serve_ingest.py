@@ -1,11 +1,16 @@
 """Live-daemon ingest throughput for ``repro.serve`` (not a paper
 figure).
 
-Replays an unpaced NetFlow v5 stream over loopback UDP into a running
+Replays a NetFlow v5 stream over loopback UDP into a running
 :class:`~repro.serve.daemon.ServeDaemon` and measures the sustained
 decode-route-ring-feed rate, asserting the delivered record set still
 matches the offline ``Pipeline.run`` ground truth (the determinism
-contract holds at speed, not just in the unit tests).  Persists:
+contract holds at speed, not just in the unit tests).  The replay is a
+closed loop: it keeps at most :data:`IN_FLIGHT_PACKETS` packets sent
+but not yet received by the daemon, the window perfbench's generator
+keeps, so where the socket receive buffer holds that window the
+measured rate is the daemon's capacity, not the kernel's drop rate.
+Persists:
 
 * ``benchmarks/results/BENCH_serve_ingest.json`` — the full record
   (wall clock, pps, drop rate, per-worker meters);
@@ -26,12 +31,14 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import threading
 import time
 
 import pytest
 
-from benchmarks.conftest import RESULTS_DIR, update_headline
+from benchmarks.conftest import RESULTS_DIR, environment_fields, update_headline
+from repro.export.netflow_v5 import HEADER_BYTES, RECORD_BYTES
 from repro.native import kernel_info
 from repro.serve import ServeDaemon, ServeSpec, replay_datagrams, trace_datagrams
 from repro.specs import resolve_scale
@@ -43,6 +50,45 @@ JSON_PATH = RESULTS_DIR / "BENCH_serve_ingest.json"
 #: Synthetic clock rate; a whole-millisecond period (2 ms) keeps the
 #: replayed timestamps bit-identical to the offline pipeline clock.
 PACKET_RATE = 500.0
+
+#: Packets the ingest replay keeps in flight (sent minus the daemon's
+#: ``packets_received``): 546 full datagrams, about 1.2 MiB of kernel
+#: buffer.  The daemon's receive buffer holds that only where
+#: ``net.core.rmem_max`` allows it; below that the kernel drops
+#: datagrams and the replay stops at the first drop.
+IN_FLIGHT_PACKETS = 16_384
+
+#: Poll interval while the in-flight window is shut.
+POLL_S = 0.001
+
+
+def _send_closed_loop(
+    datagrams, address, daemon, deadline: float
+) -> tuple[int, int]:
+    """Send every datagram, keeping at most :data:`IN_FLIGHT_PACKETS`
+    packets in flight; returns the datagrams and packets sent.
+
+    Sends fewer if ``deadline`` (a ``time.monotonic()`` value) passes
+    first, or if the kernel has dropped a datagram at the daemon's
+    socket while the window is shut: a dropped datagram never reaches
+    ``packets_received``, so the window would never reopen, and the run
+    is lost anyway (the caller's assertions name the drops).
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    n_sent = sent = 0
+    try:
+        for datagram in datagrams:
+            packets = (len(datagram) - HEADER_BYTES) // RECORD_BYTES
+            while sent + packets - daemon.packets_received > IN_FLIGHT_PACKETS:
+                if time.monotonic() > deadline or daemon.kernel_drops():
+                    return n_sent, sent
+                time.sleep(POLL_S)
+            sock.sendto(datagram, address)
+            n_sent += 1
+            sent += packets
+    finally:
+        sock.close()
+    return n_sent, sent
 
 
 def _serve_spec(scale: float) -> ServeSpec:
@@ -61,17 +107,6 @@ def _serve_spec(scale: float) -> ServeSpec:
     )
 
 
-def _environment_fields() -> dict:
-    """The measurement environment every headline record must carry."""
-    info = kernel_info()
-    return {
-        "cpus": os.cpu_count(),
-        "kernel": info["requested"],
-        "native_available": info["available"],
-        "compiler": info["compiler"],
-    }
-
-
 def test_serve_ingest_recorded():
     """Record the daemon's sustained loopback ingest rate."""
     cpus = os.cpu_count() or 1
@@ -84,7 +119,7 @@ def test_serve_ingest_recorded():
             serve_pps=None,
             serve_drop_rate=None,
             serve_skip_reason=reason,
-            **_environment_fields(),
+            **environment_fields(),
         )
         pytest.skip(reason)
 
@@ -103,13 +138,15 @@ def test_serve_ingest_recorded():
 
     def feed() -> None:
         start = time.perf_counter()
-        sent["packets"] = replay_datagrams(datagrams, address)
         deadline = time.monotonic() + 300.0
+        n_sent, sent["packets"] = _send_closed_loop(
+            datagrams, address, daemon, deadline
+        )
         # Every datagram sent is either received or dropped by the
         # kernel at the full socket: once they add up, nothing more
         # will arrive, lossy run or not.
         while (
-            daemon.datagrams_received + (daemon.kernel_drops() or 0) < len(datagrams)
+            daemon.datagrams_received + (daemon.kernel_drops() or 0) < n_sent
             and time.monotonic() < deadline
         ):
             time.sleep(0.005)
@@ -169,7 +206,7 @@ def test_serve_ingest_recorded():
         serve_pps=round(pps),
         serve_drop_rate=drop_rate,
         serve_skip_reason=None,
-        **_environment_fields(),
+        **environment_fields(),
     )
 
 
@@ -195,7 +232,7 @@ def test_serve_recovery_recorded():
         update_headline(
             serve_recovery_ms=None,
             serve_recovery_skip_reason=reason,
-            **_environment_fields(),
+            **environment_fields(),
         )
         pytest.skip(reason)
 
@@ -266,5 +303,5 @@ def test_serve_recovery_recorded():
     update_headline(
         serve_recovery_ms=round(recovery_ms, 3),
         serve_recovery_skip_reason=None,
-        **_environment_fields(),
+        **environment_fields(),
     )

@@ -21,12 +21,14 @@ mistaken for one from a bigger machine.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.report import render_table, save_result
 from repro.experiments.runner import ExperimentResult
+from repro.native import kernel_info
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -46,6 +48,17 @@ def update_headline(**fields) -> dict:
     record.update(fields)
     HEADLINE_PATH.write_text(json.dumps(record, indent=2) + "\n")
     return record
+
+
+def environment_fields() -> dict:
+    """The measurement environment every headline record must carry."""
+    info = kernel_info()
+    return {
+        "cpus": os.cpu_count(),
+        "kernel": info["requested"],
+        "native_available": info["available"],
+        "compiler": info["compiler"],
+    }
 
 
 @pytest.fixture()

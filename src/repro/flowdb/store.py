@@ -39,7 +39,8 @@ from typing import Any, ClassVar, Iterable, Mapping
 
 import numpy as np
 
-from repro.flowdb.summary import FlowSummary, merge_summaries
+from repro.flow.key import FLOW_KEY_BITS
+from repro.flowdb.summary import UNMEASURED, FlowSummary, merge_summaries
 from repro.specs import Spec, SpecError, positive_count
 from repro.stream.durable import atomic_write_bytes, read_archive
 
@@ -115,8 +116,12 @@ def _check_vantage(vantage: str) -> str:
     return vantage
 
 
-#: The summary columns a node file holds beside its ``meta`` blob.
-_COLUMNS = ("lo", "hi", "packets", "octets")
+#: The summary columns a node file holds beside its ``meta`` blob, with
+#: the dtype :func:`_encode_node` writes each in.
+_COLUMNS = {"lo": np.uint64, "hi": np.uint64, "packets": np.int64, "octets": np.int64}
+
+#: Bound on a stored key's ``hi`` half: keys are 104-bit flow IDs.
+_HI_LIMIT = 1 << (FLOW_KEY_BITS - 64)
 
 
 def _encode_node(summary: FlowSummary, meta: dict[str, Any]) -> bytes:
@@ -151,9 +156,12 @@ def _read_node(
     The one node decode.  npz members load lazily, so without
     ``arrays`` only the ``meta`` member is read and the summary columns
     stay on disk.  A damaged file raises :class:`StoreError`: one the
-    zip or npy reader refuses, or a meta blob that is not a JSON object
+    zip or npy reader refuses, a meta blob that is not a JSON object
     of this schema with lists of window indices ``windows`` and
-    ``degraded_windows`` and counts ``count`` and ``packets``.
+    ``degraded_windows`` and counts ``count`` and ``packets``, or (with
+    ``arrays``) columns that break :class:`FlowSummary`'s invariants
+    (:func:`_check_columns`), which its searchsorted lookups and merges
+    would otherwise answer from silently.
     """
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -182,15 +190,40 @@ def _read_node(
             raise StoreError(f"store node {path} {name} {value!r} is not a count")
     if columns is None:
         return meta, None
-    lo, hi, packets, octets = columns
-    summary = FlowSummary(
-        lo=lo.astype(np.uint64, copy=False),
-        hi=hi.astype(np.uint64, copy=False),
-        packets=packets.astype(np.int64, copy=False),
-        octets=octets.astype(np.int64, copy=False),
-        degraded_windows=tuple(meta["degraded_windows"]),
-    )
+    _check_columns(path, meta["count"], columns)
+    summary = FlowSummary(*columns, degraded_windows=tuple(meta["degraded_windows"]))
     return meta, summary
+
+
+def _check_columns(path: Path, count: int, columns: list[np.ndarray]) -> None:
+    """Raise :class:`StoreError` unless a node's columns are a summary.
+
+    Each column must be 1-D in the writer's dtype with ``count`` rows;
+    the keys 104-bit and strictly ascending by ``(hi, lo)``; packets
+    ``>= 0`` and octets ``>=`` :data:`UNMEASURED`.
+    """
+    for (name, dtype), column in zip(_COLUMNS.items(), columns):
+        if column.ndim != 1 or column.dtype != dtype:
+            raise StoreError(
+                f"store node {path} column {name} is a {column.ndim}-D "
+                f"{column.dtype} array, not 1-D {np.dtype(dtype)}"
+            )
+        if len(column) != count:
+            raise StoreError(
+                f"store node {path} column {name} has {len(column)} rows, "
+                f"but its meta count is {count}"
+            )
+    if not count:
+        return
+    lo, hi, packets, octets = columns
+    if int(hi.max()) >= _HI_LIMIT:
+        raise StoreError(f"store node {path} holds a key wider than {FLOW_KEY_BITS} bits")
+    if not (
+        np.all(hi[:-1] <= hi[1:]) and np.all((hi[:-1] != hi[1:]) | (lo[:-1] < lo[1:]))
+    ):
+        raise StoreError(f"store node {path} keys are not strictly ascending")
+    if packets.min() < 0 or octets.min() < UNMEASURED:
+        raise StoreError(f"store node {path} holds a negative count")
 
 
 class FlowStore:

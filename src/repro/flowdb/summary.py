@@ -5,8 +5,12 @@ table flattened into sorted numpy arrays — the Flowyager insight
 (PAPERS.md) applied to HashFlow exports: once a rotation's records are
 canonically sorted by flow key, every query the store answers (top-k,
 per-key lookup, cardinality, cross-window/cross-vantage merges)
-becomes an array scan or a ``searchsorted``, and merging two summaries
-is a concatenate + lexsort + ``reduceat``, never a Python-dict walk.
+becomes an array scan or a ``searchsorted``, and merging summaries is
+a concatenate + :func:`~repro.hashing.mixers.key_groups` +
+``reduceat``, never a Python-dict walk.  ``key_groups`` returns
+``np.lexsort((lo, hi))``'s order, but through a stable sort that finds
+the inputs' sorted runs, so a merge does not re-sort what its
+summaries already sorted.
 
 Counts are exact, not sketched: the store's bit-identity contract
 (DESIGN §12) says querying merged summaries returns *exactly* what
@@ -44,7 +48,8 @@ def _empty_i64() -> np.ndarray:
 class FlowSummary:
     """One window's flows as canonically-sorted columnar arrays.
 
-    Invariants (enforced by the constructors, assumed everywhere):
+    Invariants (enforced by the constructors and by the store's node
+    reader, assumed everywhere):
 
     * ``lo``/``hi`` are ``uint64`` halves of the packed 104-bit flow
       key, sorted ascending by the full key (``np.lexsort((lo, hi))``
@@ -209,7 +214,9 @@ def merge_summaries(
             :mod:`repro.netwide.merge`, vectorized.
 
     Packet counts group by flow key through the one column merge
-    (:func:`~repro.stream.records.merge_rows`: one lexsort +
+    (:func:`~repro.stream.records.merge_rows`: one
+    :func:`~repro.hashing.mixers.key_groups` sort, ``np.lexsort``'s
+    order over the concatenated inputs' sorted runs, then
     ``reduceat``); octets follow the same grouping but any
     :data:`UNMEASURED` participant poisons its group.  Degraded-window
     provenance is the union of the inputs'.

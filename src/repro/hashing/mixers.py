@@ -158,22 +158,59 @@ def keys_from_halves(lo: np.ndarray, hi: np.ndarray) -> list[int]:
     return [(h << 64) | l for l, h in zip(lo.tolist(), hi.tolist())]
 
 
+def _new_keys(column: np.ndarray) -> np.ndarray:
+    """True at each row of a sorted column that differs from the row before."""
+    new = np.empty(len(column), dtype=bool)
+    new[:1] = True
+    np.not_equal(column[1:], column[:-1], out=new[1:])
+    return new
+
+
 def key_groups(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group rows of key halves by packed flow key.
 
     Returns:
         ``(order, starts)``: ``order`` sorts the rows ascending by
-        packed key (``np.lexsort((lo, hi))``, stable, so the rows of one
-        key keep their relative order), and ``starts`` holds the sorted
-        position of each distinct key's first row: the offsets
-        ``np.ufunc.reduceat`` folds a group at.
+        packed key, stable, so the rows of one key keep their relative
+        order: it is ``np.lexsort((lo, hi))`` element for element.
+        ``starts`` holds the sorted position of each distinct key's
+        first row: the offsets ``np.ufunc.reduceat`` folds a group at.
+
+    With ``w`` the bit width of the largest ``hi``, a key has ``64 + w``
+    bits.  The rows sort by its top 64 bits with one stable ``argsort``
+    (timsort, which merges the sorted runs of concatenated summaries
+    instead of re-sorting them).  Only when tops repeat does a second
+    stable ``argsort`` order the rows by the top's dense rank and the
+    ``w`` bits below it, packed into one ``uint64``.  The rank of ``n``
+    rows with a repeat is at most ``n - 1``, so the pack fits when
+    ``n <= 2**(64 - w)``: 2**24 rows of 104-bit keys.  Wider inputs
+    take ``np.lexsort``.
     """
-    order = np.lexsort((lo, hi))
-    lo, hi = lo[order], hi[order]
-    boundary = np.empty(len(lo), dtype=bool)
-    boundary[:1] = True
-    np.logical_or(lo[1:] != lo[:-1], hi[1:] != hi[:-1], out=boundary[1:])
-    return order, np.flatnonzero(boundary)
+    n = len(lo)
+    width = int(hi.max()).bit_length() if n else 0
+    if n > 1 << (64 - width):
+        order = np.lexsort((lo, hi))
+        new = _new_keys(lo[order])
+        new |= _new_keys(hi[order])
+        return order, np.flatnonzero(new)
+    # numpy shifts by 64 or more give 0, so widths 0 and 64 need no branch.
+    top = hi << np.uint64(64 - width)
+    top |= lo >> np.uint64(width)
+    order = np.argsort(top, kind="stable")
+    new = _new_keys(top[order])
+    del top
+    if width and not new.all():
+        # 1-based dense rank of each sorted row's top, then its low bits.
+        pack = np.cumsum(new, dtype=np.uint64)
+        pack <<= np.uint64(width)
+        low = lo[order]
+        low &= np.uint64((1 << width) - 1)
+        pack |= low
+        del low
+        ties = np.argsort(pack, kind="stable")
+        order = order[ties]
+        new = _new_keys(pack[ties])
+    return order, np.flatnonzero(new)
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:

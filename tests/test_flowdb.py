@@ -412,14 +412,21 @@ class TestDamagedNodes:
         return store, store._node_path("v", 0, 0)
 
     @staticmethod
-    def with_meta(path, meta) -> None:
-        """Rewrite a node file with ``meta`` as its JSON meta blob."""
+    def rewrite(path, **replaced) -> None:
+        """Rewrite a node file with some of its npz members replaced."""
         with np.load(path) as npz:
             members = {name: npz[name] for name in npz.files}
-        members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        members.update(replaced)
         buffer = io.BytesIO()
         np.savez(buffer, **members)
         path.write_bytes(buffer.getvalue())
+
+    @classmethod
+    def with_meta(cls, path, meta) -> None:
+        """Rewrite a node file with ``meta`` as its JSON meta blob."""
+        cls.rewrite(
+            path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        )
 
     @staticmethod
     def refused(store) -> None:
@@ -473,6 +480,52 @@ class TestDamagedNodes:
         del meta["windows"]
         self.with_meta(path, meta)
         self.refused(store)
+
+    #: Column damage a valid zip and a valid meta blob can carry, as a
+    #: function of the leaf's columns (keys 5 and 6, hi 0) to the
+    #: members that replace them.
+    BROKEN_COLUMNS = {
+        "reversed-rows": lambda c: {n: col[::-1] for n, col in c.items()},
+        "duplicated-row": lambda c: {n: col[[0, 0]] for n, col in c.items()},
+        "float-keys": lambda c: {"lo": c["lo"].astype(np.float64)},
+        "2-d-column": lambda c: {"packets": c["packets"].reshape(-1, 1)},
+        "length-mismatch": lambda c: {"octets": c["octets"][:1]},
+        "41-bit-hi": lambda c: {"hi": np.array([0, 1 << 40], dtype=np.uint64)},
+        "count-mismatch": lambda c: {
+            n: np.append(col, col[-1] + col.dtype.type(1)) for n, col in c.items()
+        },
+        "negative-packets": lambda c: {"packets": -c["packets"]},
+        "octets-below-unmeasured": lambda c: {"octets": c["octets"] - 10**6},
+    }
+
+    @classmethod
+    def break_columns(cls, path, damage) -> None:
+        with np.load(path) as npz:
+            columns = {n: npz[n] for n in ("lo", "hi", "packets", "octets")}
+        cls.rewrite(path, **cls.BROKEN_COLUMNS[damage](columns))
+
+    @pytest.mark.parametrize("damage", sorted(BROKEN_COLUMNS))
+    def test_columns_breaking_summary_invariants_refused(self, leaf, damage):
+        from repro.flowdb.store import _read_node
+
+        store, path = leaf
+        self.break_columns(path, damage)
+        with pytest.raises(StoreError):
+            _read_node(path, arrays=True)
+        with pytest.raises(StoreError):
+            store.load_node("v", 0, 0)
+
+    @pytest.mark.parametrize("action", [["lookup", "--key", "5"], ["topk"]], ids=str)
+    @pytest.mark.parametrize("damage", sorted(BROKEN_COLUMNS))
+    def test_query_on_broken_columns_exits_1(self, leaf, damage, action, capsys):
+        from repro.experiments.cli import main
+
+        store, path = leaf
+        self.break_columns(path, damage)
+        assert main(["query", *action, "--store", str(store.root)]) == 1
+        err = capsys.readouterr().err
+        assert "query failed: store node" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("action", ["topk", "ls"])
     def test_query_on_damaged_store_exits_1(self, leaf, action, capsys):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.mixers import (
     MASK64,
     derive_seeds,
+    key_groups,
     mix128,
     splitmix64,
 )
@@ -139,3 +141,91 @@ class TestBatchMixers:
 
         lo, hi = split_keys([key])
         assert int(mix128_batch(lo, hi, 99)[0]) == mix128(key, 99)
+
+
+def _halves(keys: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.array([k & MASK64 for k in keys], dtype=np.uint64)
+    hi = np.array([k >> 64 for k in keys], dtype=np.uint64)
+    return lo, hi
+
+
+@st.composite
+def _grouping_input(draw):
+    """``(keys, strided)``: packed keys whose widest ``hi`` has a drawn
+    bit width, in one of the shapes the column merge sees, and whether
+    to pass them as a strided view.
+
+    A key is ``top << width | low``: its top 64 bits and the ``width``
+    bits below them.  Tops come from a small pool so that they repeat,
+    and one top with its high bit set pins the width.
+    """
+    width = draw(st.integers(0, 64))
+    pinned = (1 << 63) | draw(st.integers(0, MASK64 >> 1))
+    tops = [pinned] + draw(st.lists(st.integers(0, MASK64), max_size=6))
+    lows = st.integers(0, (1 << width) - 1)
+    key = st.builds(lambda t, r: (t << width) | r, st.sampled_from(tops), lows)
+    shape = draw(
+        st.sampled_from(["random", "runs", "one_hi", "duplicates", "budget"])
+    )
+    if shape == "random":
+        keys = draw(st.lists(key, max_size=40))
+    elif shape == "runs":
+        # 1-9 sorted, duplicate-free runs drawn from one pool, as a
+        # merge concatenates summaries: keys recur across runs.
+        pool = draw(st.lists(key, min_size=1, max_size=30))
+        runs = draw(
+            st.lists(st.lists(st.sampled_from(pool), unique=True),
+                     min_size=1, max_size=9)
+        )
+        keys = [k for run in runs for k in sorted(run)]
+    elif shape == "one_hi":
+        hi = pinned >> (64 - width) if width else 0
+        los = st.one_of(st.integers(0, MASK64), st.integers(0, 3))
+        keys = [(hi << 64) | lo for lo in draw(st.lists(los, max_size=40))]
+    elif shape == "duplicates":
+        pool = draw(st.lists(key, min_size=1, max_size=3))
+        keys = draw(st.lists(st.sampled_from(pool), max_size=80))
+    else:
+        # Distinct tops but one repeat, on both sides of the pack
+        # budget of 2**(64 - width) rows (a reachable size only for
+        # wide hi): the widest input whose dense rank still fits.
+        width = draw(st.integers(58, 64))
+        budget = 1 << (64 - width)
+        n = budget + draw(st.integers(0, 1))
+        distinct = draw(
+            st.lists(st.integers(0, MASK64 >> 1), min_size=max(n - 1, 1),
+                     max_size=max(n - 1, 1), unique=True)
+        )
+        tops = [t | (1 << 63) for t in distinct]
+        if n > 1:
+            tops.append(draw(st.sampled_from(tops)))
+        rows = [(t << width) | draw(st.integers(0, (1 << width) - 1)) for t in tops]
+        keys = draw(st.permutations(rows))
+    return keys, draw(st.booleans())
+
+
+def _reference_groups(keys: list[int]) -> tuple[np.ndarray, list[int]]:
+    lo, hi = _halves(keys)
+    order = np.lexsort((lo, hi))
+    ordered = [keys[i] for i in order.tolist()]
+    starts = [i for i in range(len(ordered)) if i == 0 or ordered[i] != ordered[i - 1]]
+    return order, starts
+
+
+class TestKeyGroups:
+    """``key_groups`` is ``np.lexsort((lo, hi))``'s order, whatever the
+    sort underneath, and its group starts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_grouping_input())
+    def test_matches_lexsort(self, drawn):
+        keys, strided = drawn
+        lo, hi = _halves(keys)
+        if strided:
+            # Every other row of a doubled column: a non-contiguous view.
+            lo, hi = np.repeat(lo, 2)[::2], np.repeat(hi, 2)[::2]
+            assert not lo.flags.c_contiguous or len(lo) < 2
+        order, starts = key_groups(lo, hi)
+        expected_order, expected_starts = _reference_groups(keys)
+        assert order.tolist() == expected_order.tolist()
+        assert starts.tolist() == expected_starts
